@@ -9,7 +9,6 @@
 //	feo export   [-data ...] [-format ttl|nt]  dump the materialized graph
 //	feo compact  -datadir DIR [-data ...]      snapshot + rotate the write-ahead log
 //	feo serve    [-addr :8080] [-data ...] [-datadir DIR] [-sync commit|interval|off]
-//	feo loadtest [-duration 5s] [-concurrency 8] [-out LOAD.json] [-url http://host:8080]
 package main
 
 import (
@@ -54,8 +53,6 @@ func main() {
 		err = cmdCompact(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "loadtest":
-		err = cmdLoadtest(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -83,18 +80,12 @@ commands:
   validate   run OWL consistency checks over the materialized graph
   compact    write a fresh durability snapshot and rotate the write-ahead log
   serve      start the HTTP SPARQL + explanation API
-  loadtest   drive a closed-loop load mix against the API and report p50/p99
 `)
 }
 
 // dataFlag registers the shared -data flag.
 func dataFlag(fs *flag.FlagSet) *string {
 	return fs.String("data", "all", "dataset: cq1, cq2, cq3, all, synthetic, none")
-}
-
-// parallelFlag registers the shared -parallel flag (SPARQL worker count).
-func parallelFlag(fs *flag.FlagSet) *int {
-	return fs.Int("parallel", 0, "SPARQL workers per query: 0 = one per CPU, 1 = sequential")
 }
 
 func newSession(data string) (*feo.Session, error) {
@@ -211,11 +202,9 @@ func cmdQuery(args []string) error {
 	sync := syncFlag(fs)
 	file := fs.String("file", "", "read the query from a file")
 	format := fs.String("format", "table", "output: table, json, csv, tsv, xml")
-	par := parallelFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	feo.SetQueryParallelism(*par)
 	query := strings.Join(fs.Args(), " ")
 	if *file != "" {
 		b, err := os.ReadFile(*file)

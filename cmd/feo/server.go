@@ -63,14 +63,12 @@ func cmdServe(args []string) error {
 	datadir := datadirFlag(fs)
 	sync := syncFlag(fs)
 	addr := fs.String("addr", ":8080", "listen address")
-	par := parallelFlag(fs)
 	queryTimeout := fs.Duration("query-timeout", 30*time.Second, "per-query deadline (0 = none)")
 	maxRows := fs.Int("max-rows", 0, "cap on result rows per query (0 = unlimited)")
 	maxBytes := fs.Int64("max-bytes", 0, "cap on serialized result bytes per query (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	feo.SetQueryParallelism(*par)
 	s, err := openSession(*data, *datadir, *sync)
 	if err != nil {
 		return err
@@ -137,15 +135,19 @@ func newAPIServer(s *feo.Session, queryTimeout time.Duration, maxRows int, maxBy
 	}
 }
 
-// mux routes the API with per-endpoint instrumentation.
-func (s *apiServer) mux() *http.ServeMux {
+// maxBodyBytes bounds every request body; reading past it fails the read,
+// which the handlers answer with 413 (see bodyErrorStatus).
+const maxBodyBytes = 1 << 20
+
+// mux routes the API with per-endpoint instrumentation and the body bound.
+func (s *apiServer) mux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/sparql", s.instrument("/sparql", s.handleSPARQL))
 	mux.HandleFunc("/explain", s.instrument("/explain", s.handleExplain))
 	mux.HandleFunc("/recommend", s.instrument("/recommend", s.handleRecommend))
 	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	return mux
+	return http.MaxBytesHandler(mux, maxBodyBytes)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -160,9 +162,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeJSONBody decodes one JSON value from the request body.
-func decodeJSONBody(r *http.Request, v any) error {
-	return json.NewDecoder(r.Body).Decode(v)
+// bodyErrorStatus maps a failure to read or decode a request body to its
+// status: 413 when the body overflowed maxBodyBytes, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func (s *apiServer) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -178,8 +185,8 @@ func (s *apiServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 		User      string `json:"user"`
 		Text      string `json:"text"`
 	}
-	if err := decodeJSONBody(r, &body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		writeError(w, bodyErrorStatus(err), fmt.Errorf("malformed JSON body: %w", err))
 		return
 	}
 	et, err := feo.ParseExplanationType(body.Type)

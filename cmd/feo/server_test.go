@@ -80,9 +80,9 @@ func TestSPARQLEndpointFormats(t *testing.T) {
 
 func TestSPARQLEndpointPOSTAndAsk(t *testing.T) {
 	srv := testServer(t)
-	body := strings.NewReader(`{"query":"ASK { feo:Sushi feo:hasIngredient feo:RawFish }"}`)
+	body := strings.NewReader(`ASK { feo:Sushi feo:hasIngredient feo:RawFish }`)
 	req := httptest.NewRequest(http.MethodPost, "/sparql", body)
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/sparql-query")
 	rr := httptest.NewRecorder()
 	srv.handleSPARQL(rr, req)
 	if rr.Code != http.StatusOK {
@@ -144,6 +144,7 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestExplainEndpointValidation(t *testing.T) {
 	srv := testServer(t)
+	mux := srv.mux()
 	cases := []struct {
 		name, body string
 		wantStatus int
@@ -152,12 +153,13 @@ func TestExplainEndpointValidation(t *testing.T) {
 		{"bad term", `{"type":"contextual","primary":"nope:X"}`, http.StatusBadRequest},
 		{"missing primary", `{"type":"contextual"}`, http.StatusUnprocessableEntity},
 		{"bad json", `{`, http.StatusBadRequest},
+		{"oversized", `{"type":"contextual","text":"` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPost, "/explain", strings.NewReader(tc.body))
 			rr := httptest.NewRecorder()
-			srv.handleExplain(rr, req)
+			mux.ServeHTTP(rr, req)
 			if rr.Code != tc.wantStatus {
 				t.Errorf("status = %d, want %d (%s)", rr.Code, tc.wantStatus, rr.Body.String())
 			}

@@ -22,15 +22,12 @@ import (
 //	POST /sparql  application/x-www-form-urlencoded   query=... in the body
 //	POST /sparql  application/sparql-query            the query IS the body
 //
-// plus the pre-protocol JSON form this server always spoke, kept for
-// compatibility: POST application/json {"query": "..."}.
-//
 // Errors follow the protocol: 405 (with Allow) for methods other than
 // GET/POST, 415 for an unsupported POST content type, 400 for a missing
-// or malformed query, 406 for an Accept header naming no supported
-// result format. Content negotiation — explicit ?format= first, then
-// Accept with q-values — resolves BEFORE the query runs, so a rejected
-// request never costs an evaluation.
+// or malformed query, 413 for a body over maxBodyBytes, 406 for an Accept
+// header naming no supported result format. Content negotiation —
+// explicit ?format= first, then Accept with q-values — resolves BEFORE the
+// query runs, so a rejected request never costs an evaluation.
 
 var (
 	errMethodNotAllowed = errors.New("method not allowed")
@@ -168,7 +165,7 @@ func readQuery(r *http.Request) (string, int, error) {
 		switch mt {
 		case "application/x-www-form-urlencoded":
 			if err := r.ParseForm(); err != nil {
-				return "", http.StatusBadRequest, fmt.Errorf("malformed form body: %w", err)
+				return "", bodyErrorStatus(err), fmt.Errorf("malformed form body: %w", err)
 			}
 			q := r.PostForm.Get("query")
 			if strings.TrimSpace(q) == "" {
@@ -176,27 +173,14 @@ func readQuery(r *http.Request) (string, int, error) {
 			}
 			return q, 0, nil
 		case "application/sparql-query":
-			body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+			body, err := io.ReadAll(r.Body)
 			if err != nil {
-				return "", http.StatusBadRequest, fmt.Errorf("reading query body: %w", err)
+				return "", bodyErrorStatus(err), fmt.Errorf("reading query body: %w", err)
 			}
 			if strings.TrimSpace(string(body)) == "" {
 				return "", http.StatusBadRequest, errors.New("empty query body")
 			}
 			return string(body), 0, nil
-		case "application/json":
-			// Pre-protocol body shape; decode failures are reported, not
-			// swallowed into a misleading "missing query".
-			var body struct {
-				Query string `json:"query"`
-			}
-			if err := decodeJSONBody(r, &body); err != nil {
-				return "", http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err)
-			}
-			if strings.TrimSpace(body.Query) == "" {
-				return "", http.StatusBadRequest, errors.New("missing \"query\" member in JSON body")
-			}
-			return body.Query, 0, nil
 		default:
 			return "", http.StatusUnsupportedMediaType, fmt.Errorf("unsupported content type %q", mt)
 		}

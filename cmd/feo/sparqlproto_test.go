@@ -150,7 +150,7 @@ func TestProtocolMethodAndMediaTypeErrors(t *testing.T) {
 		}
 	}
 	// 415 for POST bodies the endpoint does not speak (or none declared).
-	for _, ct := range []string{"text/plain", "application/octet-stream", ""} {
+	for _, ct := range []string{"text/plain", "application/octet-stream", "application/json", ""} {
 		req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(protoQuery))
 		if ct != "" {
 			req.Header.Set("Content-Type", ct)
@@ -163,20 +163,33 @@ func TestProtocolMethodAndMediaTypeErrors(t *testing.T) {
 	}
 }
 
-// TestProtocolMalformedJSONBodyReported pins the bugfix: a broken legacy
-// JSON body must surface the decode error, not a misleading "missing
-// query".
-func TestProtocolMalformedJSONBodyReported(t *testing.T) {
-	srv := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(`{"query": `))
-	req.Header.Set("Content-Type", "application/json")
-	rr := httptest.NewRecorder()
-	srv.handleSPARQL(rr, req)
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d", rr.Code)
+// TestProtocolBodyLimit pins the bugfix: a body over maxBodyBytes answers
+// 413 in every body form. Each oversized body is a valid request padded
+// with trailing whitespace, so a server that truncated it (as
+// io.LimitReader once did) would evaluate the prefix and answer 200.
+func TestProtocolBodyLimit(t *testing.T) {
+	mux := testServer(t).mux()
+	form := url.Values{"query": {protoQuery}}.Encode()
+	cases := []struct {
+		name, contentType, body, pad string
+		size, want                   int
+	}{
+		{"raw at limit", "application/sparql-query", protoQuery, " ", maxBodyBytes, http.StatusOK},
+		{"raw over limit", "application/sparql-query", protoQuery, " ", maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"urlencoded at limit", "application/x-www-form-urlencoded", form, "+", maxBodyBytes, http.StatusOK},
+		{"urlencoded over limit", "application/x-www-form-urlencoded", form, "+", maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
 	}
-	if !strings.Contains(rr.Body.String(), "malformed JSON body") {
-		t.Errorf("decode error not reported: %s", rr.Body.String())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := tc.body + strings.Repeat(tc.pad, tc.size-len(tc.body))
+			req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(body))
+			req.Header.Set("Content-Type", tc.contentType)
+			rr := httptest.NewRecorder()
+			mux.ServeHTTP(rr, req)
+			if rr.Code != tc.want {
+				t.Errorf("status = %d, want %d", rr.Code, tc.want)
+			}
+		})
 	}
 }
 

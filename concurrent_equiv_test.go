@@ -1,8 +1,8 @@
 package repro
 
 import (
-	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/foodkg"
@@ -13,29 +13,54 @@ import (
 	"repro/internal/store"
 )
 
-// runAt executes query at the given parallelism level, restoring the knob.
-func runAt(t *testing.T, g *store.Graph, query string, par int) *sparql.Result {
-	t.Helper()
-	old := sparql.Parallelism()
-	sparql.SetParallelism(par)
-	defer sparql.SetParallelism(old)
-	res, err := sparql.Run(g, query)
-	if err != nil {
-		t.Fatalf("execute at parallelism %d: %v", par, err)
+// The engine's parallelism is across requests (see doc.go, Concurrency).
+// These suites run the paper's queries and artifacts the way a server
+// does — several callers at once over one graph — and require each caller
+// to get exactly what a lone caller gets.
+
+const parallelCallers = 4
+
+// inParallel calls f from parallelCallers goroutines at once and returns
+// their results in caller order.
+func inParallel[T any](f func() T) []T {
+	out := make([]T, parallelCallers)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i] = f()
+		}(i)
 	}
-	return res
+	wg.Wait()
+	return out
 }
 
-// parallelLevels is the equivalence matrix: the sequential reference,
-// fixed two- and four-worker pools (so the multi-worker paths run even on
-// single-CPU machines), and the automatic GOMAXPROCS setting.
-func parallelLevels() []int {
-	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}
+// assertParallelRuns evaluates query alone, then from parallelCallers
+// goroutines at once, requires the identical solution multiset from every
+// caller, and returns the lone run's row count.
+func assertParallelRuns(t *testing.T, g *store.Graph, query string) int {
+	t.Helper()
+	run := func() []string {
+		res, err := sparql.Run(g, query)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		return canonRows(res)
+	}
+	want := run()
+	for i, got := range inParallel(run) {
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("caller %d: solutions differ\nbeside others:\n%s\nalone:\n%s",
+				i, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	return len(want)
 }
 
 // TestParallelEquivalenceListings evaluates every paper listing on every
-// competency dataset at parallelism 1, 2, and GOMAXPROCS and requires the
-// identical solution multiset from each level.
+// competency dataset.
 func TestParallelEquivalenceListings(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -52,21 +77,13 @@ func TestParallelEquivalenceListings(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, _ := ontology.Dataset(tc.cq)
-			want := canonRows(runAt(t, g, tc.query, 1))
-			for _, par := range parallelLevels()[1:] {
-				got := canonRows(runAt(t, g, tc.query, par))
-				if strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Fatalf("parallelism %d: solutions differ from sequential\npar:\n%s\nseq:\n%s",
-						par, strings.Join(got, "\n"), strings.Join(want, "\n"))
-				}
-			}
+			assertParallelRuns(t, g, tc.query)
 		})
 	}
 }
 
 // TestParallelEquivalenceOperators runs the A4 operator suite over the
-// synthetic FoodKG — row sets large enough that the morsel scheduler
-// engages at its production threshold — at every parallelism level.
+// synthetic FoodKG, whose row sets run to thousands of rows.
 func TestParallelEquivalenceOperators(t *testing.T) {
 	kg := foodkg.Generate(foodkg.DefaultConfig())
 	g := ontology.TBox()
@@ -83,33 +100,18 @@ func TestParallelEquivalenceOperators(t *testing.T) {
 	}
 	for _, tc := range queries {
 		t.Run(tc.name, func(t *testing.T) {
-			want := canonRows(runAt(t, g, tc.query, 1))
-			if len(want) == 0 {
+			if rows := assertParallelRuns(t, g, tc.query); rows == 0 {
 				t.Fatalf("corpus query %s returned no rows; equivalence check is vacuous", tc.name)
-			}
-			for _, par := range parallelLevels()[1:] {
-				got := canonRows(runAt(t, g, tc.query, par))
-				if strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Fatalf("parallelism %d: %d rows vs sequential %d; solutions differ",
-						par, len(got), len(want))
-				}
 			}
 		})
 	}
 }
 
-// renderAt regenerates an artifact with the knob pinned to par.
-func renderAt(par int, f func() string) string {
-	old := sparql.Parallelism()
-	sparql.SetParallelism(par)
-	defer sparql.SetParallelism(old)
-	return f()
-}
-
-// TestParallelArtifactsByteIdentical requires every paper artifact —
-// listings, Table I, Figures 1-4 — to come out byte-identical whether the
-// engine runs sequentially or fully parallel. (The listing renderer sorts
-// its rows, so this is a real guarantee, not map-order luck.)
+// TestParallelArtifactsByteIdentical renders every paper artifact —
+// listings, Table I, Figures 1-4 — alone and then from several goroutines
+// at once, and requires byte-identical output every time. (The listing
+// renderer sorts its rows, so this is a real guarantee, not map-order
+// luck.)
 func TestParallelArtifactsByteIdentical(t *testing.T) {
 	artifacts := []struct {
 		name   string
@@ -126,13 +128,13 @@ func TestParallelArtifactsByteIdentical(t *testing.T) {
 	}
 	for _, a := range artifacts {
 		t.Run(a.name, func(t *testing.T) {
-			want := renderAt(1, a.render)
+			want := a.render()
 			if want == "" {
-				t.Fatalf("%s rendered empty at parallelism 1", a.name)
+				t.Fatalf("%s rendered empty", a.name)
 			}
-			for _, par := range parallelLevels()[1:] {
-				if got := renderAt(par, a.render); got != want {
-					t.Errorf("%s differs at parallelism %d", a.name, par)
+			for i, got := range inParallel(a.render) {
+				if got != want {
+					t.Errorf("%s: render %d differs from the lone render", a.name, i)
 				}
 			}
 		})

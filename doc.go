@@ -49,22 +49,13 @@
 // serve-time writer stall points — WAL fsync, log compaction — happen
 // with no reader-visible lock held at all.
 //
-// # Parallel query execution
+// # Concurrency
 //
-// On top of the ID pipeline the evaluator fans each query out across a
-// worker pool: BGP joins partition their row stream into contiguous
-// morsels, UNION branches and OPTIONAL/EXISTS probes evaluate
-// concurrently, filters apply in parallel morsels, and property-path BFS
-// frontiers expand across workers. The knob is
-// sparql.SetParallelism (re-exported as feo.SetQueryParallelism): 0 means
-// one worker per CPU, 1 pins the sequential reference implementation, and
-// results are identical at every setting — workers write into
-// index-ordered slots, so the fan-out preserves the sequential append
-// order, and the equivalence suite (internal/sparql/parallel_test.go,
-// parallel_equiv_test.go) holds every operator and every paper artifact
-// byte-identical across parallelism levels. The pool relies on the
-// store's reader contract: a quiescent Graph is safe for any number of
-// concurrent readers.
+// Parallelism is across requests, not within one: each sparql.Execute
+// runs on its caller's goroutine over a pinned snapshot, and any number of
+// them may run at once under the store's reader contract (a quiescent
+// Graph is safe for any number of concurrent readers). There is no
+// per-query worker pool and nothing to tune.
 //
 // # Crash-safe durability
 //
@@ -106,15 +97,13 @@
 // server's deadline and row/byte caps — a runaway query is canceled
 // cooperatively, a capped one ends as a well-formed truncated document
 // with the reason in the X-Feo-Truncated trailer. Handler semantics are
-// strict: 405 with Allow, 415 for unknown POST bodies, 406 for an
-// unsatisfiable Accept. /metrics publishes a hand-rolled Prometheus text
+// strict: 405 with Allow, 415 for unknown POST bodies, 413 for a body
+// over 1 MiB, 406 for an unsatisfiable Accept. /metrics publishes a hand-rolled Prometheus text
 // exposition (internal/metrics, stdlib-only, byte-deterministic):
 // per-endpoint latency histograms and response counters, plan-cache
 // hits/misses, snapshot age, graph size, and reasoner inference gauges.
-// `feo loadtest` closes the loop — a closed-loop harness replays the
-// mixed sparql/explain/recommend workload, gates CI on zero 5xx, and
-// records throughput and p50/p99 (LOAD_*.json) next to the benchmark
-// trajectory.
+// feobench (bench/, BENCHMARK.json) closes the loop: it boots `feo serve`
+// as a separate process and drives four seeded workloads against it.
 //
 // # Static invariants
 //

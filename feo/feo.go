@@ -112,19 +112,6 @@ func ParseExplanationType(s string) (ExplanationType, error) {
 // AllExplanationTypes lists the nine types in Table I order.
 func AllExplanationTypes() []ExplanationType { return core.AllExplanationTypes() }
 
-// SetQueryParallelism sets the worker count the SPARQL engine uses per
-// query, process-wide: 0 (the default) means one worker per CPU
-// (GOMAXPROCS), 1 selects the sequential reference implementation, n > 1
-// caps the pool at n. Results are identical at every setting — the
-// executor partitions work into index-ordered morsels, so parallelism
-// changes only latency, never the solution multiset or any rendered
-// artifact. Safe to call at any time, including while queries run (each
-// query reads the knob once at entry).
-func SetQueryParallelism(n int) { sparql.SetParallelism(n) }
-
-// QueryParallelism reports the current SetQueryParallelism setting.
-func QueryParallelism() int { return sparql.Parallelism() }
-
 // QueryPlanCacheStats reports the SPARQL engine's cumulative plan-cache
 // hit and miss counts. The engine memoizes each basic graph pattern's
 // compiled plan (join order, constant encoding, fused intersection runs)
@@ -552,9 +539,8 @@ func (s *Session) LoadRDFXML(r io.Reader) error {
 func (s *Session) WriteRDFXML(w io.Writer) error { return s.Snapshot().WriteRDFXML(w) }
 
 // Query runs a SPARQL query against the latest published snapshot.
-// Queries may run from many goroutines concurrently (each one
-// additionally fans out across the SetQueryParallelism worker budget) and
-// never block on — or get blocked by — the mutating calls (Explain,
+// Queries may run from many goroutines concurrently (each one evaluates
+// on its caller's goroutine) and never block on — or get blocked by — the mutating calls (Explain,
 // LoadTurtle, LoadRDFXML, Update): each query pins the snapshot current
 // at its start and runs entirely against that frozen version.
 func (s *Session) Query(q string) (*QueryResult, error) { return s.Snapshot().Query(q) }

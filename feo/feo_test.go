@@ -213,24 +213,16 @@ func TestSessionRDFXMLRoundTrip(t *testing.T) {
 }
 
 // TestSessionConcurrentQuery guards the public concurrency contract: a
-// materialized Session serves Query from many goroutines at once, and the
-// engine-level parallelism knob round-trips and never changes results.
+// materialized Session serves Query from many goroutines at once.
 func TestSessionConcurrentQuery(t *testing.T) {
-	old := QueryParallelism()
-	defer SetQueryParallelism(old)
 	s := NewSession(Options{})
 	const query = `SELECT ?c WHERE { feo:CauliflowerPotatoCurry feo:hasCharacteristic ?c }`
-	SetQueryParallelism(1)
 	ref, err := s.Query(query)
 	if err != nil {
 		t.Fatalf("reference query: %v", err)
 	}
 	if ref.Len() == 0 {
 		t.Fatal("reference query returned no rows")
-	}
-	SetQueryParallelism(4)
-	if QueryParallelism() != 4 {
-		t.Fatalf("QueryParallelism = %d, want 4", QueryParallelism())
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)

@@ -87,9 +87,8 @@
 // function literal's own parameters are treated as owned inside the
 // literal: whoever invokes the closure chose what to pass, so writing
 // through such a parameter is the call site's responsibility (this is
-// what lets worker closures fill caller-allocated fresh accumulators, as
-// in internal/sparql's parallel union). Within those documented bounds
-// every violation of an annotated contract is reported, and the
-// analysistest suites prove the passes fail when an annotation is
-// deleted or a frozen-view mutation is injected.
+// what lets callback closures fill caller-allocated fresh accumulators).
+// Within those documented bounds every violation of an annotated contract
+// is reported, and the analysistest suites prove the passes fail when an
+// annotation is deleted or a frozen-view mutation is injected.
 package analysis

@@ -88,7 +88,7 @@ func Listing(n int) (string, error) {
 		return "", err
 	}
 	// The listings carry no ORDER BY; sort so the rendered artifact is
-	// byte-stable across runs and across parallelism settings.
+	// byte-stable across runs.
 	res.Sort()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Listing %d (competency question %d)\n\n", n, n)

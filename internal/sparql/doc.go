@@ -79,13 +79,12 @@
 // Limits. StreamOptions bounds a query three ways: MaxRows and MaxBytes
 // truncate the emission, and Deadline cancels evaluation cooperatively —
 // a per-row atomic flag polled inside the join loops, the path BFS, and
-// the filter workers, never a panic (the parallel workers have no
-// recover). A deadline that fires before the first byte returns
-// ErrDeadlineExceeded so callers can still send a clean error; any limit
-// that trips after emission began instead ends the document well-formed
-// with a Truncation (JSON's "truncated" member, an XML comment, or the
-// caller's out-of-band channel for CSV/TSV). CONSTRUCT/DESCRIBE are
-// graph-shaped and return ErrGraphResult up front.
+// the filter loop, never a panic. A deadline that fires before the first
+// byte returns ErrDeadlineExceeded so callers can still send a clean
+// error; any limit that trips after emission began instead ends the
+// document well-formed with a Truncation (JSON's "truncated" member, an
+// XML comment, or the caller's out-of-band channel for CSV/TSV).
+// CONSTRUCT/DESCRIBE are graph-shaped and return ErrGraphResult up front.
 //
 // Every writer's emission path is marked //feo:emit: output bytes must be
 // a pure function of the result sequence, so no writer may range over a
@@ -93,15 +92,31 @@
 // clocks, randomness, or pointer identity. feovet's mapdeterminism pass
 // enforces the map half of that obligation at compile time.
 //
+// # Concurrency and row order
+//
+// Execute runs every operator on its caller's goroutine: one
+// implementation per operator, no worker pool. Parallelism comes from
+// many Execute calls over pinned snapshots, so the per-query state (the
+// evalContext memos, the extension dictionary) is unsynchronised and only
+// the package-level caches shared across requests lock.
+//
+// Each operator appends its output in input order, and the store's
+// innermost index level is a bitmap that iterates in ascending ID order,
+// but patterns with two or more free positions still walk the outer map
+// levels in unspecified order, so two executions of the same query can
+// enumerate those matches differently. That residual nondeterminism is
+// canonicalized away by ORDER BY, DISTINCT-insensitive consumers, and the
+// artifact renderers; what is fixed is the solution multiset, the
+// variable list, and every rendered artifact.
+//
 // # Correctness harness
 //
 // The ID pipeline, the planner, and the caches are locked in by a
 // randomized reference-equivalence harness (reference_test.go,
 // equivalence_test.go): a deliberately naive term-level evaluator —
 // nested-loop joins in written order, no reordering, no fusion, no
-// caching, no parallelism — must produce the same solution multiset as
-// the production engine on generated graphs and queries, at parallelism
-// 1/2/4/GOMAXPROCS, with cold and warm plans, across interleaved
-// mutations. FuzzParseQuery additionally holds the parser and the
-// renderer ((*Query).String) to a round-trip fixed point.
+// caching — must produce the same solution multiset as the production
+// engine on generated graphs and queries, with cold and warm plans,
+// across interleaved mutations. FuzzParseQuery additionally holds the
+// parser and the renderer ((*Query).String) to a round-trip fixed point.
 package sparql

@@ -27,10 +27,11 @@ type Result struct {
 	Namespaces *rdf.Namespaces
 }
 
-// Execute runs a parsed query against a graph. Evaluation fans out across
-// the worker budget set by SetParallelism; the graph must be quiescent (no
-// concurrent writers) for the duration of the call, per the store's reader
-// contract. Concurrent Execute calls against one graph are safe.
+// Execute runs a parsed query against a graph, entirely on the calling
+// goroutine. The graph must be quiescent (no concurrent writers) for the
+// duration of the call, per the store's reader contract. Concurrent Execute
+// calls against one graph are safe; that is where the engine's parallelism
+// comes from.
 //
 // Internally every operator works on fixed-slot ID rows (see idspace.go);
 // the public map-based Solutions are materialized exactly once per
@@ -97,16 +98,15 @@ func parseQueryCached(src string) (*Query, error) {
 	return q, nil
 }
 
+// evalContext is the state of one execution. It is confined to the
+// goroutine that called Execute, so its lazily filled caches need no
+// synchronisation; only the package-level caches shared across executions
+// (parse, plan, regex) lock.
 type evalContext struct {
 	g *store.Graph
 	// env is the query's variable→slot binding table; every idRow this
 	// context touches has exactly env.width() slots.
 	env *slotEnv
-	// par is the worker budget this execution resolved from SetParallelism;
-	// sem holds its par-1 extra-worker tokens. sem == nil (par <= 1) keeps
-	// every loop on the sequential reference path.
-	par int
-	sem chan struct{}
 	// gver is the graph's mutation version at Execute entry, and dictLen
 	// the dictionary size of that snapshot (the boundary between graph IDs
 	// and query-local extension IDs). The memo caches below are only valid
@@ -115,11 +115,6 @@ type evalContext struct {
 	// violation, degraded to uncached evaluation instead of stale results).
 	gver    uint64
 	dictLen int
-	// mu guards the maps below plus the extension dictionary: they are
-	// lazily filled caches shared by all of the query's workers. Lookups
-	// and stores lock; computations run unlocked (a duplicated compute is
-	// harmless, a lock held across one could deadlock re-entry).
-	mu sync.Mutex
 	// Query-local extension dictionary: terms the graph has never interned
 	// (expression results, VALUES constants), with IDs growing downward
 	// from just below store.NoID. See idspace.go.
@@ -138,29 +133,22 @@ type evalContext struct {
 	groupMemo map[*Group]*groupInfo
 	// stop, when non-nil, is a cooperative cancellation flag (set by
 	// ExecuteStream's deadline timer). The row loops poll it and unwind
-	// with partial state, which the caller then discards; the worker pool
-	// has no panic recovery, so cancellation must never panic. nil — the
-	// plain Execute path — keeps the polls to a nil check.
+	// with partial state, which the caller then discards. nil — the plain
+	// Execute path — keeps the polls to a nil check.
 	stop *atomic.Bool
 }
 
 // canceled reports whether this execution's deadline has fired.
 func (ec *evalContext) canceled() bool { return ec.stop != nil && ec.stop.Load() }
 
-// newEvalContext resolves the parallelism knob and pins the graph snapshot
-// for this execution.
+// newEvalContext pins the graph snapshot for this execution.
 func newEvalContext(g *store.Graph, env *slotEnv) *evalContext {
-	ec := &evalContext{
+	return &evalContext{
 		g:       g,
 		env:     env,
-		par:     effectiveParallelism(),
 		gver:    g.Version(),
 		dictLen: g.Dict().Len(),
 	}
-	if ec.par > 1 {
-		ec.sem = make(chan struct{}, ec.par-1)
-	}
-	return ec
 }
 
 type pathIDKey struct {
@@ -175,25 +163,20 @@ type groupInfo struct {
 }
 
 func (ec *evalContext) groupInfoFor(g *Group) *groupInfo {
-	ec.mu.Lock()
-	gi, ok := ec.groupMemo[g]
-	ec.mu.Unlock()
-	if ok {
+	if gi, ok := ec.groupMemo[g]; ok {
 		return gi
 	}
-	gi = &groupInfo{groupVars: make(map[string]bool), fvars: make([][]string, len(g.Filters))}
+	gi := &groupInfo{groupVars: make(map[string]bool), fvars: make([][]string, len(g.Filters))}
 	for _, pat := range g.Patterns {
 		collectPossibleVars(pat, gi.groupVars)
 	}
 	for i, f := range g.Filters {
 		gi.fvars[i] = collectExprVars(f)
 	}
-	ec.mu.Lock()
 	if ec.groupMemo == nil {
 		ec.groupMemo = make(map[*Group]*groupInfo)
 	}
 	ec.groupMemo[g] = gi
-	ec.mu.Unlock()
 	return gi
 }
 
@@ -440,54 +423,22 @@ func (ec *evalContext) evalPatternRows(p Pattern, seq []idRow) []idRow {
 	case *Group:
 		return ec.evalGroupRows(pat, seq)
 	case *Optional:
-		// Each row's OPTIONAL probe is independent: fan the probes out,
-		// falling back to the sequential loop below the threshold.
-		if ec.parEligible(len(seq)) {
-			if out, ok := parRange(ec, len(seq), func(lo, hi int, out []idRow) []idRow {
-				return ec.evalOptionalRange(pat, seq, lo, hi, out)
-			}); ok {
-				return out
-			}
-		}
-		return ec.evalOptionalRange(pat, seq, 0, len(seq), nil)
+		return ec.evalOptional(pat, seq)
 	case *Union:
-		// The branches see the same immutable inputs and share the query's
-		// memo caches (locked), so they can evaluate concurrently; output
-		// order stays left-then-right either way. Micro-unions — one input
-		// row joined against two single-pattern branches, the shape a
-		// per-row EXISTS re-enters — stay sequential: goroutine hand-off
-		// would cost more than the branch and burn the token budget the
-		// large fan-outs need.
-		if ec.sem != nil && (len(seq) > 1 || len(pat.Left.Patterns)+len(pat.Right.Patterns) > 2) {
-			var left, right []idRow
-			ec.parPair(
-				func() { left = ec.evalGroupRows(pat.Left, seq) },
-				func() { right = ec.evalGroupRows(pat.Right, seq) },
-			)
-			return append(left, right...)
-		}
 		left := ec.evalGroupRows(pat.Left, seq)
 		right := ec.evalGroupRows(pat.Right, seq)
 		return append(left, right...)
 	case *Minus:
 		rhs := ec.evalGroupRows(pat.Pattern, []idRow{ec.newRow()})
-		if ec.parEligible(len(seq)) {
-			if out, ok := parRange(ec, len(seq), func(lo, hi int, out []idRow) []idRow {
-				return minusRange(seq, rhs, lo, hi, out)
-			}); ok {
-				return out
+		var out []idRow
+		for _, r := range seq {
+			if !minusMatchesRows(r, rhs) {
+				out = append(out, r)
 			}
 		}
-		return minusRange(seq, rhs, 0, len(seq), nil)
+		return out
 	case *Bind:
-		if ec.parEligible(len(seq)) {
-			if out, ok := parRange(ec, len(seq), func(lo, hi int, out []idRow) []idRow {
-				return ec.evalBindRange(pat, seq, lo, hi, out)
-			}); ok {
-				return out
-			}
-		}
-		return ec.evalBindRange(pat, seq, 0, len(seq), nil)
+		return ec.evalBind(pat, seq)
 	case *InlineData:
 		return ec.evalInlineData(pat, seq)
 	case *SubSelect:
@@ -509,11 +460,10 @@ func (ec *evalContext) evalPatternRows(p Pattern, seq []idRow) []idRow {
 	}
 }
 
-// evalOptionalRange extends seq[lo:hi] per OPTIONAL semantics, appending
-// to out. The range form serves both the sequential reference path (one
-// full-range call, no closures) and the worker pool (one call per morsel).
-func (ec *evalContext) evalOptionalRange(pat *Optional, seq []idRow, lo, hi int, out []idRow) []idRow {
-	for _, r := range seq[lo:hi] {
+// evalOptional extends each row of seq per OPTIONAL semantics.
+func (ec *evalContext) evalOptional(pat *Optional, seq []idRow) []idRow {
+	var out []idRow
+	for _, r := range seq {
 		if ec.canceled() {
 			return out
 		}
@@ -521,18 +471,6 @@ func (ec *evalContext) evalOptionalRange(pat *Optional, seq []idRow, lo, hi int,
 		if len(ext) > 0 {
 			out = append(out, ext...)
 		} else {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// minusRange appends the rows of seq[lo:hi] not excluded by rhs.
-//
-//feo:idspace
-func minusRange(seq, rhs []idRow, lo, hi int, out []idRow) []idRow {
-	for _, r := range seq[lo:hi] {
-		if !minusMatchesRows(r, rhs) {
 			out = append(out, r)
 		}
 	}
@@ -566,10 +504,11 @@ func minusMatchesRows(r idRow, rhs []idRow) bool {
 	return false
 }
 
-// evalBindRange applies a BIND to seq[lo:hi], appending to out.
-func (ec *evalContext) evalBindRange(pat *Bind, seq []idRow, lo, hi int, out []idRow) []idRow {
+// evalBind applies a BIND to each row of seq.
+func (ec *evalContext) evalBind(pat *Bind, seq []idRow) []idRow {
 	slot := ec.env.slot(pat.Var)
-	for _, r := range seq[lo:hi] {
+	var out []idRow
+	for _, r := range seq {
 		v, err := pat.Expr.Eval(ec, r)
 		if err != nil {
 			out = append(out, r) // expression error leaves var unbound
@@ -641,15 +580,6 @@ func (ec *evalContext) evalInlineData(pat *InlineData, seq []idRow) []idRow {
 }
 
 func (ec *evalContext) applyFilter(f Expression, seq []idRow) []idRow {
-	// Filters are pure per-row predicates (EXISTS probes re-enter the
-	// evaluator, which is itself safe for concurrent rows), so large
-	// inputs evaluate in parallel morsels whose surviving rows concatenate
-	// in chunk order — input order exactly.
-	if ec.parEligible(len(seq)) {
-		if out, ok := ec.parApplyFilter(f, seq); ok {
-			return out
-		}
-	}
 	var out []idRow
 	for _, r := range seq {
 		if ec.canceled() {
@@ -660,22 +590,6 @@ func (ec *evalContext) applyFilter(f Expression, seq []idRow) []idRow {
 		}
 	}
 	return out
-}
-
-// parApplyFilter fans a filter across the worker pool; false means no
-// tokens were free and the caller must filter sequentially.
-func (ec *evalContext) parApplyFilter(f Expression, seq []idRow) ([]idRow, bool) {
-	return parRange(ec, len(seq), func(lo, hi int, out []idRow) []idRow {
-		for _, r := range seq[lo:hi] {
-			if ec.canceled() {
-				return out
-			}
-			if ok, err := ebvOf(f, ec, r); err == nil && ok {
-				out = append(out, r)
-			}
-		}
-		return out
-	})
 }
 
 // evalBGPRows evaluates a basic graph pattern as a pure ID-space pipeline:
@@ -706,26 +620,9 @@ func (ec *evalContext) evalBGPRows(bgp *BGP, rows []idRow) []idRow {
 			// straight from an index level and the run's matches are their
 			// word-level intersection, in the exact ascending-ID order the
 			// unfused expand-then-filter cascade would emit.
-			expanded := false
-			if ec.parEligible(len(rows)) {
-				if par, ok := ec.parIntersectIDRows(st, rows); ok {
-					rows, expanded = par, true
-				}
-			}
-			if !expanded {
-				rows = intersectIDRows(ec.g, ec.stop, st, rows, 0, len(rows), rows[:0:0])
-			}
+			rows = intersectIDRows(ec.g, ec.stop, st, rows)
 		default:
-			spec := st.specs[0]
-			expanded := false
-			if ec.parEligible(len(rows)) {
-				if par, ok := ec.parExpandIDRows(spec, rows); ok {
-					rows, expanded = par, true
-				}
-			}
-			if !expanded {
-				rows = expandIDRows(ec.g, ec.stop, spec, rows, 0, len(rows), rows[:0:0])
-			}
+			rows = expandIDRows(ec.g, ec.stop, st.specs[0], rows)
 		}
 	}
 	return rows
@@ -747,7 +644,7 @@ func probeFor(spec bgpSpec, r idRow) [3]store.ID {
 	return probe
 }
 
-// intersectIDRows joins rows[lo:hi] against a fused run of patterns that
+// intersectIDRows joins rows against a fused run of patterns that
 // all constrain the same single fresh slot. Per row, each pattern
 // contributes the live index bitmap behind its doubly-bound probe; the
 // run's matches are the intersection of those bitmaps — iterated off the
@@ -759,10 +656,11 @@ func probeFor(spec bgpSpec, r idRow) [3]store.ID {
 // already bind the slot degrade to one membership test per pattern.
 //
 //feo:idspace
-func intersectIDRows(g *store.Graph, stop *atomic.Bool, st *planStep, rows []idRow, lo, hi int, next []idRow) []idRow {
+func intersectIDRows(g *store.Graph, stop *atomic.Bool, st *planStep, rows []idRow) []idRow {
 	specs, freeSlot := st.specs, st.freeSlot
 	var scratch [8]*store.IDSet
-	for _, r := range rows[lo:hi] {
+	var next []idRow
+	for _, r := range rows {
 		if stop != nil && stop.Load() {
 			return next // canceled: caller discards partial output
 		}
@@ -842,31 +740,13 @@ func intersectIDRows(g *store.Graph, stop *atomic.Bool, st *planStep, rows []idR
 	return next
 }
 
-// parIntersectIDRows fans a fused intersection run across the worker pool;
-// see parExpandIDRows for why it is a separate method.
-func (ec *evalContext) parIntersectIDRows(st *planStep, rows []idRow) ([]idRow, bool) {
-	return parRange(ec, len(rows), func(lo, hi int, out []idRow) []idRow {
-		return intersectIDRows(ec.g, ec.stop, st, rows, lo, hi, out)
-	})
-}
-
-// parExpandIDRows fans one pattern's row expansion across the worker
-// pool. A separate method (like parStepSet) so its escaping closure never
-// forces heap boxing of evalBGPRows' pipeline state on the sequential
-// reference path.
-func (ec *evalContext) parExpandIDRows(spec bgpSpec, rows []idRow) ([]idRow, bool) {
-	return parRange(ec, len(rows), func(lo, hi int, out []idRow) []idRow {
-		return expandIDRows(ec.g, ec.stop, spec, rows, lo, hi, out)
-	})
-}
-
-// expandIDRows joins rows[lo:hi] against one encoded pattern, appending
-// every extension to next. It reads only the graph and the rows, so it is
-// safe to call from concurrent workers on disjoint ranges.
+// expandIDRows joins rows against one encoded pattern and returns every
+// extension.
 //
 //feo:idspace
-func expandIDRows(g *store.Graph, stop *atomic.Bool, spec bgpSpec, rows []idRow, lo, hi int, next []idRow) []idRow {
-	for _, r := range rows[lo:hi] {
+func expandIDRows(g *store.Graph, stop *atomic.Bool, spec bgpSpec, rows []idRow) []idRow {
+	var next []idRow
+	for _, r := range rows {
 		if stop != nil && stop.Load() {
 			return next // canceled: caller discards partial output
 		}
@@ -961,15 +841,10 @@ func (ec *evalContext) finishSelect(q *Query, rows []idRow) (*Result, error) {
 	for i, v := range vars {
 		slots[i] = ec.env.slot(v)
 	}
-	out := make([]Solution, len(projected))
-	if !(ec.parEligible(len(projected)) && parMap(ec, projected, out, func(r idRow) Solution {
-		return ec.materializeRow(r, vars, slots)
-	})) {
-		for i, r := range projected {
-			out[i] = ec.materializeRow(r, vars, slots)
-		}
+	res.Solutions = make([]Solution, len(projected))
+	for i, r := range projected {
+		res.Solutions[i] = ec.materializeRow(r, vars, slots)
 	}
-	res.Solutions = out
 	return res, nil
 }
 
@@ -1009,7 +884,8 @@ func (ec *evalContext) finishSelectRows(q *Query, rows []idRow) ([]idRow, []stri
 	}
 	extended := rows
 	if hasExprs {
-		extendOne := func(r idRow) idRow {
+		extended = make([]idRow, len(rows))
+		for i, r := range rows {
 			ext := cloneRow(r)
 			for _, item := range q.Projection {
 				if item.Expr == nil {
@@ -1021,13 +897,7 @@ func (ec *evalContext) finishSelectRows(q *Query, rows []idRow) ([]idRow, []stri
 					}
 				}
 			}
-			return ext
-		}
-		extended = make([]idRow, len(rows))
-		if !(ec.parEligible(len(rows)) && parMap(ec, rows, extended, extendOne)) {
-			for i, r := range rows {
-				extended[i] = extendOne(r)
-			}
+			extended[i] = ext
 		}
 	}
 	// ORDER BY on the full (extended) rows.
@@ -1042,20 +912,15 @@ func (ec *evalContext) finishSelectRows(q *Query, rows []idRow) ([]idRow, []stri
 	for i, v := range vars {
 		projSlots[i] = ec.env.slot(v)
 	}
-	projectOne := func(r idRow) idRow {
+	projected := make([]idRow, len(extended))
+	for i, r := range extended {
 		row := ec.newRow()
 		for _, s := range projSlots {
 			if s >= 0 {
 				row[s] = r[s]
 			}
 		}
-		return row
-	}
-	projected := make([]idRow, len(extended))
-	if !(ec.parEligible(len(extended)) && parMap(ec, extended, projected, projectOne)) {
-		for i, r := range extended {
-			projected[i] = projectOne(r)
-		}
+		projected[i] = row
 	}
 	// DISTINCT / REDUCED.
 	if q.Distinct || q.Reduced {

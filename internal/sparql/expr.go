@@ -37,11 +37,9 @@ var errUnbound = errors.New("sparql: expression error")
 // Variables resolve through the context's slot table and decode lazily:
 // an expression that never needs a term's lexical form (BOUND, EXISTS)
 // touches no term at all, and one that does decodes exactly the slots it
-// reads. Expression trees are immutable after parsing, so Eval is safe
-// for concurrent calls with distinct rows — the parallel executor
-// evaluates filters, BINDs, and projection expressions from many workers
-// at once. Anything stateful an Eval reaches (the evalContext memos, the
-// regex cache) synchronizes internally.
+// reads. Expression trees are immutable after parsing, so one tree serves
+// concurrent executions, each with its own evalContext; the only state an
+// Eval shares across them (the regex cache) synchronizes internally.
 type Expression interface {
 	Eval(ec *evalContext, r idRow) (rdf.Term, error)
 }

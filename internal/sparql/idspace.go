@@ -213,15 +213,13 @@ func cloneRow(r idRow) idRow {
 }
 
 // encodeTerm returns the ID of t: the graph dictionary's when the graph
-// knows the term, otherwise a query-local extension ID (interned under the
-// context lock — extension terms are the rare case: expression results and
-// VALUES constants, never triple matches).
+// knows the term, otherwise a query-local extension ID (extension terms
+// are the rare case: expression results and VALUES constants, never triple
+// matches).
 func (ec *evalContext) encodeTerm(t rdf.Term) store.ID {
 	if id, ok := ec.g.LookupID(t); ok {
 		return id
 	}
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
 	if id, ok := ec.extIDs[t]; ok {
 		return id
 	}
@@ -242,14 +240,10 @@ func (ec *evalContext) termOf(id store.ID) rdf.Term {
 	if int64(id) < int64(ec.dictLen) {
 		return ec.g.TermOf(id)
 	}
-	ec.mu.Lock()
 	idx := int(store.NoID - 1 - id)
 	if idx >= 0 && idx < len(ec.extTerms) {
-		t := ec.extTerms[idx]
-		ec.mu.Unlock()
-		return t
+		return ec.extTerms[idx]
 	}
-	ec.mu.Unlock()
 	// An ID above the snapshot's dictionary length that is not an
 	// extension ID: the graph grew mid-query (a reader-contract
 	// violation); degrade to the live dictionary rather than panic.

@@ -13,19 +13,6 @@ import (
 // underlying closure walks run on the bitmap indexes where the path shape
 // allows. Terms are decoded only once per distinct memo fill, never per
 // row.
-func (ec *evalContext) evalPathRows(tp TriplePattern, rows []idRow) []idRow {
-	if ec.parEligible(len(rows)) {
-		if out, ok := parRange(ec, len(rows), func(lo, hi int, out []idRow) []idRow {
-			return ec.evalPathRange(tp, rows, lo, hi, out)
-		}); ok {
-			return out
-		}
-	}
-	return ec.evalPathRange(tp, rows, 0, len(rows), nil)
-}
-
-// evalPathRange extends rows[lo:hi] with the path pattern's matches,
-// appending to out.
 //
 // The evaluation direction is chosen from the bound ends: bound→unbound
 // uses forward or backward reachability; bound→bound is a reachability
@@ -41,7 +28,7 @@ func (ec *evalContext) evalPathRows(tp TriplePattern, rows []idRow) []idRow {
 // under the planner's ordering — the randomized reference-equivalence
 // harness enforces exactly that. Constant endpoints are taken as given
 // (`<x> p* <x>` holds for any term, matching the zero-length-path spec).
-func (ec *evalContext) evalPathRange(tp TriplePattern, rows []idRow, lo, hi int, out []idRow) []idRow {
+func (ec *evalContext) evalPathRows(tp TriplePattern, rows []idRow) []idRow {
 	sSlot, oSlot := -1, -1
 	sConst, oConst := store.NoID, store.NoID
 	if tp.S.IsVar {
@@ -54,7 +41,8 @@ func (ec *evalContext) evalPathRange(tp TriplePattern, rows []idRow, lo, hi int,
 	} else {
 		oConst = ec.encodeTerm(tp.O.Term)
 	}
-	for _, r := range rows[lo:hi] {
+	var out []idRow
+	for _, r := range rows {
 		sID := sConst
 		if sSlot >= 0 {
 			sID = r[sSlot]
@@ -107,27 +95,10 @@ func (ec *evalContext) isNodeID(id store.ID) bool {
 		ec.g.CountID(store.NoID, store.NoID, id) > 0
 }
 
-// pathStartsAll enumerates path matches from every candidate start node.
-// Each start's reachability is independent, so large candidate sets fan
-// out across the worker pool. A separate method so the closure it hands
-// the scheduler cannot force heap boxing inside evalPathRange's
-// (sequential, per-row) hot path.
+// pathStartsAll matches the path from every candidate start node,
+// appending a row per (start, reachable) pair to out.
 func (ec *evalContext) pathStartsAll(tp TriplePattern, r idRow, sSlot, oSlot int, out []idRow) []idRow {
-	starts := ec.pathStartIDs(tp.Path)
-	if ec.parEligible(len(starts)) {
-		if par, ok := parRange(ec, len(starts), func(lo, hi int, buf []idRow) []idRow {
-			return ec.pathStartsRange(tp, r, sSlot, oSlot, starts, lo, hi, buf)
-		}); ok {
-			return append(out, par...)
-		}
-	}
-	return ec.pathStartsRange(tp, r, sSlot, oSlot, starts, 0, len(starts), out)
-}
-
-// pathStartsRange matches the path from starts[lo:hi], appending a row per
-// (start, reachable) pair to out.
-func (ec *evalContext) pathStartsRange(tp TriplePattern, r idRow, sSlot, oSlot int, starts []store.ID, lo, hi int, out []idRow) []idRow {
-	for _, start := range starts[lo:hi] {
+	for _, start := range ec.pathStartIDs(tp.Path) {
 		for _, t := range ec.pathForwardIDs(tp.Path, start) {
 			if sSlot == oSlot {
 				// ?x path ?x: only self-reaching starts match.
@@ -149,10 +120,7 @@ func (ec *evalContext) pathStartsRange(tp TriplePattern, r idRow, sSlot, oSlot i
 }
 
 // pathForwardIDs memoizes the encoded forward reachability of (path,
-// endpoint) for the duration of one query evaluation. The memo is shared
-// by the query's workers: the lookup and store lock, the (pure)
-// computation runs unlocked, so a race costs at worst a duplicated
-// traversal, never a wrong result.
+// endpoint) for the duration of one query evaluation.
 //
 // Memoized reachability is only valid for the graph snapshot the query
 // started against, so the caches assert stability via Graph.Version: if
@@ -164,42 +132,32 @@ func (ec *evalContext) pathForwardIDs(p *Path, from store.ID) []store.ID {
 		return ec.encodeTerms(ec.pathForward(p, ec.termOf(from)))
 	}
 	k := pathIDKey{p, from}
-	ec.mu.Lock()
-	v, ok := ec.pathFwd[k]
-	ec.mu.Unlock()
-	if ok {
+	if v, ok := ec.pathFwd[k]; ok {
 		return v
 	}
-	v = ec.encodeTerms(ec.pathForward(p, ec.termOf(from)))
-	ec.mu.Lock()
+	v := ec.encodeTerms(ec.pathForward(p, ec.termOf(from)))
 	if ec.pathFwd == nil {
 		ec.pathFwd = make(map[pathIDKey][]store.ID)
 	}
 	ec.pathFwd[k] = v
-	ec.mu.Unlock()
 	return v
 }
 
 // pathBackwardIDs memoizes backward reachability per (path, endpoint);
-// see pathForwardIDs for the locking discipline and the version guard.
+// see pathForwardIDs for the version guard.
 func (ec *evalContext) pathBackwardIDs(p *Path, to store.ID) []store.ID {
 	if ec.g.Version() != ec.gver {
 		return ec.encodeTerms(ec.pathBackward(p, ec.termOf(to)))
 	}
 	k := pathIDKey{p, to}
-	ec.mu.Lock()
-	v, ok := ec.pathBwd[k]
-	ec.mu.Unlock()
-	if ok {
+	if v, ok := ec.pathBwd[k]; ok {
 		return v
 	}
-	v = ec.encodeTerms(ec.pathBackward(p, ec.termOf(to)))
-	ec.mu.Lock()
+	v := ec.encodeTerms(ec.pathBackward(p, ec.termOf(to)))
 	if ec.pathBwd == nil {
 		ec.pathBwd = make(map[pathIDKey][]store.ID)
 	}
 	ec.pathBwd[k] = v
-	ec.mu.Unlock()
 	return v
 }
 
@@ -219,19 +177,14 @@ func (ec *evalContext) pathStartIDs(p *Path) []store.ID {
 	if ec.g.Version() != ec.gver {
 		return ec.encodeTerms(ec.pathStartCandidates(p))
 	}
-	ec.mu.Lock()
-	v, ok := ec.pathStarts[p]
-	ec.mu.Unlock()
-	if ok {
+	if v, ok := ec.pathStarts[p]; ok {
 		return v
 	}
-	v = ec.encodeTerms(ec.pathStartCandidates(p))
-	ec.mu.Lock()
+	v := ec.encodeTerms(ec.pathStartCandidates(p))
 	if ec.pathStarts == nil {
 		ec.pathStarts = make(map[*Path][]store.ID)
 	}
 	ec.pathStarts[p] = v
-	ec.mu.Unlock()
 	return v
 }
 
@@ -345,8 +298,7 @@ func (ec *evalContext) closure(step *Path, start rdf.Term, includeStart, backwar
 // complete. The visited and frontier sets are bitmaps, so the per-level
 // bookkeeping is set algebra — fresh = successors AndNot visited, visited
 // OrWith fresh — over 64-bit words instead of a hash probe per reached
-// node, and the result enumerates in ascending ID order at every
-// parallelism level (union of the morsel expansions is commutative).
+// node, and the result enumerates in ascending ID order.
 // ok=false when the step contains sequence/optional/nested-closure
 // operators, which the flattening below does not model.
 func (ec *evalContext) closureIDs(step *Path, start rdf.Term, includeStart, backward bool) ([]rdf.Term, bool) {
@@ -390,8 +342,8 @@ func (ec *evalContext) closureIDs(step *Path, start rdf.Term, includeStart, back
 	}
 	// visited is the closure's dedup bitmap — Add doubles as the membership
 	// test — and the frontier is a slice of the IDs Add just admitted. The
-	// sequential walk allocates only visited and two level buffers, no
-	// matter how many levels the BFS runs.
+	// walk allocates only visited and two level buffers, no matter how many
+	// levels the BFS runs.
 	visited := store.NewIDSet()
 	if includeStart {
 		visited.Add(startID)
@@ -403,22 +355,6 @@ func (ec *evalContext) closureIDs(step *Path, start rdf.Term, includeStart, back
 			break // deadline: partial closure, discarded by the caller
 		}
 		next = next[:0]
-		// Wide frontiers expand in parallel: contiguous frontier morsels
-		// each accumulate successors into a private bitmap, the morsel
-		// bitmaps merge with word-level ORs (commutative — the merged set
-		// is independent of chunk boundaries), and the fresh nodes are the
-		// merged set minus visited. The fan-out lives in a helper method so
-		// its escaping closure cannot force heap boxing of this walk's
-		// locals on the sequential path.
-		if ec.parEligible(len(frontier)) {
-			if succ := ec.parStepSet(fwd, inv, frontier); succ != nil {
-				fresh := succ.AndNot(visited)
-				visited.OrWith(fresh)
-				next = fresh.AppendTo(next)
-				frontier, next = next, frontier
-				continue
-			}
-		}
 		for _, node := range frontier {
 			expand := func(t store.ID) bool {
 				if visited.Add(t) {
@@ -435,46 +371,15 @@ func (ec *evalContext) closureIDs(step *Path, start rdf.Term, includeStart, back
 		}
 		frontier, next = next, frontier
 	}
-	// The result enumerates the visited bitmap in ascending ID order —
-	// identical at every parallelism level. (Under one-or-more semantics
-	// the start is absent unless the walk reached it, exactly as the
-	// includeStart seeding above arranged.)
+	// The result enumerates the visited bitmap in ascending ID order.
+	// (Under one-or-more semantics the start is absent unless the walk
+	// reached it, exactly as the includeStart seeding above arranged.)
 	reached := visited.AppendTo(make([]store.ID, 0, visited.Len()))
 	out := make([]rdf.Term, len(reached))
-	decoded := false
-	if ec.parEligible(len(reached)) {
-		decoded = parMap(ec, reached, out, ec.g.TermOf)
-	}
-	if !decoded {
-		for i, id := range reached {
-			out[i] = ec.g.TermOf(id)
-		}
+	for i, id := range reached {
+		out[i] = ec.g.TermOf(id)
 	}
 	return out, true
-}
-
-// parStepSet expands one BFS frontier across the worker pool, returning
-// the union of all successor sets; nil means the fan-out could not run
-// and the caller expands sequentially.
-func (ec *evalContext) parStepSet(fwd, inv []store.ID, frontier []store.ID) *store.IDSet {
-	succ, ok := parSetUnion(ec, len(frontier), func(lo, hi int, out *store.IDSet) {
-		add := func(t store.ID) bool {
-			out.Add(t)
-			return true
-		}
-		for _, node := range frontier[lo:hi] {
-			for _, p := range fwd {
-				ec.g.ForEachObjectID(node, p, add)
-			}
-			for _, p := range inv {
-				ec.g.ForEachSubjectID(p, node, add)
-			}
-		}
-	})
-	if !ok {
-		return nil
-	}
-	return succ
 }
 
 func (ec *evalContext) closureTerms(step *Path, start rdf.Term, includeStart, backward bool) []rdf.Term {
@@ -490,22 +395,6 @@ func (ec *evalContext) closureTerms(step *Path, start rdf.Term, includeStart, ba
 			break // deadline: partial closure, discarded by the caller
 		}
 		var next []rdf.Term
-		// Composite steps (sequences, optionals) are the expensive
-		// per-node traversals, so wide frontiers fan out here too; the
-		// merge below runs in frontier order like the ID-level BFS.
-		if ec.parEligible(len(frontier)) {
-			if flat, ok := ec.parStepTerms(step, frontier, backward); ok {
-				for _, t := range flat {
-					if !visited[t] {
-						visited[t] = true
-						out = append(out, t)
-						next = append(next, t)
-					}
-				}
-				frontier = next
-				continue
-			}
-		}
 		for _, node := range frontier {
 			var steps []rdf.Term
 			if backward {
@@ -529,20 +418,6 @@ func (ec *evalContext) closureTerms(step *Path, start rdf.Term, includeStart, ba
 		return out
 	}
 	return out
-}
-
-// parStepTerms is parStepIDs for the term-level BFS over composite steps.
-func (ec *evalContext) parStepTerms(step *Path, frontier []rdf.Term, backward bool) ([]rdf.Term, bool) {
-	return parRange(ec, len(frontier), func(lo, hi int, buf []rdf.Term) []rdf.Term {
-		for _, node := range frontier[lo:hi] {
-			if backward {
-				buf = append(buf, ec.pathBackward(step, node)...)
-			} else {
-				buf = append(buf, ec.pathForward(step, node)...)
-			}
-		}
-		return buf
-	})
 }
 
 // pathStartCandidates returns the nodes that can possibly start a path match

@@ -419,8 +419,7 @@ func markCertain(spec bgpSpec, certain []bool) {
 // least work); nil sets means some pattern reads another (certainly
 // bound) slot and the sets must be resolved per row. When the smallest
 // set is dense enough for word-level ANDs to pay off, cand is the
-// materialized intersection, computed exactly once for the whole plan —
-// cached, sequential, and fanned-out execution alike.
+// materialized intersection, computed exactly once for the whole plan.
 func fusedSharedSets(g *store.Graph, specs []bgpSpec, freeSlot int) (sets []*store.IDSet, cand *store.IDSet) {
 	for _, spec := range specs {
 		for j := 0; j < 3; j++ {

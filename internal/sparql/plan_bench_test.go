@@ -21,9 +21,6 @@ func BenchmarkMaterializeSolutions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	old := Parallelism()
-	SetParallelism(1)
-	b.Cleanup(func() { SetParallelism(old) })
 	res, err := Execute(g, q)
 	if err != nil || res.Len() == 0 {
 		b.Fatalf("rows=%d err=%v", res.Len(), err)
@@ -49,9 +46,6 @@ func BenchmarkPlanCacheCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	old := Parallelism()
-	SetParallelism(1)
-	b.Cleanup(func() { SetParallelism(old) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,9 +62,6 @@ func BenchmarkPlanCacheWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	old := Parallelism()
-	SetParallelism(1)
-	b.Cleanup(func() { SetParallelism(old) })
 	ResetPlanCache()
 	if _, err := Execute(g, q); err != nil {
 		b.Fatal(err)

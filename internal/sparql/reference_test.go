@@ -5,11 +5,11 @@ package sparql
 // engine's semantics.
 //
 // Where the production engine runs on fixed-slot ID rows with join
-// reordering, pattern fusion, filter pushdown, a plan cache, and a worker
-// pool, this evaluator does none of that: it works on map-based Solutions,
-// joins triple patterns by nested-loop scans in their written order,
-// applies every filter at the end of its group, recomputes property-path
-// reachability from scratch at every use, and never caches or fans out.
+// reordering, pattern fusion, filter pushdown, and a plan cache, this
+// evaluator does none of that: it works on map-based Solutions, joins
+// triple patterns by nested-loop scans in their written order, applies
+// every filter at the end of its group, recomputes property-path
+// reachability from scratch at every use, and never caches.
 // Anything the two engines must agree on *by definition* — the scalar
 // builtin library, numeric typing, term comparison, aggregate folding —
 // is shared (evalBuiltin, ebv, termsEqual, orderCompare, numericResult,

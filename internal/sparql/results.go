@@ -22,8 +22,7 @@ func (r *Result) Len() int { return len(r.Solutions) }
 // variables (rdf.Compare per column, left to right; unbound sorts first).
 // Without an ORDER BY clause the evaluator's row order is unspecified —
 // it follows index iteration, which varies run to run — so renderers that
-// need byte-stable output across runs and across parallelism settings
-// sort before rendering. A no-op on ASK/CONSTRUCT/DESCRIBE results.
+// need byte-stable output across runs sort before rendering. A no-op on ASK/CONSTRUCT/DESCRIBE results.
 func (r *Result) Sort() {
 	sort.SliceStable(r.Solutions, func(i, j int) bool {
 		a, b := r.Solutions[i], r.Solutions[j]

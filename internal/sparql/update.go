@@ -232,11 +232,9 @@ func ExecuteUpdate(g *store.Graph, u *Update) (UpdateResult, error) {
 		// mid-evaluation, and earlier operations may have mutated it.
 		// gver pins that snapshot so the memo stays live for the WHERE
 		// evaluation (and self-bypasses if the graph somehow mutates under
-		// it). Deliberately built without a worker budget (nil sem, never
-		// parallel): updates interleave pattern matching with mutation,
-		// which the store's reader contract forbids running concurrently.
+		// it).
 		op := op
-		ec := &evalContext{g: g, gver: g.Version(), dictLen: g.Dict().Len(), env: buildUpdateEnv(&op)}
+		ec := newEvalContext(g, buildUpdateEnv(&op))
 		switch op.Kind {
 		case UpdateInsertData:
 			for _, tp := range op.Insert {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentReaders locks in the reader contract the package doc
-// promises and the SPARQL engine's worker pool depends on: once a graph is
+// promises and concurrent SPARQL requests depend on: once a graph is
 // quiescent, every non-mutating accessor may run from any number of
 // goroutines with no synchronization. Run under -race (CI does), this test
 // fails on any accidental mutation sneaking into a read path — e.g. a
@@ -68,7 +68,7 @@ func TestConcurrentReaders(t *testing.T) {
 					errs <- fmt.Errorf("ReadList broke under readers")
 					return
 				}
-				// ID-level reads (what the query workers actually use).
+				// ID-level reads (what the query engine actually uses).
 				sID, ok := g.LookupID(s)
 				if !ok {
 					errs <- fmt.Errorf("LookupID lost %v", s)

@@ -71,12 +71,10 @@
 // shared between live graph and snapshots and is safe for concurrent
 // decode/lookup during writes (see TermDict).
 //
-// Two classes of consumer rely on this: applications serving many queries
-// from pinned snapshots while a writer commits (feo.Session), and the
-// SPARQL engine's parallel executor (internal/sparql), which fans a single
-// query's joins, filters, and path searches across a worker pool probing
-// one shared frozen view. Version() gives memo caches a cheap way to detect
-// that any mutation happened; a frozen view's version never changes.
+// Applications serving many concurrent queries from pinned snapshots while
+// a writer commits (feo.Session, feo serve) rely on this. Version() gives
+// memo caches a cheap way to detect that any mutation happened; a frozen
+// view's version never changes.
 package store
 
 import (
