@@ -215,8 +215,11 @@ func (s *apiServer) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 	sn := s.sess.Snapshot()
 	// Headers (and the truncation trailer declaration) go out with the
-	// first streamed byte; nothing below writes before QueryStream's first
-	// row, so every pre-stream error still gets a clean error response.
+	// first streamed byte. The writer emits nothing, not even the document
+	// header, before QueryStream's first row — which for a query without
+	// an ORDER BY/DISTINCT/GROUP BY barrier comes while the join is still
+	// running — so every error before that row, a deadline included, still
+	// gets a clean error response.
 	w.Header().Set("Content-Type", format.contentType)
 	w.Header().Set("Trailer", truncationTrailer)
 	rw := format.newWriter(w)
@@ -242,6 +245,8 @@ func (s *apiServer) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 			log.Printf("feo: sparql turtle response: %v", werr)
 		}
 	case errors.Is(err, feo.ErrQueryDeadlineExceeded):
+		// The deadline fired before the first row; one that fires after it
+		// truncates the document instead (err == nil above).
 		s.metrics.truncations("deadline").Inc()
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("query exceeded the server time limit (%s)", s.queryTimeout))

@@ -240,6 +240,44 @@ func TestProtocolRowLimitTruncates(t *testing.T) {
 	}
 }
 
+// TestProtocolQueryTimeout drives -query-timeout through the mux with a
+// runaway cartesian product. Behind an ORDER BY barrier no row exists
+// when the deadline fires, so the client gets a clean 503; without one
+// rows are already on the wire, so the response is a 200 whose document
+// ends well-formed and truncated, with the reason in the trailer.
+func TestProtocolQueryTimeout(t *testing.T) {
+	srv := newAPIServer(feo.NewSession(feo.Options{}), 50*time.Millisecond, 0, 0)
+	mux := srv.mux()
+	const product = "SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }"
+	get := func(q string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(q), nil))
+		return rr
+	}
+	if rr := get(product + " ORDER BY ?a"); rr.Code != http.StatusServiceUnavailable {
+		t.Errorf("barrier query: status = %d, want 503", rr.Code)
+	}
+	rr := get(product)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("streamed query: status = %d, want 200", rr.Code)
+	}
+	var doc struct {
+		Results struct {
+			Bindings []map[string]any `json:"bindings"`
+		} `json:"results"`
+		Truncated string `json:"truncated"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("truncated response not well-formed: %v", err)
+	}
+	if len(doc.Results.Bindings) == 0 || doc.Truncated != "deadline" {
+		t.Errorf("bindings = %d truncated = %q, want some/deadline", len(doc.Results.Bindings), doc.Truncated)
+	}
+	if got := rr.Result().Trailer.Get(truncationTrailer); got != "deadline" {
+		t.Errorf("trailer = %q, want deadline", got)
+	}
+}
+
 func TestRecommendLimitValidation(t *testing.T) {
 	srv := testServer(t)
 	for _, bad := range []string{"abc", "-3", "0", "1e3", "101"} {

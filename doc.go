@@ -91,9 +91,11 @@
 // application/sparql-query POST — with the result format negotiated
 // (?format= or Accept with q-values) before the query runs, and answers
 // in the W3C JSON, XML, CSV, or TSV result formats. Serialization
-// streams: sparql.ExecuteStream feeds each projected row through a
-// constant-memory ResultWriter (internal/sparql/stream.go), so result
-// size never shows up as server memory, and every query runs under the
+// streams: sparql.ExecuteStream pushes each projected row from the join
+// into a constant-memory ResultWriter (internal/sparql/stream.go), so a
+// query without an ORDER BY/DISTINCT/GROUP BY barrier sends its first
+// row while the join still runs, LIMIT stops the join, result size never
+// shows up as server memory, and every query runs under the
 // server's deadline and row/byte caps — a runaway query is canceled
 // cooperatively, a capped one ends as a well-formed truncated document
 // with the reason in the X-Feo-Truncated trailer. Handler semantics are

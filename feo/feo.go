@@ -68,7 +68,9 @@ type (
 	QueryResult = sparql.Result
 	// KGConfig configures the synthetic FoodKG generator.
 	KGConfig = foodkg.Config
-	// ResultWriter serializes a streamed query result incrementally.
+	// ResultWriter serializes a streamed query result incrementally; each
+	// Row gets the row's terms in Begin's variable order, in a slice
+	// valid only during the call (a zero Term is unbound).
 	ResultWriter = sparql.ResultWriter
 	// StreamOptions bounds a streamed query (deadline, row/byte caps).
 	StreamOptions = sparql.StreamOptions

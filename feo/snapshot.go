@@ -85,8 +85,8 @@ func (sn *Snapshot) Query(q string) (*QueryResult, error) { return sparql.Run(sn
 // feeds each result row into rw as it is produced, bounded by opts —
 // memory stays O(row) on the serialization side no matter how large the
 // result is. CONSTRUCT/DESCRIBE return ErrGraphResult (use Query plus a
-// graph serializer); a deadline that fires before the first byte returns
-// ErrQueryDeadlineExceeded, and one that fires mid-stream ends the
+// graph serializer); a deadline that fires before the first row returns
+// ErrQueryDeadlineExceeded, and one that fires after it ends the
 // document with a well-formed truncation instead.
 func (sn *Snapshot) QueryStream(q string, rw ResultWriter, opts StreamOptions) (StreamStats, error) {
 	return sparql.RunStream(sn.g, q, rw, opts)

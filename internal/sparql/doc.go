@@ -21,10 +21,11 @@
 // operator — BGP joins, UNION, OPTIONAL/MINUS probes, EXISTS, FILTER,
 // property paths, BIND, VALUES, subqueries, GROUP BY/aggregation,
 // ORDER BY, DISTINCT — consumes and produces idRows; joining is integer
-// comparison and extending a binding is a small copy-on-write memcopy.
-// The public map[string]rdf.Term Solutions materialize exactly once per
-// projected result row, at the end of finishSelect (ExecuteUpdate's
-// template instantiation likewise consumes ID rows directly).
+// comparison and extending a binding is a small memcopy. Terms are
+// decoded once per projected result row, by the sink at the end of the
+// pipeline: Execute's map[string]rdf.Term Solutions, ExecuteStream's
+// reused term slice (ExecuteUpdate's template instantiation likewise
+// consumes ID rows directly).
 //
 // Terms that exist only inside a query — expression results, VALUES
 // constants the graph never interned — get query-local "extension" IDs
@@ -63,51 +64,60 @@
 //
 // # Streaming results
 //
-// ExecuteStream/RunStream feed SELECT and ASK results into a
-// ResultWriter row by row. The contract has two sides:
+// SELECT and ASK run one push pipeline; Execute drains it into Solution
+// maps, ExecuteStream/RunStream into a ResultWriter. A group evaluates
+// every pattern but its last set-at-a-time; a last BGP pushes depth-first,
+// each plan step extending one row into its own scratch row, with pending
+// filters run per row at the leaf. OPTIONAL, UNION, MINUS and subqueries
+// collect (cloning a pushed row is the only copy it gets); ASK and EXISTS
+// stop at the first solution. A SELECT with no ORDER BY, GROUP BY or
+// aggregate barrier projects, dedups (DISTINCT) and applies OFFSET and
+// LIMIT per row in the sink, so its first row reaches the writer while the
+// join runs and LIMIT or MaxRows stop the join. Barrier queries collect
+// compact ID rows, group and sort them, then replay the same sink.
 //
-// Memory. The evaluator may still materialize the intermediate ID-row
-// set (ORDER BY, DISTINCT, and aggregation need it), but everything
-// downstream is O(row): each projected Solution map is built, serialized
-// through a small fixed-size buffer, and released before the next row is
-// touched. No writer accumulates the result — there is no O(result)
-// strings.Builder or binding slice anywhere on the emission path, so a
-// million-row SELECT streams in constant serialization memory.
-// WriteJSON/WriteCSV/WriteTSV/WriteXML on Result are thin adapters over
-// the same writers (formats.go), so both paths emit identical bytes.
+// Begin is deferred to the first row; Row gets terms[i] for the i-th Begin
+// variable (zero Term: unbound) in a slice valid only during the call, and
+// each writer holds one buffer (streamBufSize) of output, so a million-row
+// SELECT streams in constant serialization memory. WriteJSON/WriteCSV/
+// WriteTSV/WriteXML on Result adapt the same writers (formats.go).
 //
 // Limits. StreamOptions bounds a query three ways: MaxRows and MaxBytes
 // truncate the emission, and Deadline cancels evaluation cooperatively —
-// a per-row atomic flag polled inside the join loops, the path BFS, and
-// the filter loop, never a panic. A deadline that fires before the first
-// byte returns ErrDeadlineExceeded so callers can still send a clean
-// error; any limit that trips after emission began instead ends the
-// document well-formed with a Truncation (JSON's "truncated" member, an
-// XML comment, or the caller's out-of-band channel for CSV/TSV).
-// CONSTRUCT/DESCRIBE are graph-shaped and return ErrGraphResult up front.
+// an atomic flag polled per row by the join steps, the filter loop, the
+// path BFS and the sink, never a panic. A deadline that fires before the
+// first row returns ErrDeadlineExceeded with nothing written, so callers
+// can still send a clean error; any limit that trips after it instead
+// ends the document well-formed with a Truncation (JSON's "truncated"
+// member, an XML comment, or the caller's out-of-band channel for
+// CSV/TSV). CONSTRUCT/DESCRIBE are graph-shaped and return ErrGraphResult
+// up front.
 //
 // Every writer's emission path is marked //feo:emit: output bytes must be
 // a pure function of the result sequence, so no writer may range over a
-// map (Solution maps are ordered via the head's variable list) or consult
-// clocks, randomness, or pointer identity. feovet's mapdeterminism pass
-// enforces the map half of that obligation at compile time.
+// map or consult clocks, randomness, or pointer identity. feovet's
+// mapdeterminism pass enforces the map half of that obligation at compile
+// time.
 //
 // # Concurrency and row order
 //
 // Execute runs every operator on its caller's goroutine: one
 // implementation per operator, no worker pool. Parallelism comes from
 // many Execute calls over pinned snapshots, so the per-query state (the
-// evalContext memos, the extension dictionary) is unsynchronised and only
-// the package-level caches shared across requests lock.
+// evalContext memos, the extension dictionary, scratch rows) is
+// unsynchronised and only the package-level caches shared across requests
+// lock.
 //
-// Each operator appends its output in input order, and the store's
+// Set-at-a-time operators append their output in input order, and the
+// depth-first push emits rows in the order a step-at-a-time join would
+// (input row, then each plan step's matches in index order). The store's
 // innermost index level is a bitmap that iterates in ascending ID order,
-// but patterns with two or more free positions still walk the outer map
-// levels in unspecified order, so two executions of the same query can
-// enumerate those matches differently. That residual nondeterminism is
-// canonicalized away by ORDER BY, DISTINCT-insensitive consumers, and the
-// artifact renderers; what is fixed is the solution multiset, the
-// variable list, and every rendered artifact.
+// but patterns with two or more free positions still walk the middle map
+// level (store.ForEachID) in unspecified order, so two executions of the
+// same query can enumerate those matches differently. That residual
+// nondeterminism is canonicalized away by ORDER BY, DISTINCT-insensitive
+// consumers, and the artifact renderers; what is fixed is the solution
+// multiset, the variable list, and every rendered artifact.
 //
 // # Correctness harness
 //

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,25 +34,46 @@ type Result struct {
 // calls against one graph are safe; that is where the engine's parallelism
 // comes from.
 //
-// Internally every operator works on fixed-slot ID rows (see idspace.go);
-// the public map-based Solutions are materialized exactly once per
-// projected result row, in finishSelect.
+// Internally every operator works on fixed-slot ID rows (see idspace.go).
+// SELECT and ASK run the same push pipeline as ExecuteStream, with a sink
+// that decodes each projected row into its public Solution map — the one
+// map allocation per result row.
 func Execute(g *store.Graph, q *Query) (*Result, error) {
 	ec := newEvalContext(g, buildQueryEnv(q))
-	rows := ec.evalGroupRows(q.Where, []idRow{ec.newRow()})
 	res := &Result{Kind: q.Kind, Namespaces: q.Namespaces}
 	switch q.Kind {
 	case KindAsk:
-		res.Boolean = len(rows) > 0
-		return res, nil
+		res.Boolean = ec.exists(q.Where, ec.newRow())
 	case KindConstruct:
-		res.Graph = ec.constructGraph(q, rows)
-		return res, nil
+		res.Graph = ec.constructGraph(q, ec.evalGroupRows(q.Where, []idRow{ec.newRow()}))
 	case KindDescribe:
-		res.Graph = ec.describeGraph(q, rows)
-		return res, nil
+		res.Graph = ec.describeGraph(q, ec.evalGroupRows(q.Where, []idRow{ec.newRow()}))
+	default:
+		var slots []int
+		res.Vars, slots = ec.projection(q)
+		ec.evalSelect(q, slots, func(r idRow) bool {
+			sol := make(Solution, len(slots))
+			for i, s := range slots {
+				if s >= 0 && r[s] != store.NoID {
+					sol[res.Vars[i]] = ec.termOf(r[s])
+				}
+			}
+			res.Solutions = append(res.Solutions, sol)
+			return true
+		})
 	}
-	return ec.finishSelect(q, rows)
+	return res, nil
+}
+
+// exists reports whether group g has a solution extending r (ASK, EXISTS),
+// stopping the evaluation at the first one.
+func (ec *evalContext) exists(g *Group, r idRow) bool {
+	found := false
+	ec.evalGroup(g, []idRow{r}, func(idRow) bool {
+		found = true
+		return false
+	})
+	return found
 }
 
 // Run parses and executes src against g in one call. Parses are memoized
@@ -128,15 +150,22 @@ type evalContext struct {
 	pathBwd    map[pathIDKey][]store.ID
 	pathStarts map[*Path][]store.ID
 	// Per-query filter-pushdown analysis, memoized by group: OPTIONAL and
-	// EXISTS bodies re-enter evalGroupRows once per row, and the variable
+	// EXISTS bodies re-enter evalGroup once per row, and the variable
 	// collection depends only on the (immutable) pattern tree.
 	groupMemo map[*Group]*groupInfo
 	// stop, when non-nil, is a cooperative cancellation flag (set by
-	// ExecuteStream's deadline timer). The row loops poll it and unwind
-	// with partial state, which the caller then discards. nil — the plain
-	// Execute path — keeps the polls to a nil check.
+	// ExecuteStream's deadline timer). The row loops and the push steps
+	// poll it and unwind with partial state, which the caller then
+	// discards; rows already pushed to a sink were complete when pushed.
+	// nil — the plain Execute path — keeps the polls to a nil check.
 	stop *atomic.Bool
 }
+
+// rowSink receives one solution row from a push evaluation. The row is
+// the producer's scratch, valid only during the call: a sink must not
+// write to it, and must clone it to keep it. Returning false stops the
+// evaluation.
+type rowSink func(idRow) bool
 
 // canceled reports whether this execution's deadline has fired.
 func (ec *evalContext) canceled() bool { return ec.stop != nil && ec.stop.Load() }
@@ -180,72 +209,123 @@ func (ec *evalContext) groupInfoFor(g *Group) *groupInfo {
 	return gi
 }
 
-// evalGroupRows evaluates a group graph pattern over the input rows.
+// evalGroup pushes the solutions of a group graph pattern over the input
+// rows into sink and reports false when the sink or a deadline stopped
+// it. Every pattern but the last evaluates set-at-a-time; the last one
+// pushes (see evalPattern), so a BGP there streams its rows into sink
+// while its join runs.
 //
 // Filters are pushed down: a filter runs as soon as every variable it can
 // ever see is certainly bound (or can never be bound by this group), so it
-// prunes intermediate rows before later patterns multiply them. A filter's
-// value for a row cannot change once its variables are bound, so the final
-// solution set is identical to filtering at the end.
-func (ec *evalContext) evalGroupRows(g *Group, input []idRow) []idRow {
-	seq := input
-	if len(g.Filters) == 0 {
-		for _, pat := range g.Patterns {
-			if ec.canceled() {
-				return nil
-			}
-			seq = ec.evalPatternRows(pat, seq)
-			if len(seq) == 0 {
-				break
-			}
-		}
-		return seq
-	}
-	// certain: variables bound in every row at this point.
-	certain := ec.varsBoundInAllRows(input)
-	gi := ec.groupInfoFor(g)
-	groupVars, fvars := gi.groupVars, gi.fvars
+// prunes intermediate rows before later patterns multiply them. Filters
+// still pending after the next-to-last pattern run per row at the leaf. A
+// filter's value for a row cannot change once its variables are bound, so
+// the final solution set is identical to filtering at the end.
+func (ec *evalContext) evalGroup(g *Group, input []idRow, sink rowSink) bool {
+	seq, last := input, len(g.Patterns)-1
 	applied := make([]bool, len(g.Filters))
-	runReady := func() {
-		for i, f := range g.Filters {
-			if applied[i] {
-				continue
-			}
-			ready := true
-			for _, v := range fvars[i] {
-				// A variable blocks the filter only while this group could
-				// still bind it: anything else is either bound already or
-				// stays unbound forever (existential / error semantics).
-				if !certain[v] && groupVars[v] {
-					ready = false
-					break
+	var certain map[string]bool // variables bound in every row at this point
+	runReady := func() {}
+	if len(g.Filters) > 0 {
+		certain = ec.varsBoundInAllRows(input)
+		gi := ec.groupInfoFor(g)
+		runReady = func() {
+			for i, f := range g.Filters {
+				if applied[i] {
+					continue
 				}
-			}
-			if ready {
-				applied[i] = true
-				seq = ec.applyFilter(f, seq)
+				ready := true
+				for _, v := range gi.fvars[i] {
+					// A variable blocks the filter only while this group could
+					// still bind it: anything else is either bound already or
+					// stays unbound forever (existential / error semantics).
+					if !certain[v] && gi.groupVars[v] {
+						ready = false
+						break
+					}
+				}
+				if ready {
+					applied[i] = true
+					seq = ec.applyFilter(f, seq)
+				}
 			}
 		}
 	}
 	runReady()
-	for _, pat := range g.Patterns {
-		if ec.canceled() {
-			return nil
-		}
-		seq = ec.evalPatternRows(pat, seq)
-		if len(seq) == 0 {
-			// Filters with EXISTS could still not resurrect solutions.
+	for _, pat := range g.Patterns[:max(last, 0)] {
+		if len(seq) == 0 || ec.canceled() {
 			break
 		}
-		addCertainVars(pat, certain)
-		runReady()
-	}
-	for i, f := range g.Filters {
-		if !applied[i] {
-			seq = ec.applyFilter(f, seq)
+		seq = ec.evalPatternRows(pat, seq)
+		if certain != nil {
+			addCertainVars(pat, certain)
+			runReady()
 		}
 	}
-	return seq
+	if ec.canceled() {
+		return false
+	}
+	if len(seq) == 0 {
+		return true // filters with EXISTS could still not resurrect solutions
+	}
+	leaf := sink
+	if slices.Contains(applied, false) {
+		leaf = func(r idRow) bool {
+			for i, f := range g.Filters {
+				if applied[i] {
+					continue
+				}
+				if ok, err := ebvOf(f, ec, r); err != nil || !ok {
+					return true
+				}
+			}
+			return sink(r)
+		}
+	}
+	if last < 0 {
+		return pushRows(seq, leaf)
+	}
+	return ec.evalPattern(g.Patterns[last], seq, leaf)
+}
+
+// evalGroupRows collects evalGroup into a slice, for the set-at-a-time
+// consumers: UNION, MINUS, updates, CONSTRUCT and barrier SELECTs.
+func (ec *evalContext) evalGroupRows(g *Group, input []idRow) []idRow {
+	return collect(func(sink rowSink) { ec.evalGroup(g, input, sink) })
+}
+
+// collect gathers what a push evaluation emits, cloning each row out of
+// the producer's scratch: the only copy a pushed row ever gets.
+func collect(push func(rowSink)) []idRow {
+	var out []idRow
+	push(func(r idRow) bool {
+		out = append(out, cloneRow(r))
+		return true
+	})
+	return out
+}
+
+// pushRows hands rows to sink in order until it stops.
+func pushRows(rows []idRow, sink rowSink) bool {
+	for _, r := range rows {
+		if !sink(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// evalPattern pushes p's solutions over seq into sink. BGPs and nested
+// groups push row by row; every other operator evaluates set-at-a-time
+// through evalPatternRows and replays its rows.
+func (ec *evalContext) evalPattern(p Pattern, seq []idRow, sink rowSink) bool {
+	switch pat := p.(type) {
+	case *BGP:
+		return ec.evalBGP(pat, seq, sink)
+	case *Group:
+		return ec.evalGroup(pat, seq, sink)
+	}
+	return pushRows(ec.evalPatternRows(p, seq), sink)
 }
 
 // collectPossibleVars adds every variable p could bind in any solution.
@@ -418,10 +498,8 @@ func collectExprVars(e Expression) []string {
 
 func (ec *evalContext) evalPatternRows(p Pattern, seq []idRow) []idRow {
 	switch pat := p.(type) {
-	case *BGP:
-		return ec.evalBGPRows(pat, seq)
-	case *Group:
-		return ec.evalGroupRows(pat, seq)
+	case *BGP, *Group:
+		return collect(func(sink rowSink) { ec.evalPattern(pat, seq, sink) })
 	case *Optional:
 		return ec.evalOptional(pat, seq)
 	case *Union:
@@ -444,8 +522,8 @@ func (ec *evalContext) evalPatternRows(p Pattern, seq []idRow) []idRow {
 	case *SubSelect:
 		// Subqueries evaluate in a fresh scope; their projected rows carry
 		// only the projected slots, then join with the outer rows.
-		inner := ec.evalGroupRows(pat.Query.Where, []idRow{ec.newRow()})
-		projRows, _ := ec.finishSelectRows(pat.Query, inner)
+		_, slots := ec.projection(pat.Query)
+		projRows := collect(func(sink rowSink) { ec.evalSelect(pat.Query, slots, sink) })
 		var out []idRow
 		for _, r := range seq {
 			for _, sr := range projRows {
@@ -463,14 +541,16 @@ func (ec *evalContext) evalPatternRows(p Pattern, seq []idRow) []idRow {
 // evalOptional extends each row of seq per OPTIONAL semantics.
 func (ec *evalContext) evalOptional(pat *Optional, seq []idRow) []idRow {
 	var out []idRow
+	keep := func(ext idRow) bool {
+		out = append(out, cloneRow(ext))
+		return true
+	}
 	for _, r := range seq {
 		if ec.canceled() {
 			return out
 		}
-		ext := ec.evalGroupRows(pat.Pattern, []idRow{r})
-		if len(ext) > 0 {
-			out = append(out, ext...)
-		} else {
+		n := len(out)
+		if ec.evalGroup(pat.Pattern, []idRow{r}, keep); len(out) == n {
 			out = append(out, r)
 		}
 	}
@@ -592,40 +672,42 @@ func (ec *evalContext) applyFilter(f Expression, seq []idRow) []idRow {
 	return out
 }
 
-// evalBGPRows evaluates a basic graph pattern as a pure ID-space pipeline:
+// evalBGP evaluates a basic graph pattern as a depth-first ID-space push:
 // the compiled (and cached) plan orders the patterns by estimated
-// selectivity and fuses runs of patterns sharing one fresh slot into
-// bitmap intersections; execution then expands the input rows step by
-// step, with property-path steps interleaved where the planner placed
-// them. No term is decoded and no Solution map is built — rows stay
-// []store.ID throughout.
-func (ec *evalContext) evalBGPRows(bgp *BGP, rows []idRow) []idRow {
-	if len(rows) == 0 || len(bgp.Triples) == 0 {
-		return rows
+// selectivity and fuses runs sharing one fresh slot into bitmap
+// intersections; each plan step extends one row at a time into its own
+// scratch row and hands it to the next step, the last one to sink. Rows
+// come out in the order a step-at-a-time join would emit them, nothing is
+// allocated or decoded per row, and sink returning false stops the walk.
+func (ec *evalContext) evalBGP(bgp *BGP, rows []idRow, sink rowSink) bool {
+	if len(rows) == 0 {
+		return true
 	}
-	plan := ec.planBGP(bgp, rows)
-	if plan.empty {
-		return nil
-	}
-	for i := range plan.steps {
-		if len(rows) == 0 || ec.canceled() {
-			return nil
+	next := sink
+	if len(bgp.Triples) > 0 {
+		plan := ec.planBGP(bgp, rows)
+		if plan.empty {
+			return true
 		}
-		st := &plan.steps[i]
-		switch {
-		case st.isPath:
-			rows = ec.evalPathRows(st.tp, rows)
-		case len(st.specs) > 1:
-			// Fused run: per row, each pattern's candidate bitmap comes
-			// straight from an index level and the run's matches are their
-			// word-level intersection, in the exact ascending-ID order the
-			// unfused expand-then-filter cascade would emit.
-			rows = intersectIDRows(ec.g, ec.stop, st, rows)
-		default:
-			rows = expandIDRows(ec.g, ec.stop, st.specs[0], rows)
+		w := ec.env.width()
+		scratch := make(idRow, len(plan.steps)*w) // each step copies its input row in first
+		for i := len(plan.steps) - 1; i >= 0; i-- {
+			st, out := &plan.steps[i], scratch[i*w:(i+1)*w]
+			switch {
+			case st.isPath:
+				next = ec.pathStep(st.tp, out, next)
+			case len(st.specs) > 1:
+				// Fused run: per row, each pattern's candidate bitmap comes
+				// straight from an index level and the run's matches are
+				// their word-level intersection, in the exact ascending-ID
+				// order the unfused expand-then-filter cascade would emit.
+				next = intersectStep(ec.g, ec.stop, st, out, next)
+			default:
+				next = expandStep(ec.g, ec.stop, st.specs[0], out, next)
+			}
 		}
 	}
-	return rows
+	return pushRows(rows, next)
 }
 
 // probeFor resolves one pattern against one row: constants from the spec,
@@ -644,91 +726,75 @@ func probeFor(spec bgpSpec, r idRow) [3]store.ID {
 	return probe
 }
 
-// intersectIDRows joins rows against a fused run of patterns that
-// all constrain the same single fresh slot. Per row, each pattern
-// contributes the live index bitmap behind its doubly-bound probe; the
-// run's matches are the intersection of those bitmaps — iterated off the
-// smallest set with membership probes into the rest when the smallest is
-// small (no allocation), materialized as word-level ANDs when it is dense.
-// Either way the surviving IDs extend the row in ascending order — exactly
-// what expanding the first pattern and filtering through the rest would
-// append, without materializing a row per pre-filter candidate. Rows that
-// already bind the slot degrade to one membership test per pattern.
+// intersectStep is the push step of a fused run of patterns that all
+// constrain the same single fresh slot. Per row, each pattern contributes
+// the live index bitmap behind its doubly-bound probe; the run's matches
+// are the intersection of those bitmaps — iterated off the smallest set
+// with membership probes into the rest when the smallest is small (no
+// allocation), materialized as word-level ANDs when it is dense. Either
+// way the surviving IDs extend the row in ascending order — exactly what
+// expanding the first pattern and filtering through the rest would emit,
+// without a row per pre-filter candidate. Rows that already bind the slot
+// degrade to one membership test per pattern.
 //
 //feo:idspace
-func intersectIDRows(g *store.Graph, stop *atomic.Bool, st *planStep, rows []idRow) []idRow {
+func intersectStep(g *store.Graph, stop *atomic.Bool, st *planStep, out idRow, next rowSink) rowSink {
 	specs, freeSlot := st.specs, st.freeSlot
 	var scratch [8]*store.IDSet
-	var next []idRow
-	for _, r := range rows {
+	return func(r idRow) bool {
 		if stop != nil && stop.Load() {
-			return next // canceled: caller discards partial output
+			return false
 		}
 		if v := r[freeSlot]; v != store.NoID {
-			ok := true
 			switch {
 			case st.sharedCand != nil:
-				ok = st.sharedCand.Contains(v)
+				if !st.sharedCand.Contains(v) {
+					return true
+				}
 			case st.shared != nil:
 				for _, set := range st.shared {
 					if !set.Contains(v) {
-						ok = false
-						break
+						return true
 					}
 				}
 			default:
 				for _, spec := range specs {
-					probe := probeFor(spec, r)
-					if !g.HasID(probe[0], probe[1], probe[2]) {
-						ok = false
-						break
+					if probe := probeFor(spec, r); !g.HasID(probe[0], probe[1], probe[2]) {
+						return true
 					}
 				}
 			}
-			if ok {
-				next = append(next, r)
-			}
-			continue
+			return next(r)
 		}
+		copy(out, r)
 		emit := func(id store.ID) bool {
-			vals := cloneRow(r)
-			vals[freeSlot] = id
-			next = append(next, vals)
-			return true
+			out[freeSlot] = id
+			return next(out)
 		}
 		if st.sharedCand != nil {
-			st.sharedCand.ForEach(emit)
-			continue
+			return st.sharedCand.ForEach(emit)
 		}
 		sets := st.shared
 		if sets == nil {
 			sets = scratch[:0]
-			dead := false
 			for _, spec := range specs {
 				probe := probeFor(spec, r)
 				set := g.MatchSetID(probe[0], probe[1], probe[2])
 				if set.Len() == 0 {
-					dead = true
-					break
+					return true
 				}
 				sets = append(sets, set)
-			}
-			if dead {
-				continue
 			}
 			sortSetsByLen(sets)
 			if sets[0].Len() >= fusedAndMin {
 				// Dense row-dependent candidates: materialize this row's
 				// word-level AND.
-				andAll(sets).ForEach(emit)
-				continue
+				return andAll(sets).ForEach(emit)
 			}
-		} else if sets[0].Len() == 0 {
-			continue
 		}
 		// Sparse candidates: iterate the smallest set and probe the others —
 		// ascending order, nothing allocated.
-		sets[0].ForEach(func(id store.ID) bool {
+		return sets[0].ForEach(func(id store.ID) bool {
 			for _, s := range sets[1:] {
 				if !s.Contains(id) {
 					return true
@@ -737,47 +803,41 @@ func intersectIDRows(g *store.Graph, stop *atomic.Bool, st *planStep, rows []idR
 			return emit(id)
 		})
 	}
-	return next
 }
 
-// expandIDRows joins rows against one encoded pattern and returns every
-// extension.
+// expandStep is the push step of one encoded pattern: it extends each row
+// with every match, in index order.
 //
 //feo:idspace
-func expandIDRows(g *store.Graph, stop *atomic.Bool, spec bgpSpec, rows []idRow) []idRow {
-	var next []idRow
-	for _, r := range rows {
+func expandStep(g *store.Graph, stop *atomic.Bool, spec bgpSpec, out idRow, next rowSink) rowSink {
+	return func(r idRow) bool {
 		if stop != nil && stop.Load() {
-			return next // canceled: caller discards partial output
+			return false
 		}
+		more := true
 		probe := probeFor(spec, r) // NoID in unbound positions
 		g.ForEachID(probe[0], probe[1], probe[2], func(s, p, o store.ID) bool {
 			match := [3]store.ID{s, p, o}
-			ext := r
-			cloned := false
+			copy(out, r)
 			for j := 0; j < 3; j++ {
 				slot := spec.slot[j]
 				if slot == bgpConstPos || probe[j] != store.NoID {
 					continue // constant or pre-bound: index guaranteed it
 				}
-				if ext[slot] != store.NoID {
+				if out[slot] != store.NoID {
 					// Same variable matched earlier in this triple.
-					if ext[slot] != match[j] {
+					if out[slot] != match[j] {
 						return true
 					}
 					continue
 				}
-				if !cloned {
-					ext = cloneRow(r)
-					cloned = true
-				}
-				ext[slot] = match[j]
+				out[slot] = match[j]
 			}
-			next = append(next, ext)
-			return true
+			more = next(out)
+			return more
 		})
+		return more
 	}
-	return next
 }
 
 // quickExists answers EXISTS over a group consisting of a single non-path
@@ -830,114 +890,110 @@ func (ec *evalContext) quickExists(g *Group, r idRow) (found, ok bool) {
 
 // ---- SELECT finalization: grouping, aggregates, projection, modifiers ----
 
-// finishSelect runs the SELECT pipeline on ID rows and materializes the
-// public Solutions — one map allocation per projected result row, the
-// only place the engine decodes rows into terms wholesale.
-func (ec *evalContext) finishSelect(q *Query, rows []idRow) (*Result, error) {
-	res := &Result{Kind: KindSelect, Namespaces: q.Namespaces}
-	projected, vars := ec.finishSelectRows(q, rows)
-	res.Vars = vars
+// projection returns q's projected variables in column order and the slot
+// each one binds (-1 for a variable the query never mentions).
+func (ec *evalContext) projection(q *Query) ([]string, []int) {
+	vars := projectionVars(q)
 	slots := make([]int, len(vars))
 	for i, v := range vars {
 		slots[i] = ec.env.slot(v)
 	}
-	res.Solutions = make([]Solution, len(projected))
-	for i, r := range projected {
-		res.Solutions[i] = ec.materializeRow(r, vars, slots)
-	}
-	return res, nil
+	return vars, slots
 }
 
-// materializeRow builds the public Solution map for one projected row —
-// the single map[string]rdf.Term allocation per result row.
-func (ec *evalContext) materializeRow(r idRow, vars []string, slots []int) Solution {
-	sol := make(Solution, len(vars))
-	for i, v := range vars {
-		if s := slots[i]; s >= 0 && r[s] != store.NoID {
-			sol[v] = ec.termOf(r[s])
+// evalSelect pushes q's solutions, projected onto slots, into emit: rows
+// binding only the projected slots (subquery joins rely on that), valid
+// only during the call. One per-row tail projects, drops DISTINCT/REDUCED
+// duplicates and applies OFFSET and LIMIT. A query with no barrier — GROUP
+// BY, aggregates, ORDER BY — runs it, after the projection expressions,
+// inside the WHERE clause's sink, so rows leave while the join still runs
+// and LIMIT (or emit returning false) stops it. A barrier query collects
+// every solution, groups, extends and sorts them, then replays the tail.
+func (ec *evalContext) evalSelect(q *Query, slots []int, emit rowSink) {
+	if q.Limit == 0 {
+		return
+	}
+	out, skip, n := ec.newRow(), q.Offset, 0
+	var seen map[string]bool
+	if q.Distinct || q.Reduced {
+		seen = make(map[string]bool)
+	}
+	var kb []byte
+	tail := func(r idRow) bool {
+		for _, s := range slots {
+			if s >= 0 {
+				out[s] = r[s]
+			}
 		}
+		if seen != nil {
+			// Dedup by the projected slots' IDs: exact term identity.
+			kb = kb[:0]
+			for _, s := range slots {
+				id := store.NoID
+				if s >= 0 {
+					id = out[s]
+				}
+				kb = append(kb, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+			}
+			if seen[string(kb)] {
+				return true
+			}
+			seen[string(kb)] = true
+		}
+		if skip > 0 {
+			skip--
+			return true
+		}
+		n++
+		return emit(out) && n != q.Limit
 	}
-	return sol
-}
-
-// finishSelectRows applies grouping/aggregation, projection expressions,
-// ORDER BY, projection, DISTINCT, and OFFSET/LIMIT, entirely on ID rows.
-// The returned rows carry only the projected slots (SubSelect joins rely
-// on that). vars is the projected column order.
-func (ec *evalContext) finishSelectRows(q *Query, rows []idRow) ([]idRow, []string) {
+	input := []idRow{ec.newRow()}
 	// Aggregation applies when GROUP BY is present or any projection/having
 	// expression contains an aggregate.
 	aggs := collectAggregates(q)
-	if len(q.GroupBy) > 0 || len(aggs) > 0 {
+	grouped := len(q.GroupBy) > 0 || len(aggs) > 0
+	if !grouped && len(q.OrderBy) == 0 {
+		ext := ec.newRow()
+		ec.evalGroup(q.Where, input, func(r idRow) bool {
+			copy(ext, r)
+			ec.bindProjection(q, ext)
+			return tail(ext)
+		})
+		return
+	}
+	rows := ec.evalGroupRows(q.Where, input)
+	if ec.canceled() {
+		return
+	}
+	if grouped {
 		rows = ec.groupAndAggregateRows(q, rows, aggs)
 	}
 	// Extend rows with computed projection values first, so ORDER BY can
 	// reference both SELECT aliases and variables that the projection will
-	// later drop.
-	vars := projectionVars(q)
-	hasExprs := false
-	for _, item := range q.Projection {
-		if item.Expr != nil {
-			hasExprs = true
-			break
-		}
+	// later drop. The rows are collect's (or the grouping's) own copies.
+	for _, r := range rows {
+		ec.bindProjection(q, r)
 	}
-	extended := rows
-	if hasExprs {
-		extended = make([]idRow, len(rows))
-		for i, r := range rows {
-			ext := cloneRow(r)
-			for _, item := range q.Projection {
-				if item.Expr == nil {
-					continue
-				}
-				if v, err := item.Expr.Eval(ec, ext); err == nil {
-					if s := ec.env.slot(item.Var); s >= 0 {
-						ext[s] = ec.encodeTerm(v)
-					}
-				}
-			}
-			extended[i] = ext
-		}
-	}
-	// ORDER BY on the full (extended) rows.
 	if len(q.OrderBy) > 0 {
-		sorted := make([]idRow, len(extended))
-		copy(sorted, extended)
-		sortRows(ec, sorted, q.OrderBy)
-		extended = sorted
+		sortRows(ec, rows, q.OrderBy)
 	}
-	// Reduce to the projected slots.
-	projSlots := make([]int, len(vars))
-	for i, v := range vars {
-		projSlots[i] = ec.env.slot(v)
-	}
-	projected := make([]idRow, len(extended))
-	for i, r := range extended {
-		row := ec.newRow()
-		for _, s := range projSlots {
-			if s >= 0 {
-				row[s] = r[s]
+	pushRows(rows, tail)
+}
+
+// bindProjection evaluates q's projection expressions into r in order, so
+// each sees the aliases before it; an evaluation error leaves its alias
+// unbound.
+func (ec *evalContext) bindProjection(q *Query, r idRow) {
+	for _, item := range q.Projection {
+		if item.Expr == nil {
+			continue
+		}
+		if v, err := item.Expr.Eval(ec, r); err == nil {
+			if s := ec.env.slot(item.Var); s >= 0 {
+				r[s] = ec.encodeTerm(v)
 			}
 		}
-		projected[i] = row
 	}
-	// DISTINCT / REDUCED.
-	if q.Distinct || q.Reduced {
-		projected = distinctRows(projected, projSlots)
-	}
-	// OFFSET / LIMIT.
-	if q.Offset > 0 {
-		if q.Offset >= len(projected) {
-			projected = nil
-		} else {
-			projected = projected[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(projected) {
-		projected = projected[:q.Limit]
-	}
-	return projected, vars
 }
 
 func collectAggregates(q *Query) []*AggExpr {
@@ -1248,32 +1304,6 @@ func sortRows(ec *evalContext, rows []idRow, conds []OrderCondition) {
 		}
 		return false
 	})
-}
-
-// distinctRows dedups by the projected slots' IDs — exact term identity,
-// no string rendering.
-//
-//feo:idspace
-func distinctRows(rows []idRow, projSlots []int) []idRow {
-	seen := make(map[string]bool, len(rows))
-	var kb []byte
-	var out []idRow
-	for _, r := range rows {
-		kb = kb[:0]
-		for _, s := range projSlots {
-			id := store.NoID
-			if s >= 0 {
-				id = r[s]
-			}
-			kb = append(kb, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		k := string(kb)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // ---- CONSTRUCT / DESCRIBE ----

@@ -260,15 +260,15 @@ func (e *InExpr) Eval(ec *evalContext, r idRow) (rdf.Term, error) {
 }
 
 // Eval of ExistsExpr runs the nested pattern seeded with the current row
-// and tests for any result. Single-triple-pattern groups — the common
+// up to its first solution. Single-triple-pattern groups — the common
 // FILTER (NOT) EXISTS shape — short-circuit on the first index hit
-// instead of materializing any binding, without decoding a single term.
+// without planning the pattern or decoding a single term.
 func (e *ExistsExpr) Eval(ec *evalContext, r idRow) (rdf.Term, error) {
-	if found, ok := ec.quickExists(e.Pattern, r); ok {
-		return boolTerm(found != e.Negated), nil
+	found, ok := ec.quickExists(e.Pattern, r)
+	if !ok {
+		found = ec.exists(e.Pattern, r)
 	}
-	res := ec.evalGroupRows(e.Pattern, []idRow{r})
-	return boolTerm((len(res) > 0) != e.Negated), nil
+	return boolTerm(found != e.Negated), nil
 }
 
 // Eval of FuncExpr dispatches the builtin library.

@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"io"
+
+	"repro/internal/rdf"
 )
 
 // Materialized-result serialization. Each Write* method adapts the
@@ -10,7 +12,8 @@ import (
 // ExecuteStream feeds live, so the two paths cannot drift. Memory here
 // is O(row) over and above the Result the caller already holds.
 
-// writeAll drains a Result through one streaming writer.
+// writeAll drains a Result through one streaming writer, filling one
+// reused term slice per row in Vars order.
 func (r *Result) writeAll(rw ResultWriter) error {
 	if r.Kind == KindAsk {
 		return rw.Boolean(r.Boolean)
@@ -18,8 +21,12 @@ func (r *Result) writeAll(rw ResultWriter) error {
 	if err := rw.Begin(r.Vars); err != nil {
 		return err
 	}
+	terms := make([]rdf.Term, len(r.Vars))
 	for _, sol := range r.Solutions {
-		if err := rw.Row(sol); err != nil {
+		for i, v := range r.Vars {
+			terms[i] = sol[v]
+		}
+		if err := rw.Row(terms); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/xml"
 	"strings"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 func formatFixture(t *testing.T) *Result {
@@ -110,6 +112,41 @@ func TestWriteTSVUsesNTriplesTerms(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"Alice"`) {
 		t.Error("tsv should render literals quoted")
+	}
+}
+
+// TestCSVAndTSVTermForms pins each RDF term form in the two text formats
+// (W3C SPARQL 1.1 CSV/TSV §2.1 and §3.1): CSV writes lexical values but
+// keeps blank nodes distinguishable as _:label; TSV writes N-Triples
+// terms; an unbound cell is empty in both.
+func TestCSVAndTSVTermForms(t *testing.T) {
+	res := &Result{
+		Kind: KindSelect,
+		Vars: []string{"iri", "bnode", "plain", "lang", "typed", "unbound"},
+		Solutions: []Solution{{
+			"iri":   rdf.NewIRI("http://e/x"),
+			"bnode": rdf.NewBlank("b1"),
+			"plain": rdf.NewLiteral("b1"),
+			"lang":  rdf.NewLangLiteral("chat", "fr"),
+			"typed": rdf.NewInt(42),
+		}},
+	}
+	var csvOut, tsvOut strings.Builder
+	if err := res.WriteCSV(&csvOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteTSV(&tsvOut); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ format, got, want string }{
+		{"csv", csvOut.String(), "iri,bnode,plain,lang,typed,unbound\r\n" +
+			"http://e/x,_:b1,b1,chat,42,\r\n"},
+		{"tsv", tsvOut.String(), "?iri\t?bnode\t?plain\t?lang\t?typed\t?unbound\n" +
+			"<http://e/x>\t_:b1\t\"b1\"\t\"chat\"@fr\t\"42\"^^<" + rdf.XSDInteger + ">\t\n"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.format, tc.got, tc.want)
+		}
 	}
 }
 

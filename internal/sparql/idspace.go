@@ -17,9 +17,9 @@ import (
 // solution is then an idRow: a []store.ID of exactly that width, with
 // store.NoID marking an unbound slot. Extending a binding is a small
 // memcopy plus a store; joining is integer comparison; no term is hashed
-// or decoded on the hot path. The public map[string]rdf.Term Solution is
-// materialized exactly once per projected result row, at the very end of
-// finishSelect.
+// or decoded on the hot path. Terms are decoded once per projected result
+// row, by the sink at the end of the pipeline (Execute's Solution maps,
+// ExecuteStream's term slice).
 //
 // Terms that exist only inside the query — BIND/projection expression
 // results, VALUES constants, aggregate outputs — have no graph-dictionary
@@ -30,9 +30,10 @@ import (
 // remains exactly RDF term identity across both ID ranges.
 
 // idRow is one intermediate solution in ID space: one slot per query
-// variable, store.NoID where unbound. Rows are extended copy-on-write —
-// every operator clones a row before writing to it — so a row handed to a
-// sub-evaluation (an OPTIONAL probe, an EXISTS body) is never mutated.
+// variable, store.NoID where unbound. Set-at-a-time operators extend rows
+// copy-on-write, and push steps write only into their own scratch row, so
+// a row handed to a sub-evaluation (an OPTIONAL probe, an EXISTS body) is
+// never mutated.
 type idRow []store.ID
 
 // slotEnv is the per-query variable→slot binding table.

@@ -6,13 +6,13 @@ import (
 	"sort"
 )
 
-// evalPathRows evaluates a triple pattern whose predicate is a property
-// path, extending each row with every (subject, object) pair the path
-// connects. Rows stay in ID space: endpoints resolve from row slots, the
-// per-(path, endpoint) reachability memo stores encoded ID lists, and the
-// underlying closure walks run on the bitmap indexes where the path shape
-// allows. Terms are decoded only once per distinct memo fill, never per
-// row.
+// pathStep is the push step of a triple pattern whose predicate is a
+// property path: it extends each row with every (subject, object) pair
+// the path connects. Rows stay in ID space: endpoints resolve from row
+// slots, the per-(path, endpoint) reachability memo stores encoded ID
+// lists, and the underlying closure walks run on the bitmap indexes where
+// the path shape allows. Terms are decoded only once per distinct memo
+// fill, never per row.
 //
 // The evaluation direction is chosen from the bound ends: bound→unbound
 // uses forward or backward reachability; bound→bound is a reachability
@@ -28,7 +28,7 @@ import (
 // under the planner's ordering — the randomized reference-equivalence
 // harness enforces exactly that. Constant endpoints are taken as given
 // (`<x> p* <x>` holds for any term, matching the zero-length-path spec).
-func (ec *evalContext) evalPathRows(tp TriplePattern, rows []idRow) []idRow {
+func (ec *evalContext) pathStep(tp TriplePattern, out idRow, next rowSink) rowSink {
 	sSlot, oSlot := -1, -1
 	sConst, oConst := store.NoID, store.NoID
 	if tp.S.IsVar {
@@ -41,51 +41,64 @@ func (ec *evalContext) evalPathRows(tp TriplePattern, rows []idRow) []idRow {
 	} else {
 		oConst = ec.encodeTerm(tp.O.Term)
 	}
-	var out []idRow
-	for _, r := range rows {
+	// bind emits r with the pair (s, o) in the endpoint slots.
+	bind := func(r idRow, s, o store.ID) bool {
+		copy(out, r)
+		if sSlot >= 0 {
+			out[sSlot] = s
+		}
+		if oSlot >= 0 {
+			out[oSlot] = o
+		}
+		return next(out)
+	}
+	return func(r idRow) bool {
+		if ec.canceled() {
+			return false
+		}
 		sID := sConst
 		if sSlot >= 0 {
 			sID = r[sSlot]
 			if sID != store.NoID && !ec.isNodeID(sID) {
-				continue // a var endpoint bound to a non-node never matches
+				return true // a var endpoint bound to a non-node never matches
 			}
 		}
 		oID := oConst
 		if oSlot >= 0 {
 			oID = r[oSlot]
 			if oID != store.NoID && !ec.isNodeID(oID) {
-				continue
+				return true
 			}
 		}
 		switch {
 		case sID != store.NoID && oID != store.NoID:
-			if ec.pathReachesID(tp.Path, sID, oID) {
-				out = append(out, r)
-			}
+			return !ec.pathReachesID(tp.Path, sID, oID) || next(r)
 		case sID != store.NoID:
 			for _, t := range ec.pathForwardIDs(tp.Path, sID) {
-				if !ec.isNodeID(t) {
-					continue // only the zero-length self can be a non-node
+				// Only the zero-length self can be a non-node.
+				if ec.isNodeID(t) && !bind(r, sID, t) {
+					return false
 				}
-				ns := cloneRow(r)
-				ns[oSlot] = t
-				out = append(out, ns)
 			}
 		case oID != store.NoID:
 			for _, t := range ec.pathBackwardIDs(tp.Path, oID) {
-				if !ec.isNodeID(t) {
-					continue
+				if ec.isNodeID(t) && !bind(r, t, oID) {
+					return false
 				}
-				ns := cloneRow(r)
-				ns[sSlot] = t
-				out = append(out, ns)
 			}
 		default:
-			// Both unbound: enumerate from all (node) start candidates.
-			out = ec.pathStartsAll(tp, r, sSlot, oSlot, out)
+			// Both unbound: enumerate from all (node) start candidates; for
+			// ?x path ?x only self-reaching starts match.
+			for _, start := range ec.pathStartIDs(tp.Path) {
+				for _, t := range ec.pathForwardIDs(tp.Path, start) {
+					if (sSlot != oSlot || start == t) && !bind(r, start, t) {
+						return false
+					}
+				}
+			}
 		}
+		return true
 	}
-	return out
 }
 
 // isNodeID reports whether id is a node of the graph: a term occurring in
@@ -93,30 +106,6 @@ func (ec *evalContext) evalPathRows(tp TriplePattern, rows []idRow) []idRow {
 func (ec *evalContext) isNodeID(id store.ID) bool {
 	return ec.g.CountID(id, store.NoID, store.NoID) > 0 ||
 		ec.g.CountID(store.NoID, store.NoID, id) > 0
-}
-
-// pathStartsAll matches the path from every candidate start node,
-// appending a row per (start, reachable) pair to out.
-func (ec *evalContext) pathStartsAll(tp TriplePattern, r idRow, sSlot, oSlot int, out []idRow) []idRow {
-	for _, start := range ec.pathStartIDs(tp.Path) {
-		for _, t := range ec.pathForwardIDs(tp.Path, start) {
-			if sSlot == oSlot {
-				// ?x path ?x: only self-reaching starts match.
-				if start != t {
-					continue
-				}
-				ns := cloneRow(r)
-				ns[sSlot] = start
-				out = append(out, ns)
-				continue
-			}
-			ns := cloneRow(r)
-			ns[sSlot] = start
-			ns[oSlot] = t
-			out = append(out, ns)
-		}
-	}
-	return out
 }
 
 // pathForwardIDs memoizes the encoded forward reachability of (path,

@@ -13,8 +13,8 @@ import (
 
 // BenchmarkMaterializeSolutions runs a join that produces thousands of
 // rows and projects two variables per row. With the end-to-end ID
-// pipeline, intermediate joins allocate only []store.ID rows; the
-// Solution maps appear exactly once, in finishSelect.
+// pipeline, the join pushes scratch []store.ID rows; the Solution maps
+// appear exactly once per row, in Execute's sink.
 func BenchmarkMaterializeSolutions(b *testing.B) {
 	g := buildWideGraph(400, 8)
 	q, err := ParseQuery(`SELECT ?a ?b WHERE { ?a <http://w/next> ?b . ?b <http://w/val> ?v }`)

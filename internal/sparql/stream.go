@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"bufio"
 	"encoding/csv"
 	"errors"
 	"io"
@@ -27,15 +26,15 @@ import (
 // format has room for one) and flushes. Boolean is the one-shot ASK
 // form, used instead of the Begin/Row/End sequence.
 //
-// A writer buffers internally but never holds more than its fixed buffer
-// of serialized output: memory is O(row), not O(result). Writers are not
-// safe for concurrent use.
+// Row's terms[i] binds the i-th Begin var, a zero Term marks it unbound,
+// and the slice is the caller's scratch, valid only during the call.
 //
-// Determinism: a row serializes by the Begin vars order — implementations
-// must never iterate the Solution map itself.
+// A writer buffers internally but never holds more than one buffer
+// (streamBufSize plus a row) of serialized output: memory is O(row), not
+// O(result). Writers are not safe for concurrent use.
 type ResultWriter interface {
 	Begin(vars []string) error
-	Row(sol Solution) error
+	Row(terms []rdf.Term) error
 	// End finishes the document. A non-nil trunc marks a deliberate early
 	// stop: formats with an in-band channel (JSON members, XML comments)
 	// record it; CSV/TSV rely on the caller's transport (HTTP trailers).
@@ -58,9 +57,9 @@ type Truncation struct {
 // unbounded: no deadline, no row cap, no byte cap.
 type StreamOptions struct {
 	// Deadline bounds evaluation and emission. A query that exceeds it
-	// during evaluation fails with ErrDeadlineExceeded (no bytes written);
-	// one that exceeds it mid-emission ends with a well-formed truncated
-	// document instead.
+	// before its first row fails with ErrDeadlineExceeded (no bytes
+	// written); one that exceeds it after ends with a well-formed
+	// truncated document instead.
 	Deadline time.Time
 	// MaxRows caps emitted solution rows (0 = unlimited).
 	MaxRows int
@@ -102,18 +101,20 @@ func RunStream(g *store.Graph, src string, rw ResultWriter, opts StreamOptions) 
 }
 
 // ExecuteStream runs a SELECT or ASK query and feeds each projected row
-// into rw as it is materialized: the full document is never built in
-// memory, and the public Solution maps exist one row at a time. The
-// evaluator's intermediate ID rows are still computed eagerly (ORDER BY,
-// DISTINCT, and aggregation need the full row set), but those are compact
-// []store.ID rows — the O(result) heap the materialized writers used to
-// pay for term maps and document builders is gone.
+// into rw through the pipeline Execute uses (see evalSelect): a query
+// without an ORDER BY, GROUP BY or aggregate barrier writes its first row
+// while its join is still running, LIMIT and opts.MaxRows stop the
+// evaluation, and ASK stops at its first solution. Barrier queries
+// evaluate to compact ID rows first and then stream. Either way rows are
+// decoded into one reused term slice — no document and no Solution map is
+// ever built — and Begin is deferred to the first row (or the end of an
+// empty result).
 //
 // opts.Deadline cancels a runaway evaluation: the evaluator polls a stop
-// flag in its row loops and unwinds with partial state, and ExecuteStream
-// returns ErrDeadlineExceeded without writing a byte. Once emission has
-// begun, the deadline — like MaxRows and MaxBytes — ends the stream with
-// a well-formed document carrying a Truncation instead.
+// flag in its row loops and unwinds with partial state. Before the first
+// row ExecuteStream then returns ErrDeadlineExceeded without writing a
+// byte; after it the deadline — like MaxRows and MaxBytes — ends the
+// stream with a well-formed document carrying a Truncation.
 func ExecuteStream(g *store.Graph, q *Query, rw ResultWriter, opts StreamOptions) (StreamStats, error) {
 	var st StreamStats
 	if q.Kind == KindConstruct || q.Kind == KindDescribe {
@@ -130,83 +131,119 @@ func ExecuteStream(g *store.Graph, q *Query, rw ResultWriter, opts StreamOptions
 		timer := time.AfterFunc(d, func() { stop.Store(true) })
 		defer timer.Stop()
 	}
-	rows := ec.evalGroupRows(q.Where, []idRow{ec.newRow()})
-	if ec.canceled() {
-		return st, ErrDeadlineExceeded
-	}
 	if q.Kind == KindAsk {
-		return st, rw.Boolean(len(rows) > 0)
+		found := ec.exists(q.Where, ec.newRow())
+		if ec.canceled() {
+			return st, ErrDeadlineExceeded
+		}
+		return st, rw.Boolean(found)
 	}
-	projected, vars := ec.finishSelectRows(q, rows)
-	if ec.canceled() {
-		return st, ErrDeadlineExceeded
-	}
-	slots := make([]int, len(vars))
-	for i, v := range vars {
-		slots[i] = ec.env.slot(v)
-	}
-	if err := rw.Begin(vars); err != nil {
-		return st, err
-	}
-	var trunc *Truncation
-	for _, r := range projected {
+	vars, slots := ec.projection(q)
+	terms := make([]rdf.Term, len(vars))
+	var err error
+	ec.evalSelect(q, slots, func(r idRow) bool {
 		switch {
 		case opts.MaxRows > 0 && st.Rows >= opts.MaxRows:
-			trunc = &Truncation{Reason: "rows", Rows: st.Rows}
+			st.Reason = "rows"
 		case opts.MaxBytes > 0 && rw.Written() >= opts.MaxBytes:
-			trunc = &Truncation{Reason: "bytes", Rows: st.Rows}
+			st.Reason = "bytes"
 		case ec.canceled():
-			trunc = &Truncation{Reason: "deadline", Rows: st.Rows}
+			st.Reason = "deadline"
+		case st.Rows == 0:
+			err = rw.Begin(vars)
 		}
-		if trunc != nil {
-			break
+		if st.Reason != "" || err != nil {
+			return false
 		}
-		if err := rw.Row(ec.materializeRow(r, vars, slots)); err != nil {
-			return st, err
+		for i, s := range slots {
+			terms[i] = rdf.Term{}
+			if s >= 0 && r[s] != store.NoID {
+				terms[i] = ec.termOf(r[s])
+			}
+		}
+		if err = rw.Row(terms); err != nil {
+			return false
 		}
 		st.Rows++
+		return true
+	})
+	if st.Reason == "" && ec.canceled() {
+		st.Reason = "deadline" // the evaluator stopped before the sink saw it
 	}
-	if trunc != nil {
-		st.Truncated = true
-		st.Reason = trunc.Reason
+	switch {
+	case err != nil:
+		return st, err
+	case st.Rows == 0 && st.Reason == "deadline":
+		return StreamStats{}, ErrDeadlineExceeded
+	case st.Rows == 0:
+		if err := rw.Begin(vars); err != nil {
+			return st, err
+		}
+	}
+	var trunc *Truncation
+	if st.Truncated = st.Reason != ""; st.Truncated {
+		trunc = &Truncation{Reason: st.Reason, Rows: st.Rows}
 	}
 	return st, rw.End(trunc)
 }
 
+// streamBufSize is how much output a writer accumulates before handing
+// it to the transport in one write, so a 3 MB document leaves in ≈ 46
+// writes (each one or two syscalls under net/http) rather than one per
+// 4 KiB, and a row reaches the client at most one buffer after it is
+// serialized. The buffer grows to this size by append: a small document
+// costs a buffer of its own size, not a fixed one per request.
+const streamBufSize = 64 << 10
+
 // countWriter is the shared buffered sink under every streaming writer:
-// it tracks bytes accepted (pre-flush, so Written is exact and
-// deterministic regardless of buffer boundaries) and defers errors — the
-// emit helpers are fire-and-forget, and the first underlying error
-// surfaces from flush() or the next Write.
+// it tracks bytes accepted (before they reach the transport, so Written
+// is exact and deterministic regardless of buffer boundaries) and keeps
+// the transport's first error — the emit helpers are fire-and-forget, and
+// the error surfaces from endRow, flush or the next Write.
 type countWriter struct {
-	bw *bufio.Writer
-	n  int64
+	w   io.Writer
+	buf []byte
+	n   int64
+	err error
 }
 
-func newCountWriter(w io.Writer) *countWriter {
-	return &countWriter{bw: bufio.NewWriterSize(w, 8192)}
-}
+func newCountWriter(w io.Writer) *countWriter { return &countWriter{w: w} }
 
 func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.bw.Write(p)
-	c.n += int64(n)
-	return n, err
+	c.buf = append(c.buf, p...)
+	c.n += int64(len(p))
+	return len(p), c.err
 }
 
 func (c *countWriter) str(s string) {
-	n, _ := c.bw.WriteString(s)
-	c.n += int64(n)
+	c.buf = append(c.buf, s...)
+	c.n += int64(len(s))
 }
 
 func (c *countWriter) byte(b byte) {
-	if c.bw.WriteByte(b) == nil {
-		c.n++
-	}
+	c.buf = append(c.buf, b)
+	c.n++
 }
 
 func (c *countWriter) written() int64 { return c.n }
 
-func (c *countWriter) flush() error { return c.bw.Flush() }
+// flush hands everything buffered to the transport.
+func (c *countWriter) flush() error {
+	if len(c.buf) > 0 && c.err == nil {
+		_, c.err = c.w.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
+	return c.err
+}
+
+// endRow ends one row: a full buffer goes to the transport, and its first
+// error is returned so a stream whose client has gone stops evaluating.
+func (c *countWriter) endRow() error {
+	if len(c.buf) >= streamBufSize {
+		return c.flush()
+	}
+	return c.err
+}
 
 // jsonString writes s as a JSON string literal (quoted, escaped).
 func (c *countWriter) jsonString(s string) {
@@ -268,23 +305,22 @@ func (jw *jsonResultWriter) Begin(vars []string) error {
 	return nil
 }
 
-func (jw *jsonResultWriter) Row(sol Solution) error {
+func (jw *jsonResultWriter) Row(terms []rdf.Term) error {
 	if jw.rows > 0 {
 		jw.c.byte(',')
 	}
 	jw.rows++
 	jw.c.str("\n{")
 	first := true
-	for _, v := range jw.vars {
-		t, ok := sol[v]
-		if !ok || t == (rdf.Term{}) {
+	for i, t := range terms {
+		if !t.IsValid() {
 			continue
 		}
 		if !first {
 			jw.c.byte(',')
 		}
 		first = false
-		jw.c.jsonString(v)
+		jw.c.jsonString(jw.vars[i])
 		jw.c.str(`:{"type":`)
 		switch {
 		case t.IsIRI():
@@ -306,7 +342,7 @@ func (jw *jsonResultWriter) Row(sol Solution) error {
 		jw.c.byte('}')
 	}
 	jw.c.byte('}')
-	return jw.c.flushEvery()
+	return jw.c.endRow()
 }
 
 func (jw *jsonResultWriter) End(trunc *Truncation) error {
@@ -329,16 +365,6 @@ func (jw *jsonResultWriter) Boolean(b bool) error {
 }
 
 func (jw *jsonResultWriter) Written() int64 { return jw.c.written() }
-
-// flushEvery flushes opportunistically so a slowly-produced stream still
-// reaches the client row by row; bufio already flushes on overflow, this
-// only caps the latency of a buffered partial row batch.
-func (c *countWriter) flushEvery() error {
-	if c.bw.Buffered() >= 4096 {
-		return c.bw.Flush()
-	}
-	return nil
-}
 
 // ---- XML: the W3C SPARQL Query Results XML Format ----
 
@@ -371,16 +397,15 @@ func (xw *xmlResultWriter) Begin(vars []string) error {
 	return nil
 }
 
-func (xw *xmlResultWriter) Row(sol Solution) error {
+func (xw *xmlResultWriter) Row(terms []rdf.Term) error {
 	c := xw.c
 	c.str("    <result>\n")
-	for _, v := range xw.vars {
-		t, ok := sol[v]
-		if !ok || t == (rdf.Term{}) {
+	for i, t := range terms {
+		if !t.IsValid() {
 			continue
 		}
 		c.str(`      <binding name="`)
-		c.xmlEscape(v)
+		c.xmlEscape(xw.vars[i])
 		c.str(`">`)
 		switch {
 		case t.IsIRI():
@@ -409,7 +434,7 @@ func (xw *xmlResultWriter) Row(sol Solution) error {
 		c.str("</binding>\n")
 	}
 	c.str("    </result>\n")
-	return c.flushEvery()
+	return c.endRow()
 }
 
 func (xw *xmlResultWriter) End(trunc *Truncation) error {
@@ -468,16 +493,16 @@ func (c *countWriter) xmlEscape(s string) {
 // ---- CSV: the W3C SPARQL 1.1 CSV format (RFC 4180, CRLF line endings) ----
 
 type csvResultWriter struct {
-	c    *countWriter
-	cw   *csv.Writer
-	vars []string
-	row  []string
+	c   *countWriter
+	cw  *csv.Writer
+	row []string
 }
 
 // NewCSVWriter returns a streaming writer for text/csv. Per RFC 4180 (and
-// the W3C SPARQL 1.1 CSV Results note) records end in CRLF. ASK results
-// serialize as a single boolean cell; CSV has no in-band truncation
-// channel — transports signal it out of band.
+// the W3C SPARQL 1.1 CSV Results note) records end in CRLF, and cells
+// hold lexical values, with blank nodes as _:label so they stay distinct
+// from literals. ASK results serialize as a single boolean cell; CSV has
+// no in-band truncation channel — transports signal it out of band.
 func NewCSVWriter(w io.Writer) ResultWriter {
 	c := newCountWriter(w)
 	cw := csv.NewWriter(c)
@@ -486,23 +511,21 @@ func NewCSVWriter(w io.Writer) ResultWriter {
 }
 
 func (vw *csvResultWriter) Begin(vars []string) error {
-	vw.vars = vars
 	vw.row = make([]string, len(vars))
 	return vw.cw.Write(vars)
 }
 
-func (vw *csvResultWriter) Row(sol Solution) error {
-	for i, v := range vw.vars {
-		if t, ok := sol[v]; ok {
-			vw.row[i] = t.Value
-		} else {
-			vw.row[i] = ""
+func (vw *csvResultWriter) Row(terms []rdf.Term) error {
+	for i, t := range terms {
+		vw.row[i] = t.Value
+		if t.IsBlank() {
+			vw.row[i] = "_:" + t.Value
 		}
 	}
 	if err := vw.cw.Write(vw.row); err != nil {
 		return err
 	}
-	return vw.c.flushEvery()
+	return vw.c.endRow()
 }
 
 func (vw *csvResultWriter) End(*Truncation) error {
@@ -530,8 +553,7 @@ func (vw *csvResultWriter) Written() int64 {
 // ---- TSV: the W3C SPARQL 1.1 TSV format (N-Triples term syntax) ----
 
 type tsvResultWriter struct {
-	c    *countWriter
-	vars []string
+	c *countWriter
 }
 
 // NewTSVWriter returns a streaming writer for text/tab-separated-values:
@@ -540,7 +562,6 @@ type tsvResultWriter struct {
 func NewTSVWriter(w io.Writer) ResultWriter { return &tsvResultWriter{c: newCountWriter(w)} }
 
 func (tw *tsvResultWriter) Begin(vars []string) error {
-	tw.vars = vars
 	for i, v := range vars {
 		if i > 0 {
 			tw.c.byte('\t')
@@ -552,17 +573,17 @@ func (tw *tsvResultWriter) Begin(vars []string) error {
 	return nil
 }
 
-func (tw *tsvResultWriter) Row(sol Solution) error {
-	for i, v := range tw.vars {
+func (tw *tsvResultWriter) Row(terms []rdf.Term) error {
+	for i, t := range terms {
 		if i > 0 {
 			tw.c.byte('\t')
 		}
-		if t, ok := sol[v]; ok && t != (rdf.Term{}) {
+		if t.IsValid() {
 			tw.c.str(t.String())
 		}
 	}
 	tw.c.byte('\n')
-	return tw.c.flushEvery()
+	return tw.c.endRow()
 }
 
 func (tw *tsvResultWriter) End(*Truncation) error { return tw.c.flush() }
