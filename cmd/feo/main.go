@@ -195,6 +195,15 @@ func resolveTerm(s string) (rdf.Term, error) {
 	return rdf.Term{}, fmt.Errorf("cannot resolve term %q (use a full IRI or a standard QName)", s)
 }
 
+// checkUser rejects a term that is not a food:User of the pinned version:
+// the coach would otherwise rank recipes for it free of any constraint.
+func checkUser(sn *feo.Snapshot, u rdf.Term) error {
+	if !sn.Graph().IsA(u, ontology.FoodUser) {
+		return fmt.Errorf("unknown user <%s>", u.Value)
+	}
+	return nil
+}
+
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	data := dataFlag(fs)
@@ -321,6 +330,9 @@ func cmdRecommend(args []string) error {
 			if err != nil {
 				return err
 			}
+			if err := checkUser(sn, t); err != nil {
+				return err
+			}
 			users = append(users, t)
 		}
 		recs = sn.RecommendGroup(users, *limit)
@@ -336,6 +348,8 @@ func cmdRecommend(args []string) error {
 			}
 			u = all[0]
 			fmt.Printf("(no -user given; using %s)\n", u.Value)
+		} else if err := checkUser(sn, u); err != nil {
+			return err
 		}
 		recs = sn.Recommend(u, *limit)
 	}

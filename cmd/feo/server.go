@@ -26,7 +26,8 @@ import (
 //	            O(row) serialization memory. CONSTRUCT/DESCRIBE answer
 //	            text/turtle.
 //	POST /explain    {"type","primary","secondary","user"} -> explanation
-//	GET  /recommend?user=IRI&limit=N   (1 <= N <= 100)
+//	GET  /recommend?user=IRI&limit=N   (1 <= N <= 100; an IRI that is
+//	                 not a food:User answers 404 "unknown user <IRI>")
 //	GET  /stats      graph statistics
 //	GET  /metrics    Prometheus text exposition: per-endpoint latency
 //	                 histograms and response counters, plan-cache
@@ -227,9 +228,9 @@ func (s *apiServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxRecommendLimit bounds ?limit= on /recommend: the coach ranks the
-// whole recipe set either way, but an absurd limit would serialize an
-// absurd response.
+// maxRecommendLimit bounds ?limit= on /recommend: the coach keeps a
+// heap of limit candidates and renders a trace for each, so an absurd
+// limit would cost absurd work and serialize an absurd response.
 const maxRecommendLimit = 100
 
 func (s *apiServer) handleRecommend(w http.ResponseWriter, r *http.Request) {
@@ -267,6 +268,9 @@ func (s *apiServer) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		user = users[0]
+	} else if err := checkUser(sn, user); err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return
 	}
 	recs := sn.Recommend(user, limit)
 	type rec struct {

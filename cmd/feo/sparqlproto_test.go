@@ -297,6 +297,35 @@ func TestRecommendLimitValidation(t *testing.T) {
 	}
 }
 
+// TestRecommendUnknownUser pins the bugfix that an IRI which is not a
+// food:User got a 200 with a constraint-free ranking, from /recommend and
+// from `feo recommend -user`/`-group` alike.
+func TestRecommendUnknownUser(t *testing.T) {
+	srv := testServer(t)
+	for _, u := range []string{"feo:Nobody", "feo:Sushi"} {
+		rr := httptest.NewRecorder()
+		srv.handleRecommend(rr, httptest.NewRequest(http.MethodGet, "/recommend?user="+u, nil))
+		var body struct{ Error string }
+		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Code != http.StatusNotFound || !strings.HasPrefix(body.Error, "unknown user <https://") {
+			t.Errorf("user=%s: status = %d error = %q, want 404 unknown user <IRI>", u, rr.Code, body.Error)
+		}
+	}
+	for _, args := range [][]string{
+		{"-user", "feo:Nobody"},
+		{"-group", "feo:User2,feo:Nobody"},
+	} {
+		if err := cmdRecommend(args); err == nil || !strings.Contains(err.Error(), "unknown user") {
+			t.Errorf("feo recommend %v: err = %v, want unknown user", args, err)
+		}
+	}
+	if err := cmdRecommend([]string{"-user", "feo:User2", "-limit", "1"}); err != nil {
+		t.Errorf("feo recommend -user feo:User2: %v", err)
+	}
+}
+
 // TestMethodHardening pins the bugfix that POST/DELETE /stats (and
 // non-GET /recommend) returned 200.
 func TestMethodHardening(t *testing.T) {

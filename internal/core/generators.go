@@ -396,16 +396,13 @@ SELECT (COUNT(DISTINCT ?peer) AS ?n) WHERE {
 
 // traceBased answers "What steps led to recommendation E?" from the Health
 // Coach scoring trace when available, falling back to the reasoner's
-// derivation proof for the recommendation triple.
+// derivation proof for the recommendation triple. The coach renders the
+// trace of E alone; the other recipes are only scored, to rank E.
 func (e *Engine) traceBased(q Question) (*Explanation, error) {
 	ex := &Explanation{Type: TraceBased, Question: q}
 	subject := e.label(q.Primary)
 	if e.coach != nil && q.User.IsValid() {
-		recs := e.coach.Recommend(q.User, 0)
-		for rank, rec := range recs {
-			if rec.Recipe != q.Primary {
-				continue
-			}
+		if rec, rank, ok := e.coach.Explain(q.User, q.Primary); ok {
 			if rec.Excluded {
 				ex.Evidence = append(ex.Evidence, Evidence{Phrase: "excluded: " + rec.Reason})
 				ex.Summary = fmt.Sprintf("%s was not recommended: %s.", subject, rec.Reason)
@@ -417,7 +414,7 @@ func (e *Engine) traceBased(q Question) (*Explanation, error) {
 				})
 			}
 			ex.Summary = fmt.Sprintf("%s scored %.1f (rank %d) via %d scoring steps: %s.",
-				subject, rec.Score, rank+1, len(rec.Trace), joinPhrases(phrases(ex.Evidence)))
+				subject, rec.Score, rank, len(rec.Trace), joinPhrases(phrases(ex.Evidence)))
 			return ex, nil
 		}
 	}

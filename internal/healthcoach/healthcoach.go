@@ -8,16 +8,31 @@
 // explains here is reproducible and the trace-based explanation type has
 // real steps to surface.
 //
-// Scoring model (all weights in Weights):
+// Pipeline (all weights in Weights). Every call runs it once, in
+// dictionary-ID space:
 //
-//	hard constraints  allergen in recipe, condition-forbidden food,
-//	                  explicitly disliked recipe           → excluded
-//	soft signals      liked recipe overlap, in-season ingredients,
-//	                  regional ingredients, diet match, protein vs goal,
-//	                  cost vs budget                        → weighted sum
+//	profile       the user's dislikes, allergens, conditions, diets and
+//	              likes, the system's season and region ingredient sets,
+//	              and a per-ingredient count of liked recipes containing
+//	              it — resolved once per call, not once per recipe
+//	hard          disliked recipes ∪ allergens that are recipes ∪ recipes
+//	constraints   containing an allergen ∪ recipes a condition forbids,
+//	              directly or through an ingredient          → excluded set
+//	survivors     recipes \ excluded
+//	soft signals  liked recipe overlap, in-season ingredients, regional
+//	              ingredients, diet match, condition-recommended
+//	              ingredients, cost vs budget  → weighted sum per survivor
+//	top-k         a size-k heap: score descending, then label, then term
+//	render        label, trace and exclusion reason for the returned
+//	              recipes only
 //
-// The group mode (the paper's seafood-allergy example) applies every
-// member's hard constraints and averages the soft scores.
+// The hard constraints are set algebra over the graph's indexes and the
+// soft signals a score — the ontology-vs-heuristics split. Scoring with and
+// without a trace is one function, so a rendered trace always sums to the
+// score that ranked it.
+//
+// The group mode (the paper's seafood-allergy example) excludes the union
+// of every member's excluded set and averages the members' soft scores.
 //
 // A Coach is stateless — two words of configuration over a graph, no
 // caches — so constructing one per graph snapshot is free. feo.Snapshot
@@ -28,7 +43,7 @@ package healthcoach
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/ontology"
@@ -80,8 +95,8 @@ type Recommendation struct {
 // season, recipes) are resolved from the graph on every call, so data
 // loaded after construction is picked up automatically. A Coach holds no
 // per-call state: once the graph is quiescent, any number of goroutines
-// may call Recommend/RecommendGroup concurrently (the system context each
-// pass needs travels as a value, never through Coach fields).
+// may call Recommend/RecommendGroup/Explain concurrently (each call builds
+// its own pass and never writes Coach fields).
 type Coach struct {
 	g *store.Graph
 	w Weights
@@ -101,191 +116,416 @@ func (c *Coach) System() rdf.Term {
 	return systems[0]
 }
 
-// Season returns the system's current season.
-func (c *Coach) Season() rdf.Term {
-	return c.g.FirstObject(c.System(), ontology.FEOHasSeason)
-}
-
-// sysContext is the system state one recommendation pass scores against.
-// It is re-read from the graph per pass and passed by value so concurrent
-// passes never share mutable Coach state.
-type sysContext struct {
-	season, region rdf.Term
-}
-
-// refresh re-reads the system context before a recommendation pass.
-func (c *Coach) refresh() (sysContext, []rdf.Term) {
-	sys := c.System()
-	return sysContext{
-		season: c.g.FirstObject(sys, ontology.FEOHasSeason),
-		region: c.g.FirstObject(sys, ontology.FEOLocatedIn),
-	}, c.g.InstancesOf(ontology.FoodRecipe)
-}
-
-// Recommend ranks every non-excluded recipe for the user, best first.
-// Excluded recipes are returned after the ranked ones with Excluded=true,
-// so explanation code can also answer "why NOT X".
+// Recommend ranks the user's non-excluded recipes, best first, and keeps
+// the best limit of them (all when limit <= 0). Excluded recipes follow
+// the ranked ones with Excluded=true, in label order, as far as the limit
+// leaves room — so explanation code can also answer "why NOT X".
 func (c *Coach) Recommend(user rdf.Term, limit int) []Recommendation {
-	sc, recipes := c.refresh()
-	recs := make([]Recommendation, 0, len(recipes))
-	for _, r := range recipes {
-		recs = append(recs, c.scoreOne(sc, user, r))
-	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].Excluded != recs[j].Excluded {
-			return !recs[i].Excluded
-		}
-		if recs[i].Score != recs[j].Score {
-			return recs[i].Score > recs[j].Score
-		}
-		return recs[i].Label < recs[j].Label
-	})
-	if limit > 0 && limit < len(recs) {
-		recs = recs[:limit]
-	}
-	return recs
+	p := c.newPass()
+	u := p.profile(user)
+	return p.recommend(u.excluded, limit,
+		func(r store.ID, trace *[]TraceStep) float64 { return p.score(u, r, trace) },
+		func(r store.ID, rec *Recommendation) { rec.Reason = p.reason(u, r) })
 }
 
 // RecommendGroup ranks recipes for a group: any member's hard constraint
 // excludes the recipe (the paper's seafood-allergy family example), soft
-// scores are averaged across members.
+// scores are averaged across members and traces concatenated in member
+// order. An excluded recipe's reason names the first member whose
+// constraint excludes it, after the traces of the members before.
 func (c *Coach) RecommendGroup(users []rdf.Term, limit int) []Recommendation {
 	if len(users) == 0 {
 		return nil
 	}
-	sc, recipes := c.refresh()
-	recs := make([]Recommendation, 0, len(recipes))
-	for _, r := range recipes {
-		var sum float64
-		var merged Recommendation
-		merged.Recipe = r
-		merged.Label = c.label(r)
-		for _, u := range users {
-			one := c.scoreOne(sc, u, r)
-			if one.Excluded {
-				merged.Excluded = true
-				merged.Reason = fmt.Sprintf("%s (member %s)", one.Reason, c.label(u))
-				merged.Trace = append(merged.Trace, TraceStep{
-					Rule:   "group-exclusion",
-					Detail: merged.Reason,
-				})
-				break
+	p := c.newPass()
+	members := make([]*profile, len(users))
+	excluded := store.NewIDSet()
+	for i, u := range users {
+		members[i] = p.profile(u)
+		excluded.OrWith(members[i].excluded)
+	}
+	return p.recommend(excluded, limit,
+		func(r store.ID, trace *[]TraceStep) float64 {
+			var sum float64
+			for _, m := range members {
+				sum += p.score(m, r, trace)
 			}
-			sum += one.Score
-			merged.Trace = append(merged.Trace, one.Trace...)
-		}
-		if !merged.Excluded {
-			merged.Score = sum / float64(len(users))
-		}
-		recs = append(recs, merged)
-	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].Excluded != recs[j].Excluded {
-			return !recs[i].Excluded
-		}
-		if recs[i].Score != recs[j].Score {
-			return recs[i].Score > recs[j].Score
-		}
-		return recs[i].Label < recs[j].Label
-	})
-	if limit > 0 && limit < len(recs) {
-		recs = recs[:limit]
-	}
-	return recs
+			return sum / float64(len(members))
+		},
+		func(r store.ID, rec *Recommendation) {
+			for _, m := range members {
+				if m.excluded.Contains(r) {
+					rec.Reason = fmt.Sprintf("%s (member %s)", p.reason(m, r), c.label(m.user))
+					rec.Trace = append(rec.Trace, TraceStep{Rule: "group-exclusion", Detail: rec.Reason})
+					return
+				}
+				p.score(m, r, &rec.Trace)
+			}
+		})
 }
 
-func (c *Coach) scoreOne(sc sysContext, user, recipe rdf.Term) Recommendation {
-	rec := Recommendation{Recipe: recipe, Label: c.label(recipe)}
-	ingredients := c.g.Objects(recipe, ontology.FEOHasIngredient)
+// Explain renders one recipe's recommendation for the user — the entry
+// Recommend(user, 0) holds for it — without ranking or rendering the
+// rest: the survivors are scored without traces only to count those that
+// rank ahead. rank is the recipe's 1-based position, or 0 when it is
+// excluded. ok is false when recipe is not a food:Recipe of the graph.
+func (c *Coach) Explain(user, recipe rdf.Term) (rec Recommendation, rank int, ok bool) {
+	p := c.newPass()
+	r, found := p.g.LookupID(recipe)
+	if !found || !p.recipes.Contains(r) {
+		return Recommendation{}, 0, false
+	}
+	u := p.profile(user)
+	rec = p.recommendation(r)
+	if u.excluded.Contains(r) {
+		rec.Excluded, rec.Reason = true, p.reason(u, r)
+		return rec, 0, true
+	}
+	rec.Score = p.score(u, r, &rec.Trace)
+	target := candidate{r, rec.Score}
+	rank = 1
+	p.recipes.AndNot(u.excluded).ForEach(func(s store.ID) bool {
+		if p.before(candidate{s, p.score(u, s, nil)}, target) {
+			rank++
+		}
+		return true
+	})
+	return rec, rank, true
+}
 
-	// Hard constraint: explicit dislike of the recipe.
-	if c.g.Has(user, ontology.FEODislike, recipe) {
+// pass is the state of one call: the vocabulary and system context
+// resolved to IDs against the graph as it is now, plus scratch space. It
+// lives for one call, so concurrent calls share nothing mutable.
+type pass struct {
+	c *Coach
+	g *store.Graph
+	// Predicate IDs. A term the dictionary has never seen is NoID, which
+	// every index lookup reads as empty — the same answer the term-level
+	// lookups give.
+	label, hasIngredient, costLevel, like, dislike, allergicTo,
+	hasCondition, forbids, recommends, hasDiet, compatibleWithDiet store.ID
+	recipes *store.IDSet // food:Recipe instances (a live index level: read-only)
+	season  *store.IDSet // ingredients available in the system's season
+	region  *store.IDSet // ingredients available in the system's region
+	ings    []store.ID   // scratch for ingredients
+}
+
+func (c *Coach) newPass() *pass {
+	g := c.g
+	id := func(t rdf.Term) store.ID {
+		i, _ := g.LookupID(t) // NoID when unknown
+		return i
+	}
+	p := &pass{
+		c: c, g: g,
+		label:              id(rdf.LabelIRI),
+		hasIngredient:      id(ontology.FEOHasIngredient),
+		costLevel:          id(ontology.FoodCostLevel),
+		like:               id(ontology.FEOLike),
+		dislike:            id(ontology.FEODislike),
+		allergicTo:         id(ontology.FEOAllergicTo),
+		hasCondition:       id(ontology.FEOHasCondition),
+		forbids:            id(ontology.FEOForbids),
+		recommends:         id(ontology.FEORecommends),
+		hasDiet:            id(ontology.FEOHasDiet),
+		compatibleWithDiet: id(ontology.FEOCompatibleWithDiet),
+	}
+	p.recipes = g.MatchSetID(store.NoID, id(rdf.TypeIRI), id(ontology.FoodRecipe))
+	sys := store.NoID
+	if s := c.System(); s.IsValid() {
+		sys = id(s)
+	}
+	season := g.FirstObjectID(sys, id(ontology.FEOHasSeason))
+	region := g.FirstObjectID(sys, id(ontology.FEOLocatedIn))
+	p.season = g.MatchSetID(store.NoID, id(ontology.FEOAvailableIn), season)
+	p.region = g.MatchSetID(store.NoID, id(ontology.FEOAvailableInRegion), region)
+	return p
+}
+
+// profile is one user's constraints and preferences in IDs. Lists are in
+// term order — the order the scorer visits them and the trace shows them.
+type profile struct {
+	user       rdf.Term
+	disliked   *store.IDSet
+	liked      *store.IDSet
+	likedCount map[store.ID]int32 // ingredient → liked recipes containing it
+	allergens  []store.ID
+	conditions []store.ID
+	condRecs   []*store.IDSet // per condition: the ingredients it recommends
+	diets      []store.ID
+	dietSets   []*store.IDSet // per diet: the recipes compatible with it
+	excluded   *store.IDSet   // every recipe a hard constraint rules out
+}
+
+func (p *pass) profile(user rdf.Term) *profile {
+	g := p.g
+	u, _ := g.LookupID(user)
+	pr := &profile{
+		user:       user,
+		disliked:   g.MatchSetID(u, p.dislike, store.NoID),
+		liked:      g.MatchSetID(u, p.like, store.NoID),
+		likedCount: make(map[store.ID]int32),
+		allergens:  p.byTerm(g.ObjectsID(u, p.allergicTo)),
+		conditions: p.byTerm(g.ObjectsID(u, p.hasCondition)),
+		diets:      p.byTerm(g.ObjectsID(u, p.hasDiet)),
+	}
+	pr.liked.ForEach(func(l store.ID) bool {
+		g.ForEachObjectID(l, p.hasIngredient, func(i store.ID) bool {
+			pr.likedCount[i]++
+			return true
+		})
+		return true
+	})
+	excluded := store.NewIDSet()
+	excluded.OrWith(pr.disliked)
+	for _, a := range pr.allergens {
+		excluded.Add(a) // an allergen that is itself a recipe
+		excluded.OrWith(g.MatchSetID(store.NoID, p.hasIngredient, a))
+	}
+	for _, c := range pr.conditions {
+		forbidden := g.MatchSetID(c, p.forbids, store.NoID)
+		excluded.OrWith(forbidden)
+		forbidden.ForEach(func(f store.ID) bool {
+			excluded.OrWith(g.MatchSetID(store.NoID, p.hasIngredient, f))
+			return true
+		})
+		pr.condRecs = append(pr.condRecs, g.MatchSetID(c, p.recommends, store.NoID))
+	}
+	for _, d := range pr.diets {
+		pr.dietSets = append(pr.dietSets, g.MatchSetID(store.NoID, p.compatibleWithDiet, d))
+	}
+	pr.excluded = excluded
+	return pr
+}
+
+// score sums the soft signals of recipe r for the user. With trace nil it
+// only sums; otherwise it also appends one TraceStep per contribution, in
+// the order the sum takes them — exact like, liked-recipe overlap,
+// in-season then in-region per ingredient, diet match, condition-
+// recommended ingredients, cost — so a trace always adds up to its score.
+// Ingredients are visited in term order.
+func (p *pass) score(u *profile, r store.ID, trace *[]TraceStep) float64 {
+	w := p.c.w
+	ings := p.ingredients(r)
+	var sum float64
+	liked := u.liked.Contains(r)
+	if liked {
+		sum += 2 * w.LikedOverlap
+		p.note(trace, "liked", 2*w.LikedOverlap, "the user likes this exact recipe")
+	}
+	for _, i := range ings {
+		n := u.likedCount[i]
+		if liked {
+			n-- // a liked recipe's own ingredients do not count toward its overlap
+		}
+		if n > 0 {
+			sum += w.LikedOverlap
+			p.note(trace, "liked-overlap", w.LikedOverlap, "shares %s with a liked recipe", i)
+		}
+	}
+	for _, i := range ings {
+		if p.season.Contains(i) {
+			sum += w.InSeason
+			p.note(trace, "in-season", w.InSeason, "%s is available in the current season", i)
+		}
+		if p.region.Contains(i) {
+			sum += w.InRegion
+			p.note(trace, "in-region", w.InRegion, "%s is local to the system's region", i)
+		}
+	}
+	for k, d := range u.diets {
+		if u.dietSets[k].Contains(r) {
+			sum += w.DietMatch
+			p.note(trace, "diet-match", w.DietMatch, "compatible with the user's %s diet", d)
+		}
+	}
+	for k, c := range u.conditions {
+		for _, i := range ings {
+			if u.condRecs[k].Contains(i) {
+				sum += w.Recommended
+				p.note(trace, "condition-recommended", w.Recommended, "%s is recommended for %s", i, c)
+			}
+		}
+	}
+	if lvl := p.g.FirstObjectID(r, p.costLevel); lvl != store.NoID {
+		if n, ok := p.g.TermOf(lvl).Int(); ok && n > 1 {
+			delta := -w.CostPenalty * float64(n-1)
+			sum += delta
+			if trace != nil {
+				*trace = append(*trace, TraceStep{Rule: "cost", Detail: fmt.Sprintf("cost level %d", n), Delta: delta})
+			}
+		}
+	}
+	return sum
+}
+
+// note appends one trace step when tracing. Its detail is format applied
+// to the labels of ids, so nothing is decoded or formatted otherwise.
+func (p *pass) note(trace *[]TraceStep, rule string, delta float64, format string, ids ...store.ID) {
+	if trace == nil {
+		return
+	}
+	args := make([]any, len(ids))
+	for k, id := range ids {
+		args[k] = p.labelOf(id)
+	}
+	*trace = append(*trace, TraceStep{Rule: rule, Detail: fmt.Sprintf(format, args...), Delta: delta})
+}
+
+// reason renders why the user's hard constraints exclude recipe r, in
+// the order they are checked: dislike → allergens (the recipe itself, then
+// an ingredient) → conditions (the recipe itself, then an ingredient).
+func (p *pass) reason(u *profile, r store.ID) string {
+	g := p.g
+	if u.disliked.Contains(r) {
+		return "explicitly disliked"
+	}
+	for _, a := range u.allergens {
+		if a == r {
+			return fmt.Sprintf("allergic to %s", p.labelOf(a))
+		}
+		if g.HasID(r, p.hasIngredient, a) {
+			return fmt.Sprintf("contains allergen %s", p.labelOf(a))
+		}
+	}
+	for _, c := range u.conditions {
+		if g.HasID(c, p.forbids, r) {
+			return fmt.Sprintf("forbidden by condition %s", p.labelOf(c))
+		}
+		for _, i := range p.ingredients(r) {
+			if g.HasID(c, p.forbids, i) {
+				return fmt.Sprintf("condition %s forbids ingredient %s", p.labelOf(c), p.labelOf(i))
+			}
+		}
+	}
+	return ""
+}
+
+// recommend ranks the recipes outside excluded by score, keeps the best
+// limit (all when limit <= 0) and renders only those; the excluded
+// recipes, rendered by exclude, fill what room the limit leaves.
+func (p *pass) recommend(excluded *store.IDSet, limit int,
+	score func(r store.ID, trace *[]TraceStep) float64,
+	exclude func(r store.ID, rec *Recommendation)) []Recommendation {
+	ranked := p.top(p.recipes.AndNot(excluded), limit, score)
+	var shown []candidate
+	if room := limit - len(ranked); limit <= 0 || room > 0 {
+		// Excluded recipes all tie at score 0, so they go in label order.
+		shown = p.top(p.recipes.And(excluded), room, func(store.ID, *[]TraceStep) float64 { return 0 })
+	}
+	out := make([]Recommendation, 0, len(ranked)+len(shown))
+	for _, cd := range ranked {
+		rec := p.recommendation(cd.id)
+		rec.Score = score(cd.id, &rec.Trace)
+		out = append(out, rec)
+	}
+	for _, cd := range shown {
+		rec := p.recommendation(cd.id)
 		rec.Excluded = true
-		rec.Reason = "explicitly disliked"
-		return rec
+		exclude(cd.id, &rec)
+		out = append(out, rec)
 	}
-	// Hard constraint: allergens.
-	for _, allergen := range c.g.Objects(user, ontology.FEOAllergicTo) {
-		if allergen == recipe {
-			rec.Excluded = true
-			rec.Reason = fmt.Sprintf("allergic to %s", c.label(allergen))
-			return rec
-		}
-		for _, ing := range ingredients {
-			if ing == allergen {
-				rec.Excluded = true
-				rec.Reason = fmt.Sprintf("contains allergen %s", c.label(allergen))
-				return rec
-			}
-		}
-	}
-	// Hard constraint: condition-forbidden foods. feo:forbids has been
-	// closed over ingredients by the reasoner, so a direct lookup suffices.
-	for _, cond := range c.g.Objects(user, ontology.FEOHasCondition) {
-		if c.g.Has(cond, ontology.FEOForbids, recipe) {
-			rec.Excluded = true
-			rec.Reason = fmt.Sprintf("forbidden by condition %s", c.label(cond))
-			return rec
-		}
-		for _, ing := range ingredients {
-			if c.g.Has(cond, ontology.FEOForbids, ing) {
-				rec.Excluded = true
-				rec.Reason = fmt.Sprintf("condition %s forbids ingredient %s", c.label(cond), c.label(ing))
-				return rec
-			}
-		}
-	}
+	return out
+}
 
-	add := func(rule, detail string, delta float64) {
-		rec.Score += delta
-		rec.Trace = append(rec.Trace, TraceStep{Rule: rule, Detail: detail, Delta: delta})
-	}
+type candidate struct {
+	id    store.ID
+	score float64
+}
 
-	// Liked-recipe ingredient overlap.
-	likedIngredients := make(map[rdf.Term]bool)
-	for _, liked := range c.g.Objects(user, ontology.FEOLike) {
-		if liked == recipe {
-			add("liked", "the user likes this exact recipe", 2*c.w.LikedOverlap)
-			continue
+// top scores every survivor without a trace and returns the limit best,
+// best first — all of them when limit <= 0. Past limit candidates it
+// keeps a heap whose root is the worst one kept.
+func (p *pass) top(survivors *store.IDSet, limit int, score func(store.ID, *[]TraceStep) float64) []candidate {
+	var h []candidate
+	survivors.ForEach(func(r store.ID) bool {
+		c := candidate{r, score(r, nil)}
+		switch {
+		case limit <= 0 || len(h) < limit:
+			h = append(h, c)
+			if len(h) == limit {
+				for i := limit/2 - 1; i >= 0; i-- {
+					p.siftDown(h, i)
+				}
+			}
+		case p.before(c, h[0]):
+			h[0] = c
+			p.siftDown(h, 0)
 		}
-		for _, ing := range c.g.Objects(liked, ontology.FEOHasIngredient) {
-			likedIngredients[ing] = true
-		}
-	}
-	for _, ing := range ingredients {
-		if likedIngredients[ing] {
-			add("liked-overlap", fmt.Sprintf("shares %s with a liked recipe", c.label(ing)), c.w.LikedOverlap)
-		}
-	}
-	// Seasonal and regional availability.
-	for _, ing := range ingredients {
-		if sc.season.IsValid() && c.g.Has(ing, ontology.FEOAvailableIn, sc.season) {
-			add("in-season", fmt.Sprintf("%s is available in the current season", c.label(ing)), c.w.InSeason)
-		}
-		if sc.region.IsValid() && c.g.Has(ing, ontology.FEOAvailableInRegion, sc.region) {
-			add("in-region", fmt.Sprintf("%s is local to the system's region", c.label(ing)), c.w.InRegion)
-		}
-	}
-	// Diet compatibility.
-	for _, diet := range c.g.Objects(user, ontology.FEOHasDiet) {
-		if c.g.Has(recipe, ontology.FEOCompatibleWithDiet, diet) {
-			add("diet-match", fmt.Sprintf("compatible with the user's %s diet", c.label(diet)), c.w.DietMatch)
-		}
-	}
-	// Condition-recommended ingredients (e.g. folate for pregnancy).
-	for _, cond := range c.g.Objects(user, ontology.FEOHasCondition) {
-		for _, ing := range ingredients {
-			if c.g.Has(cond, ontology.FEORecommends, ing) {
-				add("condition-recommended",
-					fmt.Sprintf("%s is recommended for %s", c.label(ing), c.label(cond)), c.w.Recommended)
+		return true
+	})
+	slices.SortFunc(h, p.compare)
+	return h
+}
+
+// siftDown restores the worst-at-root heap order below index i.
+func (p *pass) siftDown(h []candidate, i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && p.before(h[worst], h[c]) {
+				worst = c
 			}
 		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
-	// Cost penalty.
-	if lvl, ok := c.g.FirstObject(recipe, ontology.FoodCostLevel).Int(); ok && lvl > 1 {
-		add("cost", fmt.Sprintf("cost level %d", lvl), -c.w.CostPenalty*float64(lvl-1))
+}
+
+// before reports whether a ranks ahead of b: higher score, then smaller
+// label, then smaller term — the order a stable sort by (score, label)
+// over the term-sorted recipe list gives. Labels are decoded only on a
+// score tie.
+func (p *pass) before(a, b candidate) bool {
+	if a.score != b.score {
+		return a.score > b.score
 	}
-	return rec
+	if la, lb := p.labelOf(a.id), p.labelOf(b.id); la != lb {
+		return la < lb
+	}
+	return p.compareTerms(a.id, b.id) < 0
+}
+
+func (p *pass) compare(a, b candidate) int {
+	switch {
+	case a.id == b.id:
+		return 0
+	case p.before(a, b):
+		return -1
+	}
+	return 1
+}
+
+func (p *pass) recommendation(r store.ID) Recommendation {
+	return Recommendation{Recipe: p.g.TermOf(r), Label: p.labelOf(r)}
+}
+
+// ingredients returns r's ingredients in term order (the order
+// Graph.Objects gives), in scratch space the next call reuses.
+func (p *pass) ingredients(r store.ID) []store.ID {
+	p.ings = p.byTerm(p.g.MatchSetID(r, p.hasIngredient, store.NoID).AppendTo(p.ings[:0]))
+	return p.ings
+}
+
+func (p *pass) byTerm(ids []store.ID) []store.ID {
+	slices.SortFunc(ids, p.compareTerms)
+	return ids
+}
+
+func (p *pass) compareTerms(a, b store.ID) int {
+	return rdf.Compare(p.g.TermOf(a), p.g.TermOf(b))
+}
+
+// labelOf is label by ID: the rdfs:label decodes without a term lookup,
+// and only an unlabeled individual falls back to its name.
+func (p *pass) labelOf(id store.ID) string {
+	if l := p.g.FirstObjectID(id, p.label); l != store.NoID {
+		return p.g.TermOf(l).Value
+	}
+	return p.c.label(p.g.TermOf(id))
 }
 
 func (c *Coach) label(t rdf.Term) string {
