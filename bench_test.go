@@ -225,6 +225,17 @@ func BenchmarkPath_TransitiveClosure(b *testing.B) {
 			}
 		}
 	})
+	// A closure over a composite step: recipes linked through shared
+	// ingredients, any number of hops away.
+	b.Run("composite-path", func(b *testing.B) {
+		q, _ := sparql.ParseQuery(`SELECT ?r WHERE { feo:CauliflowerPotatoCurry (feo:hasIngredient/^feo:hasIngredient)+ ?r }`)
+		for i := 0; i < b.N; i++ {
+			res, err := sparql.Execute(g, q)
+			if err != nil || res.Len() == 0 {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // ---- A3: scaling sweep over FoodKG size (load, reason, query) ----

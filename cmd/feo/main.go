@@ -4,7 +4,7 @@
 //	feo explain  -type contextual -primary feo:CauliflowerPotatoCurry
 //	             [-secondary feo:X] [-user feo:U] [-data ...] [-datadir DIR]
 //	feo recommend [-user IRI] [-group IRI,IRI] [-limit N] [-data synthetic]
-//	feo reason   [-data ...] [-naive]          print materialization stats
+//	feo reason   [-data ...]                   print materialization stats
 //	feo bench    -artifact table1|fig1|fig2|fig3|fig4|listing1|listing2|listing3|all
 //	feo export   [-data ...] [-format ttl|nt]  dump the materialized graph
 //	feo compact  -datadir DIR [-data ...]      snapshot + rotate the write-ahead log
@@ -366,7 +366,6 @@ func cmdRecommend(args []string) error {
 func cmdReason(args []string) error {
 	fs := flag.NewFlagSet("reason", flag.ExitOnError)
 	data := dataFlag(fs)
-	naive := fs.Bool("naive", false, "use naive (re-evaluation) strategy")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -382,7 +381,7 @@ func cmdReason(args []string) error {
 	default:
 		g.Merge(ontology.ABox(ontology.CQAll))
 	}
-	r := reasoner.New(reasoner.Options{Naive: *naive})
+	r := reasoner.New(reasoner.Options{})
 	stats := r.Materialize(g)
 	fmt.Println(stats)
 	fmt.Println("rule firings:")

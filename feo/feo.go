@@ -157,8 +157,6 @@ type Options struct {
 	// KG configures the synthetic FoodKG when Data == DataSynthetic.
 	// Zero value means foodkg.DefaultConfig().
 	KG KGConfig
-	// NaiveReasoner selects the slow ablation evaluation strategy.
-	NaiveReasoner bool
 	// DataDir, when non-empty, makes the session durable: mutations are
 	// written ahead to a log in this directory before they are
 	// acknowledged, and Open recovers the graph (and the reasoner's
@@ -293,10 +291,7 @@ func Open(opts Options) (*Session, error) {
 		compactBytes = 0
 	}
 
-	r := reasoner.New(reasoner.Options{
-		TraceDerivations: true,
-		Naive:            opts.NaiveReasoner,
-	})
+	r := reasoner.New(reasoner.Options{TraceDerivations: true})
 	var (
 		g        *store.Graph
 		kg       *foodkg.KG

@@ -109,17 +109,6 @@ func TestSessionWriteTurtle(t *testing.T) {
 	}
 }
 
-func TestNaiveReasonerOption(t *testing.T) {
-	s := NewSession(Options{NaiveReasoner: true})
-	ex, err := s.Explain(Question{Type: Contextual, Primary: FEO("CauliflowerPotatoCurry")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ex.Summary, "Autumn") {
-		t.Error("naive reasoner must reach the same closure")
-	}
-}
-
 func TestSessionUpdate(t *testing.T) {
 	s := NewSession(Options{Data: DataNone})
 	res, err := s.Update(`

@@ -41,8 +41,10 @@
 // materialization. Operators that only move bindings around (joins,
 // UNION, MINUS, projection, DISTINCT — which dedups on slot IDs) decode
 // nothing; BOUND and the single-pattern EXISTS fast path touch no term at
-// all. Property-path reachability is memoized per (path, endpoint ID)
-// with the endpoint decoded once per memo fill, never per row.
+// all. Property paths decode nothing: they walk the indexes from the
+// endpoint ID to the reached IDs, memoized per (path, endpoint ID,
+// direction), and their functions carry //feo:idspace so feovet's
+// idspacedecode pass proves it.
 //
 // # Plan cache
 //

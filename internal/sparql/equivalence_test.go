@@ -65,6 +65,14 @@ var operatorCorpus = []struct{ name, query string }{
 	{"path-inverse", `PREFIX ex: <http://e/> SELECT ?p WHERE { ex:pizza ^ex:likes ?p }`},
 	{"path-star-unbound", `PREFIX ex: <http://e/> SELECT ?a ?b WHERE { ?a ex:likes* ?b }`},
 	{"path-zero-or-one", `PREFIX ex: <http://e/> SELECT ?x WHERE { ex:alice ex:likes? ?x }`},
+	// Closures over composite steps, one per endpoint shape.
+	{"path-seq-plus", `PREFIX ex: <http://e/> SELECT ?x WHERE { ex:alice (ex:likes/ex:contains)+ ?x }`},
+	{"path-alt-star-backward", `PREFIX ex: <http://e/> SELECT ?x WHERE { ?x (^ex:likes|ex:contains)* ex:alice }`},
+	{"path-opt-plus-bound", `PREFIX ex: <http://e/> SELECT ?a ?b WHERE { VALUES (?a ?b) { (ex:alice ex:sushi) (ex:bob ex:sushi) (ex:carol ex:carol) } ?a (ex:likes?)+ ?b }`},
+	{"path-plus-plus-unbound", `PREFIX ex: <http://e/> SELECT ?a ?b WHERE { ?a (ex:likes+)+ ?b }`},
+	{"path-opt-plus-self", `PREFIX ex: <http://e/> SELECT ?x WHERE { ?x (ex:likes?)+ ?x }`},
+	{"path-absent-start", `PREFIX ex: <http://e/> SELECT ?x WHERE { <http://absent> ex:likes* ?x }`},
+	{"path-absent-reflexive", `PREFIX ex: <http://e/> SELECT ?f WHERE { ?f a ex:Food . <http://absent> (ex:likes/ex:contains)* <http://absent> }`},
 	{"var-predicate", `PREFIX ex: <http://e/> SELECT ?pred WHERE { ex:alice ?pred ?o }`},
 	{"subselect", `PREFIX ex: <http://e/> SELECT ?p ?f WHERE { ?p a ex:Person . { SELECT ?f WHERE { ?f a ex:Food } } }`},
 }

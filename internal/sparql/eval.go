@@ -144,11 +144,10 @@ type evalContext struct {
 	extTerms []rdf.Term
 	// Per-query property-path memos, ID-keyed: the graph is immutable
 	// while a query runs, so the ID set a path reaches from a given
-	// endpoint is computed (and encoded) once even when many rows probe
-	// the same (path, endpoint) pair.
-	pathFwd    map[pathIDKey][]store.ID
-	pathBwd    map[pathIDKey][]store.ID
-	pathStarts map[*Path][]store.ID
+	// endpoint is computed once even when many rows probe the same
+	// (path, endpoint, direction) triple. See path.go.
+	pathMemo      map[pathIDKey][]store.ID
+	pathStartMemo map[*Path][]store.ID
 	// Per-query filter-pushdown analysis, memoized by group: OPTIONAL and
 	// EXISTS bodies re-enter evalGroup once per row, and the variable
 	// collection depends only on the (immutable) pattern tree.
@@ -181,8 +180,9 @@ func newEvalContext(g *store.Graph, env *slotEnv) *evalContext {
 }
 
 type pathIDKey struct {
-	p *Path
-	t store.ID
+	p        *Path
+	t        store.ID
+	backward bool
 }
 
 // groupInfo caches the static part of a group's filter-pushdown analysis.

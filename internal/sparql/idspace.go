@@ -260,15 +260,6 @@ func (ec *evalContext) valueOf(r idRow, name string) (rdf.Term, bool) {
 	return ec.termOf(r[s]), true
 }
 
-// encodeTerms maps a term list through encodeTerm.
-func (ec *evalContext) encodeTerms(ts []rdf.Term) []store.ID {
-	out := make([]store.ID, len(ts))
-	for i, t := range ts {
-		out[i] = ec.encodeTerm(t)
-	}
-	return out
-}
-
 // certainSlots reports, per slot, whether every row binds it (all false
 // for an empty row set).
 func (ec *evalContext) certainSlots(rows []idRow) []bool {

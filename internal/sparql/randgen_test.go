@@ -157,11 +157,11 @@ func (g *gen) genPath(depth int) string {
 	case 2:
 		return fmt.Sprintf("^(%s)", g.genPath(depth-1))
 	case 3:
-		return fmt.Sprintf("%s*", g.pick(g.preds))
+		return fmt.Sprintf("(%s)*", g.genPath(depth-1))
 	case 4:
-		return fmt.Sprintf("%s+", g.pick(g.preds))
+		return fmt.Sprintf("(%s)+", g.genPath(depth-1))
 	default:
-		return fmt.Sprintf("%s?", g.pick(g.preds))
+		return fmt.Sprintf("(%s)?", g.genPath(depth-1))
 	}
 }
 
