@@ -15,6 +15,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -651,4 +652,34 @@ func BenchmarkReadUnderWrite(b *testing.B) {
 		close(stop)
 		<-done
 	})
+}
+
+// BenchmarkCommitPinQuery measures what a commit-per-request stream keeps
+// alive: each iteration commits one Update (inserting, then deleting, the
+// same triple, so every commit is a new version of a same-sized graph),
+// pins the new version and runs a one-BGP query on it, then drops the pin.
+// After b.N cycles it collects and reports the live heap (live-heap-MB).
+// A superseded snapshot and the plans compiled against it are garbage once
+// unpinned, so the number must stay flat as b.N grows (compare
+// -benchtime 200x with 4000x).
+func BenchmarkCommitPinQuery(b *testing.B) {
+	sess := feo.NewSession(feo.Options{})
+	const q = `SELECT ?c WHERE { ?c a feo:Characteristic }`
+	ops := [2]string{"INSERT", "DELETE"}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Update(ops[i%2] +
+			" DATA { <http://x/churn/s> <http://x/churn/p> <http://x/churn/o> . }"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Snapshot().Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(sess)
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-heap-MB")
 }

@@ -51,14 +51,18 @@
 // Compiling a basic graph pattern — estimating selectivities, picking the
 // greedy join order, encoding constant IDs, segmenting the ordered
 // patterns into fused bitmap-intersection runs — depends only on the
-// pattern list, the graph snapshot, and which slots are certainly bound
-// at entry. planBGP therefore memoizes compiled plans process-wide, keyed
-// by (BGP identity, graph identity, Graph.Version, bound-slot set).
-// Invalidation is by construction: every mutation bumps Graph.Version, so
-// a stale plan's key can never be looked up again; on overflow the
-// bounded cache evicts those unreachable stale entries first.
-// PlanCacheStats exposes hit/miss counters and ResetPlanCache gives
-// benchmarks a cold start. Run additionally
+// pattern list, the graph version, and which slots are certainly bound
+// at entry. planBGP therefore memoizes compiled plans in the store.Memo of
+// the graph value the query runs against, keyed by (BGP identity,
+// bound-slot set). A plan lives exactly as long as that graph version: a
+// pinned snapshot view keeps its plans hot while pinned, and the garbage
+// collector reclaims view and plans together once the last pin is dropped,
+// so a commit-per-request workload never accumulates superseded versions;
+// a live graph drops its plans at the first lookup after a mutation. Each
+// memo holds at most 4096 plans and is emptied on overflow.
+// PlanCacheStats exposes process-wide hit/miss counters and ResetPlanCache
+// gives benchmarks a cold start (it bumps the generation every memo is
+// tagged with). Run additionally
 // memoizes parses by source text, so a serve-time request stream of
 // repeated query strings reuses one immutable parse tree — the BGP
 // identity the plan cache keys on. DisableJoinReorder bypasses the cache

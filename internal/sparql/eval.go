@@ -92,7 +92,7 @@ func Run(g *store.Graph, src string) (*Result, error) {
 // queryCache memoizes successful parses by exact source text. Parsed
 // queries are immutable after ParseQuery returns (execution never writes
 // to the AST), so one tree can serve concurrent executions. Bounded the
-// same way as the plan cache: on overflow the whole map drops.
+// same way as a plan memo: on overflow the whole map drops.
 var (
 	queryCache    sync.Map // string -> *Query
 	queryCacheLen atomic.Int32
@@ -122,8 +122,8 @@ func parseQueryCached(src string) (*Query, error) {
 
 // evalContext is the state of one execution. It is confined to the
 // goroutine that called Execute, so its lazily filled caches need no
-// synchronisation; only the package-level caches shared across executions
-// (parse, plan, regex) lock.
+// synchronisation; only the caches shared across executions (the
+// package-level parse and regex caches, the graph's plan memo) are.
 type evalContext struct {
 	g *store.Graph
 	// env is the query's variable→slot binding table; every idRow this

@@ -457,28 +457,27 @@ func evalBuiltin(name string, args []rdf.Term) (rdf.Term, error) {
 			}
 		}
 		return stringResult(string(runes[from:to]), args[0]), nil
-	case "REPLACE":
-		if len(args) != 3 {
-			return rdf.Term{}, errUnbound
+	case "REGEX", "REPLACE":
+		// REGEX(text, pattern [, flags]); REPLACE(text, pattern, replacement [, flags]).
+		nfix := 3
+		if name == "REGEX" {
+			nfix = 2
 		}
-		re, err := compileRegex(args[1].Value, "")
-		if err != nil {
-			return rdf.Term{}, errUnbound
-		}
-		return stringResult(re.ReplaceAllString(args[0].Value, args[2].Value), args[0]), nil
-	case "REGEX":
-		if len(args) != 2 && len(args) != 3 {
+		if len(args) != nfix && len(args) != nfix+1 {
 			return rdf.Term{}, errUnbound
 		}
 		flags := ""
-		if len(args) == 3 {
-			flags = args[2].Value
+		if len(args) > nfix {
+			flags = args[nfix].Value
 		}
 		re, err := compileRegex(args[1].Value, flags)
-		if err != nil {
+		switch {
+		case err != nil:
 			return rdf.Term{}, errUnbound
+		case name == "REGEX":
+			return boolTerm(re.MatchString(args[0].Value)), nil
 		}
-		return boolTerm(re.MatchString(args[0].Value)), nil
+		return stringResult(re.ReplaceAllString(args[0].Value, args[2].Value), args[0]), nil
 	case "ABS":
 		if err := need(1); err != nil {
 			return rdf.Term{}, err
@@ -520,13 +519,32 @@ var (
 
 const regexCacheMax = 256
 
+// compileRegex compiles an XPath regular expression (the REGEX/REPLACE
+// pattern) under its flags string: s, m and i map to Go's (?s), (?m) and
+// (?i); q matches the pattern literally (only i still applies); x drops
+// whitespace outside character classes. Any other flag is an error.
 func compileRegex(pattern, flags string) (*regexp.Regexp, error) {
 	key := pattern + "\x00" + flags
 	if re, ok := regexCache.Load(key); ok {
 		return re.(*regexp.Regexp), nil
 	}
-	if strings.Contains(flags, "i") {
-		pattern = "(?i)" + pattern
+	goFlags := ""
+	for _, f := range flags {
+		switch {
+		case strings.ContainsRune("smi", f):
+			goFlags += string(f)
+		case f != 'q' && f != 'x':
+			return nil, fmt.Errorf("sparql: invalid regex flag %q", f)
+		}
+	}
+	switch {
+	case strings.ContainsRune(flags, 'q'):
+		pattern = regexp.QuoteMeta(pattern)
+	case strings.ContainsRune(flags, 'x'):
+		pattern = stripRegexSpace(pattern)
+	}
+	if goFlags != "" {
+		pattern = "(?" + goFlags + ")" + pattern
 	}
 	re, err := regexp.Compile(pattern)
 	if err != nil {
@@ -538,6 +556,30 @@ func compileRegex(pattern, flags string) (*regexp.Regexp, error) {
 		}
 	}
 	return re, nil
+}
+
+// stripRegexSpace applies the XPath x flag: whitespace (tab, newline,
+// carriage return, space) is removed except inside character classes.
+func stripRegexSpace(p string) string {
+	var b strings.Builder
+	depth, escaped := 0, false
+	for _, r := range p {
+		if depth == 0 && strings.ContainsRune(" \t\n\r", r) {
+			continue
+		}
+		b.WriteRune(r)
+		switch {
+		case escaped:
+			escaped = false
+		case r == '\\':
+			escaped = true
+		case r == '[':
+			depth++
+		case r == ']' && depth > 0:
+			depth--
+		}
+	}
+	return b.String()
 }
 
 func numericUnary(t rdf.Term, f func(float64) float64) (rdf.Term, error) {

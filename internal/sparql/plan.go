@@ -1,34 +1,29 @@
 package sparql
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/store"
 )
 
-// BGP plan compilation and the process-wide plan cache.
+// BGP plan compilation and the plan cache.
 //
 // Compiling a BGP — estimating selectivities, picking the greedy join
 // order, encoding each pattern's constant IDs, and segmenting the ordered
 // patterns into fused intersection runs — depends only on the pattern
-// list, the graph snapshot (its Version), and which slots are certainly
-// bound on entry. All three are captured in the cache key, so a repeated
-// query (the serve-time steady state, and every per-row re-entry of an
-// OPTIONAL or EXISTS body) skips straight to execution.
+// list, the graph version, and which slots are certainly bound on entry.
+// A repeated query (the serve-time steady state, and every per-row
+// re-entry of an OPTIONAL or EXISTS body) therefore skips straight to
+// execution.
 //
-// The key's graph component is whatever *store.Graph the query executes
-// against. Under the MVCC serving model that is a frozen snapshot view
-// whose Version never changes, so every plan compiled for a pinned
-// snapshot stays hot for as long as any reader keeps pinning it —
-// publishing a new version invalidates nothing retroactively. Plans are
-// intentionally never reused across versions even for an identical BGP:
-// a plan's fused steps embed materialized intersections of the snapshot's
-// live index sets (sharedCand), which are content-dependent, so the first
-// query against a freshly published snapshot recompiles. Dead entries —
-// a live graph that mutated (version moved on), or a snapshot view that
-// has been superseded by a newer publish — are evicted first when the
-// cache reaches its size cap.
+// Lifetime rule: a plan lives exactly as long as the graph version it was
+// compiled against. Plans are stored in that graph value's store.Memo,
+// keyed by (BGP identity, bound-slot set); the memo hangs off the graph,
+// so a pinned snapshot view keeps its plans hot for as long as it is
+// pinned and the garbage collector reclaims both together afterwards,
+// while a live graph's plans are dropped at its first lookup after a
+// mutation. Plans are never reused across versions: a fused step embeds
+// intersections of the version's index sets (sharedCand).
 
 // bgpConstPos marks a pattern position that holds a constant ID.
 const bgpConstPos = -1
@@ -65,27 +60,25 @@ type bgpPlan struct {
 	steps []planStep
 }
 
-// planKey identifies a compiled plan: the BGP identity, the graph
-// snapshot it was compiled against, and which slots were certainly bound
-// at entry (the join-order estimates and the fusion segmentation both
-// depend on that set).
+// planKey identifies a compiled plan within one graph version's memo: the
+// BGP identity and which slots were certainly bound at entry (the
+// join-order estimates and the fusion segmentation both depend on that
+// set).
 type planKey struct {
 	bgp   *BGP
-	g     *store.Graph
-	ver   uint64
 	bound string
 }
 
-// planCacheMax bounds the cache; on overflow stale-version entries are
-// evicted first (see evictPlans).
+// planCacheMax bounds each graph version's plan memo; on overflow that
+// memo is emptied.
 const planCacheMax = 4096
 
 var (
-	planCache    sync.Map // planKey -> *bgpPlan
-	planCacheLen atomic.Int32
-	planCacheMu  sync.Mutex
-	planHits     atomic.Uint64
-	planMisses   atomic.Uint64
+	// planGen tags every plan memo; ResetPlanCache bumps it, so every
+	// memo filled before the reset is replaced on its next lookup.
+	planGen    atomic.Uint64
+	planHits   atomic.Uint64
+	planMisses atomic.Uint64
 )
 
 // PlanCacheStats returns the cumulative plan-cache hit and miss counts
@@ -95,16 +88,10 @@ func PlanCacheStats() (hits, misses uint64) {
 	return planHits.Load(), planMisses.Load()
 }
 
-// ResetPlanCache empties the plan cache and zeroes its counters. Intended
-// for tests and benchmarks that need a cold-plan baseline.
+// ResetPlanCache discards every cached plan and zeroes the counters.
+// Intended for tests and benchmarks that need a cold-plan baseline.
 func ResetPlanCache() {
-	planCacheMu.Lock()
-	defer planCacheMu.Unlock()
-	planCache.Range(func(k, _ any) bool {
-		planCache.Delete(k)
-		return true
-	})
-	planCacheLen.Store(0)
+	planGen.Add(1)
 	planHits.Store(0)
 	planMisses.Store(0)
 }
@@ -127,64 +114,27 @@ func boundSig(certain []bool) string {
 	return string(buf)
 }
 
-// evictPlans shrinks an overflowing cache. Stale entries go first: a live
-// graph that has since mutated (the key's old version can never be looked
-// up again — versions are monotonic) or a snapshot view superseded by a
-// newer publish (still readable by whoever pinned it, but commit-per-
-// request workloads mint one batch of these per commit and the hot plans
-// are the fresh snapshot's). Dropping them frees the dead plans without a
-// fleet-wide recompile of the hot ones. If that alone does not bring the
-// cache under its cap (e.g. thousands of still-"live" entries for graphs
-// the application has discarded — their versions never move again, so
-// staleness cannot identify them), the purge falls back to dropping
-// everything: the cap is a hard bound on how much graph memory cache keys
-// and cached index sets can pin.
-func evictPlans() {
-	planCacheMu.Lock()
-	defer planCacheMu.Unlock()
-	if planCacheLen.Load() <= planCacheMax {
-		return // another goroutine already evicted
-	}
-	dropped := int32(0)
-	planCache.Range(func(k, _ any) bool {
-		pk := k.(planKey)
-		if pk.g.Version() != pk.ver || pk.g.Superseded() {
-			planCache.Delete(k)
-			dropped++
-		}
-		return true
-	})
-	if planCacheLen.Load()-dropped > planCacheMax {
-		planCache.Range(func(k, _ any) bool {
-			planCache.Delete(k)
-			dropped++
-			return true
-		})
-	}
-	planCacheLen.Add(-dropped)
-}
-
 // planBGP returns the compiled plan for bgp given the entry row set,
-// consulting the cache unless join reordering is disabled (the A/B knob
-// changes the plan shape and is not part of the key) or the graph mutated
-// mid-query (the snapshot the key names no longer exists).
+// consulting the graph's plan memo unless join reordering is disabled (the
+// A/B knob changes the plan shape and is not part of the key) or the graph
+// mutated mid-query (the version the plan would be filed under is gone).
 func (ec *evalContext) planBGP(bgp *BGP, rows []idRow) *bgpPlan {
 	certain := ec.certainSlots(rows)
 	if DisableJoinReorder || ec.g.Version() != ec.gver {
 		return ec.compileBGP(bgp, certain)
 	}
-	key := planKey{bgp: bgp, g: ec.g, ver: ec.gver, bound: boundSig(certain)}
-	if p, ok := planCache.Load(key); ok {
+	memo := ec.g.Memo(planGen.Load())
+	key := planKey{bgp: bgp, bound: boundSig(certain)}
+	if p, ok := memo.Load(key); ok {
 		planHits.Add(1)
 		return p.(*bgpPlan)
 	}
 	planMisses.Add(1)
 	p := ec.compileBGP(bgp, certain)
-	if _, loaded := planCache.LoadOrStore(key, p); !loaded {
-		if planCacheLen.Add(1) > planCacheMax {
-			evictPlans()
-		}
+	if memo.Len() >= planCacheMax {
+		memo.Clear()
 	}
+	memo.LoadOrStore(key, p)
 	return p
 }
 

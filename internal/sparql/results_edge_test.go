@@ -172,6 +172,11 @@ func TestBuiltinLibrary(t *testing.T) {
 		`ASK { FILTER(SUBSTR("abcde", 2, 3) = "bcd") }`,
 		`ASK { FILTER(SUBSTR("abcde", 4) = "de") }`,
 		`ASK { FILTER(REPLACE("banana", "na", "NA") = "baNANA") }`,
+		`ASK { FILTER(REGEX("a\nb", "a.b", "s")) }`,
+		`ASK { FILTER(REGEX("x\nab", "^ab", "m")) }`,
+		`ASK { FILTER(REGEX("a.b", ".", "q") && !REGEX("ab", ".", "q")) }`,
+		`ASK { FILTER(REGEX("ab", "a b", "x")) }`,
+		`ASK { FILTER(REPLACE("AbA", "a", "z", "i") = "zbz") }`,
 		`ASK { FILTER(SAMETERM(1, 1)) }`,
 		`ASK { FILTER(ISNUMERIC(2.5)) }`,
 		`ASK { FILTER(!ISNUMERIC("x")) }`,
@@ -212,6 +217,7 @@ func TestBuiltinLibrary(t *testing.T) {
 		`ASK { FILTER(LANG("plain") != "") }`,          // plain literal has no lang
 		`ASK { FILTER(SUBSTR("abc", 0) = "abc") }`,     // start < 1: error
 		`ASK { FILTER(REPLACE("a", "(", "x") = "a") }`, // bad regex: error
+		`ASK { FILTER(REGEX("a", "a", "z")) }`,         // unknown regex flag: error
 		`ASK { FILTER(<http://e/a> = 1) }`,             // IRI vs literal: not equal
 	}
 	for _, src := range no {

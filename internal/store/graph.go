@@ -181,9 +181,11 @@ type Graph struct {
 	n     int
 	// version counts successful mutations (triple adds/removes and Clear).
 	// Consumers that memoize derived state per graph snapshot — the SPARQL
-	// engine's plan cache and per-query path-reachability caches — key or
+	// engine's plan memo and per-query path-reachability caches — key or
 	// guard on it; see Version.
 	version uint64
+	// memo is the derived-state table for the current version; see Memo.
+	memo atomic.Pointer[Memo]
 	// captures holds the active change-capture logs (see capture.go). Empty
 	// in the common case; every successful add/remove fans into each one.
 	captures []*ChangeSet
@@ -239,8 +241,8 @@ func (g *Graph) Len() int { return g.n }
 // bracket a span with no triple-level mutation, so caches of derived
 // state (path reachability memos, query plans) can assert the graph they
 // were built against is still the graph being read. A frozen snapshot
-// view's version never changes, which is what lets the plan cache keep
-// warm plans alive for as long as a snapshot stays pinned. InternTerm
+// view's version never changes, so its Memo (the SPARQL plans compiled
+// against it) stays warm for as long as the view is pinned. InternTerm
 // alone does not bump the version: interning never changes any pattern's
 // matches.
 //

@@ -45,8 +45,8 @@ func (s *Snapshot) Graph() *Graph { return s.g }
 func (s *Snapshot) Version() uint64 { return s.version }
 
 // Superseded reports whether a newer snapshot has been published since this
-// one. Plan caches use it to prefer evicting entries for abandoned
-// versions; a pinned superseded snapshot remains fully readable.
+// one. A pinned superseded snapshot remains fully readable, and it and its
+// view's Memo are reclaimed together once the last pin is dropped.
 func (s *Snapshot) Superseded() bool { return s.superseded.Load() }
 
 // Publish freezes the current graph state as a Snapshot and makes it the
@@ -120,13 +120,6 @@ func (g *Graph) Snapshot() *Snapshot {
 //
 //feo:frozen-safe
 func (g *Graph) Frozen() bool { return g.frozen }
-
-// Superseded reports whether g is a frozen view whose snapshot has been
-// superseded by a newer publish. Always false for a live graph; the SPARQL
-// plan cache uses it to rank evictions.
-//
-//feo:frozen-safe
-func (g *Graph) Superseded() bool { return g.owner != nil && g.owner.superseded.Load() }
 
 // dictCap returns how many dictionary entries belong to this graph value:
 // everything for a live graph, the publish-time prefix for a frozen view
