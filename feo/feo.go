@@ -372,10 +372,12 @@ func (s *Session) Recipes() []Term { return s.Snapshot().Recipes() }
 // commitWrite runs op as one writer commit. The sequence, under the
 // writer lock:
 //
-//  1. Begin a store transaction (ordered mutation capture for the WAL)
+//  1. Begin a store transaction (the mutation capture the WAL replays)
 //     and run op — the mutation plus its incremental re-materialization —
 //     holding the live read-write lock, so live-state readers
-//     (ExplainTriple) never see a half-applied mutation.
+//     (ExplainTriple) never see a half-applied mutation. op receives the
+//     transaction so it can read what it changed from tx.Changes()
+//     instead of opening a capture of its own.
 //  2. Release the live lock and append the commit record to the
 //     write-ahead log. This is the slow, possibly stalling step (fsync);
 //     no reader waits on it.
@@ -390,11 +392,12 @@ func (s *Session) Recipes() []Term { return s.Snapshot().Recipes() }
 //
 // The commit is logged and committed even when op failed: a parser can
 // die after half its triples landed, and those mutations are part of the
-// session's state now. Empty commits append nothing and leave the
+// session's state now (there is no rollback), so op must leave them
+// materialized too. Empty commits append nothing and leave the
 // published snapshot untouched. A log failure poisons the durable store
 // and is returned so the caller never acknowledges an unlogged mutation
 // (the state is still committed — it is real, merely not durable).
-func (s *Session) commitWrite(op func() error) error {
+func (s *Session) commitWrite(op func(tx *store.Txn) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mark := 0
@@ -403,7 +406,7 @@ func (s *Session) commitWrite(op func() error) error {
 	}
 	s.live.Lock()
 	tx := s.graph.Begin()
-	opErr := op()
+	opErr := op(tx)
 	s.live.Unlock()
 
 	var logErr error
@@ -509,26 +512,24 @@ func (s *Session) Close() error {
 // LoadTurtle adds Turtle data to the session and re-materializes — only
 // the loaded delta's consequences, not the whole closure. It commits as
 // one writer transaction; readers keep the previous snapshot until the
-// load publishes.
+// load publishes. A syntax error still commits, and closes, the triples
+// parsed before it.
 func (s *Session) LoadTurtle(doc string) error {
-	return s.commitWrite(func() error {
-		if err := turtle.ParseInto(s.graph, doc); err != nil {
-			return err
-		}
+	return s.commitWrite(func(*store.Txn) error {
+		err := turtle.ParseInto(s.graph, doc)
 		s.engine.Rematerialize()
-		return nil
+		return err
 	})
 }
 
 // LoadRDFXML adds RDF/XML data (Protégé's export format) to the session
-// and incrementally re-materializes, as one writer transaction.
+// and incrementally re-materializes, as one writer transaction. A syntax
+// error still commits, and closes, the triples parsed before it.
 func (s *Session) LoadRDFXML(r io.Reader) error {
-	return s.commitWrite(func() error {
-		if err := rdfxml.ParseInto(s.graph, r); err != nil {
-			return err
-		}
+	return s.commitWrite(func(*store.Txn) error {
+		err := rdfxml.ParseInto(s.graph, r)
 		s.engine.Rematerialize()
-		return nil
+		return err
 	})
 }
 
@@ -553,7 +554,7 @@ func (s *Session) Query(q string) (*QueryResult, error) { return s.Snapshot().Qu
 // re-run.
 func (s *Session) Explain(q Question) (*Explanation, error) {
 	var ex *Explanation
-	err := s.commitWrite(func() error {
+	err := s.commitWrite(func(*store.Txn) error {
 		var opErr error
 		ex, opErr = s.engine.Explain(q)
 		return opErr
@@ -590,15 +591,21 @@ func (s *Session) RecommendGroup(users []Term, limit int) []Recommendation {
 // rebuild the session from the edited source data.
 func (s *Session) Update(req string) (sparql.UpdateResult, error) {
 	var res sparql.UpdateResult
-	err := s.commitWrite(func() error {
-		span := s.graph.StartCapture()
+	err := s.commitWrite(func(tx *store.Txn) error {
 		r, opErr := sparql.RunUpdate(s.graph, req)
-		span.Stop()
 		res = r
 		if opErr != nil {
 			return opErr
 		}
-		if removed := span.RemovedTriples(); len(removed) > 0 {
+		// A cleared capture no longer holds the removals made before the
+		// CLEAR, so none are reported.
+		if cs := tx.Changes(); res.Deleted > 0 && !cs.Cleared() {
+			var removed []rdf.Triple
+			for _, op := range cs.Ops() {
+				if op.Remove {
+					removed = append(removed, op.T)
+				}
+			}
 			res.StaleInferred = s.reasoner.StaleDerivations(removed)
 		}
 		if res.Inserted > 0 {

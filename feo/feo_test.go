@@ -327,3 +327,57 @@ INSERT DATA {
 		t.Errorf("addition-only update flagged stale inferences: %v", res2.StaleInferred)
 	}
 }
+
+// TestSessionPartialLoadClosure: a load that fails part-way still commits
+// the triples that landed before the syntax error, so it must also close
+// them. Otherwise readers see an asserted fact without its consequences
+// until some later write happens to re-materialize.
+func TestSessionPartialLoadClosure(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		load func(*Session) error
+	}{
+		{"turtle", func(s *Session) error {
+			return s.LoadTurtle(`
+@prefix ex:   <http://example.org/partial#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+ex:A rdfs:subClassOf ex:B .
+ex:x a ex:A .
+ex:y ex:p @@@ broken
+`)
+		}},
+		{"rdfxml", func(s *Session) error {
+			return s.LoadRDFXML(strings.NewReader(`<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#">
+  <rdf:Description rdf:about="http://example.org/partial#A">
+    <rdfs:subClassOf rdf:resource="http://example.org/partial#B"/>
+  </rdf:Description>
+  <rdf:Description rdf:about="http://example.org/partial#x">
+    <rdf:type rdf:resource="http://example.org/partial#A"/>
+  </rdf:Description>
+  <rdf:Description rdf:about="http://example.org/partial#y">
+    <broken
+`))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession(Options{Data: DataNone})
+			if err := tc.load(s); err == nil {
+				t.Fatal("malformed document must fail to load")
+			}
+			for _, q := range []string{
+				`ASK { <http://example.org/partial#x> a <http://example.org/partial#A> }`,
+				`ASK { <http://example.org/partial#x> a <http://example.org/partial#B> }`,
+			} {
+				res, err := s.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Boolean {
+					t.Errorf("after a partial load, %s is false", q)
+				}
+			}
+		})
+	}
+}

@@ -283,13 +283,16 @@ func (e *Engine) questionType(q rdf.Term) (ExplanationType, bool) {
 }
 
 // Rematerialize brings the OWL RL closure up to date with every graph
-// mutation since the previous run and re-arms change capture. When the
-// mutations were pure additions (the serve-time common case: question
-// assertions, INSERT DATA, document loads), the reasoner extends the
-// closure incrementally in O(|delta closure|); removals, Clear, or
-// mutations that bypassed capture fall back to the historical full re-run.
+// mutation since the previous run and re-arms change capture. The engine's
+// capture spans runs, not transactions, so it also covers direct graph
+// writes by the embedding application. When the mutations were pure
+// additions (the serve-time common case: question assertions, INSERT DATA,
+// document loads), the reasoner extends the closure incrementally in
+// O(|delta closure|) from the capture's ID-space op stream; removals,
+// Clear, or mutations that bypassed capture fall back to a full re-run.
 // Callers that mutate the graph directly may invoke it themselves; Explain
-// and feo.Session call it automatically.
+// and feo.Session call it automatically, including after a load that
+// failed part-way, so whatever landed is closed before it is published.
 func (e *Engine) Rematerialize() reasoner.Stats {
 	cs := e.pending
 	e.pending = nil

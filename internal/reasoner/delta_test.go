@@ -292,8 +292,19 @@ func TestIncrementalFullEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestMaterializeDeltaEntryPoint exercises the convenience API: the caller
-// hands unasserted triples and the reasoner both asserts and closes them.
+// materializeAdded asserts triples into g under a capture and closes them
+// with MaterializeChanges: the capture + add + delta sequence every writer
+// (core.Engine, feo.Session) runs.
+func materializeAdded(r *Reasoner, g *store.Graph, triples []rdf.Triple) Stats {
+	cs := g.StartCapture()
+	for _, t := range triples {
+		g.AddTriple(t)
+	}
+	return r.MaterializeChanges(g, cs)
+}
+
+// TestMaterializeDeltaEntryPoint: triples asserted under a capture are
+// closed incrementally, and proofs work across old and new inferences.
 func TestMaterializeDeltaEntryPoint(t *testing.T) {
 	g, err := turtle.Parse(prelude + `
 ex:A rdfs:subClassOf ex:B .
@@ -306,7 +317,7 @@ ex:x a ex:A .
 	r := New(Options{TraceDerivations: true})
 	r.Materialize(g)
 
-	st := r.MaterializeDelta(g, []rdf.Triple{
+	st := materializeAdded(r, g, []rdf.Triple{
 		tr(iri("y"), rdf.TypeIRI, iri("A")),
 	})
 	if !st.Delta {
@@ -351,7 +362,7 @@ ex:squash ex:availableIn ex:autumn .
 	r.Materialize(g)
 
 	rest := rdf.NewBlank("rest1")
-	st := r.MaterializeDelta(g, []rdf.Triple{
+	st := materializeAdded(r, g, []rdf.Triple{
 		tr(iri("SeasonalFood"), rdf.EquivClassIRI, rest),
 		tr(rest, rdf.NewIRI(rdf.OWLOnProperty), iri("availableIn")),
 		tr(rest, rdf.NewIRI(rdf.OWLSomeValuesFrom), iri("Season")),
@@ -377,14 +388,14 @@ ex:x a ex:A , ex:B .
 	r.Materialize(g)
 
 	b0, b1 := rdf.NewBlank("l0"), rdf.NewBlank("l1")
-	r.MaterializeDelta(g, []rdf.Triple{
+	materializeAdded(r, g, []rdf.Triple{
 		tr(iri("Both"), rdf.NewIRI(rdf.OWLIntersectionOf), b0),
 		tr(b0, rdf.FirstIRI, iri("A")),
 	})
 	if g.IsA(iri("x"), iri("Both")) {
 		t.Fatal("incomplete list must not classify")
 	}
-	r.MaterializeDelta(g, []rdf.Triple{
+	materializeAdded(r, g, []rdf.Triple{
 		tr(b0, rdf.RestIRI, b1),
 		tr(b1, rdf.FirstIRI, iri("B")),
 		tr(b1, rdf.RestIRI, rdf.NilIRI),
@@ -603,15 +614,15 @@ ex:x a ex:A .
 	}
 }
 
-// TestMaterializeDeltaRejectsInvalidTriples: a delta triple the graph
-// rejects (literal subject) must not feed the rules — the full path drops
-// it via Triple.Valid, and the delta path must agree.
+// TestMaterializeDeltaRejectsInvalidTriples: a triple the graph rejects
+// (literal subject) is never captured, so it cannot feed the rules — the
+// full path drops it via Triple.Valid, and the delta path must agree.
 func TestMaterializeDeltaRejectsInvalidTriples(t *testing.T) {
 	g, _ := turtle.Parse(prelude + `ex:p owl:inverseOf ex:q .`)
 	r := New(Options{})
 	r.Materialize(g)
 	before := g.Len()
-	r.MaterializeDelta(g, []rdf.Triple{
+	materializeAdded(r, g, []rdf.Triple{
 		{S: rdf.NewLiteral("not-a-subject"), P: iri("p"), O: iri("y")},
 	})
 	if g.Len() != before {

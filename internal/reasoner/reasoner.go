@@ -14,7 +14,7 @@ type Options struct {
 	// Naive selects full re-evaluation each round instead of delta-driven
 	// semi-naive evaluation. Kept for the ablation benchmark; results are
 	// identical, only slower. A naive Reasoner never takes the incremental
-	// path: MaterializeDelta/MaterializeChanges fall back to full runs.
+	// path: MaterializeChanges falls back to full runs.
 	Naive bool
 	// MaxRounds bounds naive evaluation rounds (and acts as a safety valve
 	// for semi-naive). Zero means the default of 1000.
@@ -137,12 +137,12 @@ func (v vocab) structuralIDs() *store.IDSet {
 // A Reasoner carries its closure state — interned vocabulary, the parsed
 // expression table, cumulative statistics, and (with TraceDerivations) the
 // derivation map — across calls on the same graph. After a completed run,
-// MaterializeDelta/MaterializeChanges extend the closure with only the
-// consequences of newly added triples: the semi-naive queue is seeded with
-// the delta instead of the whole graph, and the expression table is patched
+// MaterializeChanges extends the closure with only the consequences of
+// newly added triples: the semi-naive queue is seeded with the delta
+// instead of the whole graph, and the expression table is patched
 // entry-by-entry for structural triples (owl:intersectionOf, owl:unionOf,
-// restrictions, property chains, and their rdf:first/rdf:rest lists) in the
-// delta. The write-side cost is O(|delta closure|), not O(|graph|).
+// restrictions, property chains, and their rdf:first/rdf:rest lists) in
+// the delta. The write-side cost is O(|delta closure|), not O(|graph|).
 //
 // The incremental path silently falls back to a full run whenever its
 // preconditions fail: a different or never-materialized graph, a mutation
@@ -201,8 +201,8 @@ func New(opts Options) *Reasoner {
 // Materialize computes the OWL RL closure of g in place and returns run
 // statistics. It can be called again after further assertions; the closure
 // is recomputed from the full graph. When the mutations since the previous
-// run are known, MaterializeChanges/MaterializeDelta do the same work in
-// time proportional to the delta instead.
+// run were captured, MaterializeChanges does the same work in time
+// proportional to the delta instead.
 //
 //feo:unordered
 func (r *Reasoner) Materialize(g *store.Graph) Stats {
@@ -220,57 +220,28 @@ func (r *Reasoner) Materialize(g *store.Graph) Stats {
 	return r.finishRun(start)
 }
 
-// MaterializeDelta asserts the added triples into g and incrementally
-// extends the OWL RL closure with their consequences. It requires that this
-// Reasoner already materialized g and that nothing else mutated the graph
-// since (otherwise it falls back to a full Materialize, after asserting the
-// triples). The caller may pass triples that are already present; they are
-// simply re-seeded, which is harmless.
-//
-//feo:unordered
-func (r *Reasoner) MaterializeDelta(g *store.Graph, added []rdf.Triple) Stats {
-	if !r.canDelta(g) || g.Version() != r.lastVersion {
-		for _, t := range added {
-			g.AddTriple(t)
-		}
-		return r.Materialize(g)
-	}
-	seed := make([]iTriple, 0, len(added))
-	for _, t := range added {
-		s, p, o := g.InternTerm(t.S), g.InternTerm(t.P), g.InternTerm(t.O)
-		if s == store.NoID || p == store.NoID || o == store.NoID {
-			continue
-		}
-		// Seed only triples that are actually in the graph: AddID rejects
-		// invalid kinds (literal subject, non-IRI predicate), and a rejected
-		// triple must not feed the rules — the full path drops it too.
-		if !g.AddID(s, p, o) && !g.HasID(s, p, o) {
-			continue
-		}
-		seed = append(seed, iTriple{s, p, o})
-	}
-	return r.runDelta(seed)
-}
-
 // MaterializeChanges brings the closure of g up to date after the mutations
 // recorded in cs (stopping the capture if it is still active). When the
 // change set proves the only mutations since the last run were additions,
-// the closure is extended incrementally from exactly those triples; any
-// removal, a Clear, a version gap, or a foreign/never-materialized graph
-// falls back to a full Materialize. A nil change set always runs full.
+// the closure is extended incrementally, seeded straight from the
+// capture's ID-space op stream (IDOps, nothing decoded); any removal, a
+// Clear, a version gap, or a foreign/never-materialized graph falls back
+// to a full Materialize. A nil change set always runs full.
 //
 //feo:unordered
 func (r *Reasoner) MaterializeChanges(g *store.Graph, cs *store.ChangeSet) Stats {
 	cs.Stop()
-	if cs == nil || cs.Graph() != g || !r.canDelta(g) ||
-		cs.Cleared() || len(cs.Removed()) > 0 ||
+	if cs == nil || cs.Graph() != g || !r.canDelta(g) || cs.Cleared() ||
 		cs.BaseVersion() != r.lastVersion || cs.EndVersion() != g.Version() {
 		return r.Materialize(g)
 	}
-	added := cs.Added()
-	seed := make([]iTriple, len(added))
-	for i, t := range added {
-		seed[i] = iTriple{t.S, t.P, t.O}
+	ops := cs.IDOps()
+	seed := make([]iTriple, len(ops))
+	for i, op := range ops {
+		if op.Remove {
+			return r.Materialize(g)
+		}
+		seed[i] = iTriple{op.T.S, op.T.P, op.T.O}
 	}
 	return r.runDelta(seed)
 }

@@ -12,12 +12,12 @@
 // individuals more efficiently" motivation for choosing Pellet).
 //
 // The semi-naive engine is additionally *incremental across runs*: after a
-// completed materialization, MaterializeDelta/MaterializeChanges seed the
-// queue with only the newly added triples and patch the expression table
-// in place, so re-classifying the graph after a small assertion (the
-// explain-time question individuals, an INSERT DATA, a loaded document)
-// costs time proportional to the delta's consequences, not the graph. See
-// the Reasoner type's doc comment for the exact contract and fallback
+// completed materialization, MaterializeChanges seeds the queue with only
+// the newly added triples and patches the expression table in place, so
+// re-classifying the graph after a small assertion (the explain-time
+// question individuals, an INSERT DATA, a loaded document) costs time
+// proportional to the delta's consequences, not the graph. See the
+// Reasoner type's doc comment for the exact contract and fallback
 // conditions.
 //
 // The engine is dictionary-encoded end to end: triples enter the rule queue

@@ -77,8 +77,8 @@ func (r *Reasoner) ClosureState() ClosureState {
 // installs the persisted closure state st as if this Reasoner had computed
 // it. The expression table and vocabulary are rebuilt from the graph; the
 // closure version pins to the graph's current Version. Afterwards the
-// incremental contract holds: MaterializeDelta/MaterializeChanges extend
-// the closure from deltas, Derivation/Proof answer from the restored trace.
+// incremental contract holds: MaterializeChanges extends the closure
+// from deltas, Derivation/Proof answer from the restored trace.
 func (r *Reasoner) RestoreClosure(g *store.Graph, st ClosureState) {
 	r.bind(g)
 	r.expr = buildExprTable(g, r.v)

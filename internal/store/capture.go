@@ -10,13 +10,18 @@ type IDTriple struct {
 }
 
 // ChangeSet records every triple-level mutation applied to a graph between
-// StartCapture and Stop. It is the change-capture hook that lets layered
-// consumers (feo.Session, core.Engine) hand the reasoner an exact delta for
-// incremental re-materialization without threading triples by hand through
-// every parser, updater, and assertion site: any mutation route — Add/AddID,
-// Bulk, Merge, SPARQL updates, reasoner inference — lands in the active
-// capture because they all funnel through the graph's single add/remove
-// chokepoints.
+// StartCapture and Stop, as one ordered ID-space op stream. It is the
+// change-capture hook that lets layered consumers hand the reasoner an
+// exact delta (core.Engine) and the write-ahead log an exact redo stream
+// (the open Txn) without threading triples by hand through every parser,
+// updater, and assertion site: any mutation route — Add/AddID, Bulk, Merge,
+// SPARQL updates, reasoner inference — lands in the active capture because
+// they all funnel through the graph's single add/remove chokepoints.
+//
+// The stream preserves the exact add/remove interleaving and records only
+// effective mutations, so replaying it verbatim — an add that a later
+// remove undoes, a remove that a later add reinstates — reproduces the
+// final graph exactly.
 //
 // Several captures may be active on one graph at a time; each records
 // independently. Captures follow the store's writer contract: starting,
@@ -24,10 +29,10 @@ type IDTriple struct {
 // practice the layer that serializes writers — e.g. feo.Session's write
 // lock — also owns the captures).
 //
-// Graph.Clear invalidates a capture (Cleared reports true): Clear replaces
-// the term dictionary, so previously recorded IDs would decode wrongly, and
-// a consumer must fall back to whole-graph processing anyway. A cleared
-// capture stops recording and holds no triples.
+// Graph.Clear marks a capture Cleared and restarts its stream against the
+// replacement dictionary: the stream then holds only the post-Clear
+// mutations, and a consumer must wipe first (the WAL) or fall back to
+// whole-graph processing (the reasoner).
 //
 //feo:mutable-type
 type ChangeSet struct {
@@ -35,28 +40,20 @@ type ChangeSet struct {
 	dict        *TermDict // dictionary the recorded IDs belong to
 	baseVersion uint64    // graph version when capture started
 	endVersion  uint64    // graph version when capture stopped
-	added       []IDTriple
-	removed     []IDTriple
+	ops         []IDOp
 	cleared     bool
 	active      bool
-	// Ordered captures (StartOrderedCapture) additionally record the exact
-	// add/remove interleaving in ops, decoded against opsDict. Unlike the
-	// added/removed split, ordered recording survives Clear: ops reset to
-	// the post-Clear mutations and opsDict re-points at the replacement
-	// dictionary, so a log consumer can replay "wipe, then these ops".
-	ordered bool
-	ops     []orderedOp
-	opsDict *TermDict
 }
 
-// orderedOp is one entry of an ordered capture's mutation stream.
-type orderedOp struct {
-	remove bool
-	t      IDTriple
+// IDOp is one entry of a capture's mutation stream: an addition (Remove
+// false) or a removal (Remove true) of the dictionary-encoded triple T.
+type IDOp struct {
+	Remove bool
+	T      IDTriple
 }
 
-// TermOp is one mutation of an ordered capture, decoded to terms: an
-// addition (Remove false) or a removal (Remove true) of triple T.
+// TermOp is one mutation of a capture, decoded to terms: an addition
+// (Remove false) or a removal (Remove true) of triple T.
 type TermOp struct {
 	Remove bool
 	T      rdf.Triple
@@ -76,29 +73,18 @@ func (g *Graph) StartCapture() *ChangeSet {
 	return cs
 }
 
-// StartOrderedCapture begins recording mutations into a new ChangeSet that
-// additionally preserves the exact add/remove interleaving (see Ops). The
-// write-ahead log uses this: replaying the stream verbatim — an add that a
-// later remove undoes, a remove that a later add reinstates — reproduces
-// the final graph exactly, which the unordered added/removed split cannot
-// guarantee. Ordered recording also survives Graph.Clear (the ops reset to
-// the post-Clear stream and Cleared reports true) instead of going blind.
+// IDOps returns the mutation stream in ID space, undecoded. The IDs belong
+// to the graph's dictionary at StartCapture, or after a Clear to the
+// replacement one. The returned slice is the capture's own storage;
+// callers must not mutate it.
 //
-//feo:mutates
-func (g *Graph) StartOrderedCapture() *ChangeSet {
-	if g.frozen {
-		panic("store: StartOrderedCapture on a frozen snapshot view")
-	}
-	cs := &ChangeSet{g: g, dict: g.dict, baseVersion: g.version, active: true,
-		ordered: true, opsDict: g.dict}
-	g.captures = append(g.captures, cs)
-	return cs
-}
+//feo:frozen-safe
+func (cs *ChangeSet) IDOps() []IDOp { return cs.ops }
 
-// Ops returns the ordered mutation stream of an ordered capture, decoded to
-// terms. For a capture that saw Graph.Clear, the stream holds only the
-// post-Clear mutations (Cleared reports true; the consumer must wipe
-// first). Nil for captures started with StartCapture.
+// Ops returns the mutation stream decoded to terms. For a capture that saw
+// Graph.Clear, the stream holds only the post-Clear mutations (Cleared
+// reports true; the consumer must wipe first). Removal never un-interns a
+// term, so removed triples decode exactly. Nil when nothing was recorded.
 //
 //feo:frozen-safe
 //feo:decodes
@@ -108,10 +94,10 @@ func (cs *ChangeSet) Ops() []TermOp {
 	}
 	out := make([]TermOp, len(cs.ops))
 	for i, op := range cs.ops {
-		out[i] = TermOp{Remove: op.remove, T: rdf.Triple{
-			S: cs.opsDict.Term(op.t.S),
-			P: cs.opsDict.Term(op.t.P),
-			O: cs.opsDict.Term(op.t.O),
+		out[i] = TermOp{Remove: op.Remove, T: rdf.Triple{
+			S: cs.dict.Term(op.T.S),
+			P: cs.dict.Term(op.T.P),
+			O: cs.dict.Term(op.T.O),
 		}}
 	}
 	return out
@@ -166,61 +152,18 @@ func (cs *ChangeSet) EndVersion() uint64 {
 	return cs.endVersion
 }
 
-// Cleared reports whether Graph.Clear ran during the capture, invalidating
-// the recorded IDs (the dictionary was replaced).
+// Cleared reports whether Graph.Clear ran during the capture. The stream
+// then holds only the mutations after the last Clear.
 //
 //feo:frozen-safe
 func (cs *ChangeSet) Cleared() bool { return cs.cleared }
-
-// Added returns the triples added during the capture, in mutation order.
-// The returned slice is the capture's own storage; callers must not mutate
-// it.
-//
-//feo:frozen-safe
-func (cs *ChangeSet) Added() []IDTriple { return cs.added }
-
-// Removed returns the triples removed during the capture, in mutation
-// order.
-//
-//feo:frozen-safe
-func (cs *ChangeSet) Removed() []IDTriple { return cs.removed }
-
-// AddedTriples decodes Added. Empty after Clear (the IDs died with the old
-// dictionary).
-//
-//feo:frozen-safe
-//feo:decodes
-func (cs *ChangeSet) AddedTriples() []rdf.Triple { return cs.decode(cs.added) }
-
-// RemovedTriples decodes Removed. Removal never un-interns a term, so the
-// decoded triples are exact even though they are no longer in the graph.
-//
-//feo:frozen-safe
-//feo:decodes
-func (cs *ChangeSet) RemovedTriples() []rdf.Triple { return cs.decode(cs.removed) }
-
-func (cs *ChangeSet) decode(ts []IDTriple) []rdf.Triple {
-	if len(ts) == 0 || cs.cleared {
-		return nil
-	}
-	out := make([]rdf.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = rdf.Triple{S: cs.dict.Term(t.S), P: cs.dict.Term(t.P), O: cs.dict.Term(t.O)}
-	}
-	return out
-}
 
 // notifyAdd records a successful triple insertion into every active capture.
 //
 //feo:mutates
 func (g *Graph) notifyAdd(s, p, o ID) {
 	for _, cs := range g.captures {
-		if cs.ordered {
-			cs.ops = append(cs.ops, orderedOp{t: IDTriple{s, p, o}})
-		}
-		if !cs.cleared {
-			cs.added = append(cs.added, IDTriple{s, p, o})
-		}
+		cs.ops = append(cs.ops, IDOp{T: IDTriple{s, p, o}})
 	}
 }
 
@@ -229,53 +172,19 @@ func (g *Graph) notifyAdd(s, p, o ID) {
 //feo:mutates
 func (g *Graph) notifyRemove(s, p, o ID) {
 	for _, cs := range g.captures {
-		if cs.ordered {
-			cs.ops = append(cs.ops, orderedOp{remove: true, t: IDTriple{s, p, o}})
-		}
-		if !cs.cleared {
-			cs.removed = append(cs.removed, IDTriple{s, p, o})
-		}
+		cs.ops = append(cs.ops, IDOp{Remove: true, T: IDTriple{s, p, o}})
 	}
 }
 
-// invalidate marks the capture cleared — its recorded delta no longer
-// reflects the graph (a transaction it observed was rolled back) — so the
-// consumer falls back to whole-graph processing, exactly as after Clear.
-// Ordered captures restart their op stream against dict.
-//
-//feo:mutates
-func (cs *ChangeSet) invalidate(dict *TermDict) {
-	cs.cleared = true
-	cs.added = nil
-	cs.removed = nil
-	if cs.ordered {
-		cs.ops = cs.ops[:0]
-		cs.opsDict = dict
-	}
-}
-
-// notifyClear invalidates every active capture. Ordered captures restart
-// their op stream against the replacement dictionary (Clear has already
-// swapped it in by the time this runs), so they keep observing post-Clear
-// mutations.
+// notifyClear marks every active capture cleared and restarts its stream
+// against the replacement dictionary (Clear has already swapped it in by
+// the time this runs), so captures keep observing post-Clear mutations.
 //
 //feo:mutates
 func (g *Graph) notifyClear() {
-	// The open transaction needs its pre-Clear op prefix for Rollback (the
-	// capture is about to reset to the post-Clear stream). Only the first
-	// Clear matters: its saved roots and ops describe the Begin state, and
-	// everything between two Clears dies with the intermediate dictionary.
-	if t := g.txn; t != nil && !t.sawClear {
-		t.sawClear = true
-		t.preClearOps = append([]orderedOp(nil), t.cs.ops...)
-	}
 	for _, cs := range g.captures {
 		cs.cleared = true
-		cs.added = nil
-		cs.removed = nil
-		if cs.ordered {
-			cs.ops = cs.ops[:0]
-			cs.opsDict = g.dict
-		}
+		cs.ops = cs.ops[:0]
+		cs.dict = g.dict
 	}
 }

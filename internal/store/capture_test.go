@@ -33,13 +33,12 @@ func TestCaptureRecordsAddsAndRemoves(t *testing.T) {
 	s2, p2, o2 := capTriple("2")
 	g.Add(s2, p2, o2) // after Stop: must not be recorded
 
-	added := cs.AddedTriples()
-	if len(added) != 1 || added[0].S != s1 || added[0].P != p1 || added[0].O != o1 {
-		t.Errorf("AddedTriples = %v", added)
+	want := []TermOp{
+		{T: rdf.Triple{S: s1, P: p1, O: o1}},
+		{Remove: true, T: rdf.Triple{S: s0, P: p0, O: o0}},
 	}
-	removed := cs.RemovedTriples()
-	if len(removed) != 1 || removed[0].S != s0 {
-		t.Errorf("RemovedTriples = %v", removed)
+	if ops := cs.Ops(); len(ops) != len(want) || ops[0] != want[0] || ops[1] != want[1] {
+		t.Errorf("Ops = %v, want %v", ops, want)
 	}
 	if cs.Cleared() {
 		t.Error("capture should not be cleared")
@@ -70,8 +69,8 @@ func TestCaptureSeesEveryMutationRoute(t *testing.T) {
 	g.Merge(other)
 	cs.Stop()
 
-	if n := len(cs.Added()); n != 4 {
-		t.Errorf("captured %d adds, want 4: %v", n, cs.AddedTriples())
+	if n := len(cs.IDOps()); n != 4 {
+		t.Errorf("captured %d adds, want 4: %v", n, cs.Ops())
 	}
 }
 
@@ -88,10 +87,10 @@ func TestCaptureNestedIndependent(t *testing.T) {
 	g.Add(s3, p3, o3)
 	outer.Stop()
 
-	if n := len(inner.Added()); n != 1 {
+	if n := len(inner.IDOps()); n != 1 {
 		t.Errorf("inner captured %d adds, want 1", n)
 	}
-	if n := len(outer.Added()); n != 3 {
+	if n := len(outer.IDOps()); n != 3 {
 		t.Errorf("outer captured %d adds, want 3", n)
 	}
 }
@@ -109,10 +108,17 @@ func TestCaptureClearInvalidates(t *testing.T) {
 	cs.Stop()
 
 	if !cs.Cleared() {
-		t.Fatal("Clear must invalidate the capture")
+		t.Fatal("Clear must mark the capture cleared")
 	}
-	if len(cs.Added()) != 0 || len(cs.AddedTriples()) != 0 {
-		t.Error("cleared capture must hold no triples")
+	// Only the post-Clear stream survives, decoded against the new
+	// dictionary.
+	ops := cs.Ops()
+	if len(ops) != 1 || ops[0] != (TermOp{T: rdf.Triple{S: s3, P: p3, O: o3}}) {
+		t.Errorf("cleared capture must hold only the post-Clear stream, got %v", ops)
+	}
+	id := func(term rdf.Term) ID { i, _ := g.LookupID(term); return i }
+	if ids := cs.IDOps(); len(ids) != 1 || ids[0].T != (IDTriple{id(s3), id(p3), id(o3)}) {
+		t.Errorf("post-Clear IDOps = %v", ids)
 	}
 }
 
@@ -139,11 +145,11 @@ func TestOrderedCapturePreservesInterleaving(t *testing.T) {
 	s, p, o := capTriple("x")
 	g.Add(s, p, o)
 
-	cs := g.StartOrderedCapture()
+	cs := g.StartCapture()
 	s1, p1, o1 := capTriple("1")
 	g.Add(s1, p1, o1)
 	g.Remove(s, p, o)
-	g.Add(s, p, o) // reinstated: the unordered split would lose this nuance
+	g.Add(s, p, o) // reinstated: only the interleaving tells this apart
 	g.Remove(s1, p1, o1)
 	cs.Stop()
 
@@ -184,7 +190,7 @@ func TestOrderedCaptureSurvivesClear(t *testing.T) {
 	s0, p0, o0 := capTriple("pre")
 	g.Add(s0, p0, o0)
 
-	cs := g.StartOrderedCapture()
+	cs := g.StartCapture()
 	s1, p1, o1 := capTriple("doomed")
 	g.Add(s1, p1, o1)
 	g.Clear()
@@ -196,9 +202,6 @@ func TestOrderedCaptureSurvivesClear(t *testing.T) {
 
 	if !cs.Cleared() {
 		t.Fatal("capture should report Cleared")
-	}
-	if got := cs.AddedTriples(); got != nil {
-		t.Fatalf("unordered view should be empty after Clear, got %v", got)
 	}
 	ops := cs.Ops()
 	if len(ops) != 3 {
@@ -226,16 +229,9 @@ func TestOrderedCaptureSurvivesClear(t *testing.T) {
 
 func TestOrderedCaptureEmptyOps(t *testing.T) {
 	g := New()
-	cs := g.StartOrderedCapture()
+	cs := g.StartCapture()
 	cs.Stop()
 	if cs.Ops() != nil {
 		t.Fatal("empty capture should return nil Ops")
-	}
-	// Plain captures never record ops.
-	cs2 := g.StartCapture()
-	g.Add(capTriple("a"))
-	cs2.Stop()
-	if cs2.Ops() != nil {
-		t.Fatal("unordered capture must not expose Ops")
 	}
 }

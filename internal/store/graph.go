@@ -43,8 +43,8 @@
 // # Concurrency: MVCC snapshots, copy-on-write, and the writer protocol
 //
 // The graph is a single-writer, many-reader MVCC structure. A writer
-// publishes immutable versioned snapshots (Publish, or the
-// Begin/Commit/Rollback transaction surface in mvcc.go); readers pin a
+// publishes immutable versioned snapshots (Publish, or the Begin/Commit
+// transaction surface in mvcc.go; there is no rollback); readers pin a
 // *Snapshot — an atomic pointer load, no lock — and read a frozen view of
 // the graph that never changes, no matter what the writer does next.
 // Readers never block the writer and the writer never blocks readers.
@@ -70,6 +70,11 @@
 // (internal/store/mvcc_test.go locks this in). The term dictionary is
 // shared between live graph and snapshots and is safe for concurrent
 // decode/lookup during writes (see TermDict).
+//
+// A writer learns what changed through one capture mode (capture.go): a
+// ChangeSet records the ordered ID-space stream of effective adds and
+// removes. The write-ahead log replays it decoded; the reasoner's delta
+// path seeds from it undecoded.
 //
 // Applications serving many concurrent queries from pinned snapshots while
 // a writer commits (feo.Session, feo serve) rely on this. Version() gives
@@ -204,13 +209,6 @@ type Graph struct {
 	owner     *Snapshot
 	published atomic.Pointer[Snapshot]
 	txn       *Txn
-	// frozenAt is the version at the last epoch bump, valid only while
-	// frozenValid: when frozenValid && frozenAt == version, every structure
-	// the graph references is frozen (COW-protected) and nothing has been
-	// written in place since. Begin uses this to pick the cheap
-	// root-restore Rollback strategy; see Txn.
-	frozenAt    uint64
-	frozenValid bool
 }
 
 // New returns an empty graph with the repository's standard namespaces bound.

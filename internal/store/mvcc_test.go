@@ -130,65 +130,6 @@ func TestSnapshotCOWEdgeCases(t *testing.T) {
 	}
 }
 
-// TestTxnRollback: Rollback restores triples, counters, dictionary, and
-// namespaces; the version stays monotonic; and other active captures are
-// invalidated so no consumer replays undone mutations.
-func TestTxnRollback(t *testing.T) {
-	g := New()
-	for i := 0; i < 20; i++ {
-		g.Add(miri(i), miri(50), miri(i+1))
-	}
-	expect := g.Clone()
-	verBefore := g.Version()
-	observer := g.StartCapture()
-
-	tx := g.Begin()
-	for i := 100; i < 140; i++ {
-		g.Add(miri(i), miri(51), miri(i+1))
-	}
-	g.Remove(miri(0), miri(50), miri(1))
-	midVer := g.Version()
-	tx.Rollback()
-
-	if !g.Equal(expect) {
-		t.Fatalf("rollback did not restore the graph")
-	}
-	if g.Version() <= verBefore || g.Version() <= midVer {
-		t.Fatalf("rollback version not monotonic: before=%d mid=%d after=%d",
-			verBefore, midVer, g.Version())
-	}
-	if !observer.Cleared() {
-		t.Fatalf("capture active across rollback was not invalidated")
-	}
-	observer.Stop()
-
-	// The graph remains fully usable: a later transaction commits and
-	// publishes normally.
-	tx2 := g.Begin()
-	g.Add(miri(200), miri(52), miri(201))
-	snap := tx2.Commit()
-	if !snap.Graph().Has(miri(200), miri(52), miri(201)) {
-		t.Fatalf("post-rollback commit not visible in published snapshot")
-	}
-}
-
-// TestRollbackEmptyTxnKeepsVersion: a transaction that never mutated must
-// not burn a version (publish dedup depends on version equality).
-func TestRollbackEmptyTxnKeepsVersion(t *testing.T) {
-	g := New()
-	g.Add(miri(1), miri(2), miri(3))
-	before := g.Version()
-	g.Begin().Rollback()
-	if g.Version() != before {
-		t.Fatalf("empty rollback moved version %d -> %d", before, g.Version())
-	}
-	snap1 := g.Publish()
-	tx := g.Begin()
-	if snap2 := tx.Commit(); snap2 != snap1 {
-		t.Fatalf("empty commit minted a new snapshot")
-	}
-}
-
 // TestFrozenViewPanics: every mutation route on a frozen snapshot view
 // must panic rather than corrupt the published version.
 func TestFrozenViewPanics(t *testing.T) {
@@ -348,109 +289,9 @@ func TestDeferredCommitVisibility(t *testing.T) {
 	if !s1.Superseded() {
 		t.Fatalf("old snapshot not superseded by the burst publish")
 	}
-}
-
-// TestRollbackAfterDeferredCommits exercises the inverse-apply Rollback
-// path: the graph is dirty at Begin (deferred commits wrote in place), so
-// the saved roots are not restorable and Rollback must undo the
-// transaction by inverting its own op stream.
-func TestRollbackAfterDeferredCommits(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := New()
-	for i := 0; i < 200; i++ {
-		g.Add(randomTriple(rng, 40))
+	// A transaction that mutates nothing burns no version and mints no
+	// snapshot.
+	if s3 := g.Begin().Commit(); s3 != s2 {
+		t.Fatalf("empty commit minted a new snapshot")
 	}
-	pin := g.Publish()
-	pinLen := pin.Graph().Len()
-
-	for c := 0; c < 3; c++ {
-		tx := g.Begin()
-		for k := 0; k < 20; k++ {
-			if rng.Intn(3) == 0 {
-				g.Remove(randomTriple(rng, 40))
-			} else {
-				g.Add(randomTriple(rng, 40))
-			}
-		}
-		tx.CommitDeferred()
-	}
-	expect := g.Clone()
-	verBefore := g.Version()
-
-	tx := g.Begin()
-	for k := 0; k < 60; k++ {
-		if rng.Intn(3) == 0 {
-			g.Remove(randomTriple(rng, 40))
-		} else {
-			g.Add(randomTriple(rng, 40))
-		}
-	}
-	tx.Rollback()
-
-	if !g.Equal(expect) {
-		t.Fatalf("inverse-apply rollback did not restore the deferred state")
-	}
-	if g.Version() <= verBefore {
-		t.Fatalf("rollback version not monotonic: %d -> %d", verBefore, g.Version())
-	}
-	if pin.Graph().Len() != pinLen {
-		t.Fatalf("pinned snapshot disturbed across deferred commits + rollback")
-	}
-	if !g.Publish().Graph().Equal(expect) {
-		t.Fatalf("publish after rollback does not expose the deferred state")
-	}
-}
-
-// TestRollbackClearInTxn covers Clear inside a transaction for both
-// Rollback strategies: a clean graph at Begin (root restore handles the
-// Clear outright) and a dirty graph at Begin (the saved roots survive the
-// post-Clear half, and the stashed pre-Clear ops undo the in-place half).
-func TestRollbackClearInTxn(t *testing.T) {
-	build := func() *Graph {
-		g := New()
-		for i := 0; i < 50; i++ {
-			g.Add(miri(i), miri(100), miri(i+1))
-		}
-		g.Publish()
-		return g
-	}
-
-	t.Run("clean-at-begin", func(t *testing.T) {
-		g := build()
-		expect := g.Clone()
-		tx := g.Begin()
-		g.Add(miri(300), miri(100), miri(301))
-		g.Clear()
-		g.Add(miri(400), miri(100), miri(401))
-		tx.Rollback()
-		if !g.Equal(expect) {
-			t.Fatalf("rollback across Clear (clean Begin) did not restore")
-		}
-	})
-
-	t.Run("dirty-at-begin", func(t *testing.T) {
-		g := build()
-		tx0 := g.Begin()
-		g.Add(miri(200), miri(100), miri(201))
-		tx0.CommitDeferred()
-		expect := g.Clone()
-
-		tx := g.Begin()
-		g.Add(miri(300), miri(100), miri(301)) // in-place write into root storage
-		g.Remove(miri(0), miri(100), miri(1))  // in-place removal too
-		g.Clear()
-		g.Add(miri(400), miri(100), miri(401))
-		g.Clear() // second Clear: only the first one's stash matters
-		g.Add(miri(500), miri(100), miri(501))
-		tx.Rollback()
-		if !g.Equal(expect) {
-			t.Fatalf("rollback across Clear (dirty Begin) did not restore")
-		}
-		// The graph stays fully usable: commit and publish normally.
-		tx2 := g.Begin()
-		g.Add(miri(600), miri(100), miri(601))
-		if snap := tx2.Commit(); !snap.Graph().Has(miri(600), miri(100), miri(601)) {
-			t.Fatalf("post-rollback commit not visible")
-		}
-	})
 }
