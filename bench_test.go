@@ -497,6 +497,9 @@ func BenchmarkTurtleBoot(b *testing.B) {
 // compacted data directory — binary snapshot load plus closure restore,
 // no parsing and no rule evaluation. Gate-compared against
 // BenchmarkTurtleBoot: the snapshot path must stay measurably faster.
+// After the last boot it collects and reports what the booted session
+// keeps alive (live-heap-MB, heap-objects): the state a server starts
+// serving from, derivation trace included.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	dir := b.TempDir()
 	seed, err := feo.Open(feo.Options{Data: feo.DataSynthetic, KG: durableBootConfig(), DataDir: dir})
@@ -507,9 +510,10 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	if err := seed.Close(); err != nil {
 		b.Fatal(err)
 	}
+	var s *feo.Session
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := feo.Open(feo.Options{DataDir: dir})
+		s, err = feo.Open(feo.Options{DataDir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -518,6 +522,13 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		}
 		s.Close()
 	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(s)
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-heap-MB")
+	b.ReportMetric(float64(ms.HeapObjects), "heap-objects")
 }
 
 // BenchmarkWALAppend measures the per-commit durability overhead a

@@ -358,6 +358,45 @@ func TestRecoveryDirectedCases(t *testing.T) {
 		s.Close()
 	})
 
+	t.Run("clear and derive in one update", func(t *testing.T) {
+		// The commit's record starts with Clear and carries the
+		// derivations inferred after it, journaled against the new
+		// dictionary; replay must rebuild the same proofs.
+		dir := copyDataDir(t, base)
+		s := openReplayed(t, dir)
+		defer s.Close()
+		res, err := s.Update(`CLEAR ;
+INSERT DATA {
+  <http://e/crash/A> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://e/crash/B> .
+  <http://e/crash/B> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://e/crash/C> .
+  <http://e/crash/p> <http://www.w3.org/2000/01/rdf-schema#domain> <http://e/crash/A> .
+  <http://e/crash/x> <http://e/crash/p> <http://e/crash/y> .
+}`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Inserted != 4 {
+			t.Fatalf("inserted %d triples, want 4", res.Inserted)
+		}
+		xc := rdf.Triple{S: rdf.NewIRI("http://e/crash/x"), P: rdf.TypeIRI, O: rdf.NewIRI("http://e/crash/C")}
+		if p := s.ExplainTriple(xc.S, xc.P, xc.O); len(p) < 3 {
+			t.Fatalf("live proof of %v = %v, want a multi-step chain", xc, p)
+		}
+		// Crash (no Close) and recover from the WAL alone.
+		s2 := openReplayed(t, copyDataDir(t, dir))
+		defer s2.Close()
+		if !s2.Graph().Equal(s.Graph()) {
+			t.Fatalf("recovered %d triples, want %d", s2.Graph().Len(), s.Graph().Len())
+		}
+		for _, tr := range s.Graph().Triples() {
+			got := s2.ExplainTriple(tr.S, tr.P, tr.O)
+			want := s.ExplainTriple(tr.S, tr.P, tr.O)
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("proof for %v:\n got %v\nwant %v", tr, got, want)
+			}
+		}
+	})
+
 	t.Run("question numbering resumes", func(t *testing.T) {
 		dir := copyDataDir(t, base)
 		s := openReplayed(t, dir)

@@ -401,6 +401,8 @@ func (s *Session) commitWrite(op func(tx *store.Txn) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mark := 0
+	ns := s.graph.Namespaces()
+	nsGen := ns.Generation()
 	if s.durable != nil {
 		mark = s.reasoner.JournalLen()
 	}
@@ -413,13 +415,20 @@ func (s *Session) commitWrite(op func(tx *store.Txn) error) error {
 	if s.durable != nil {
 		span := tx.Changes()
 		ops := span.Ops()
-		if span.Cleared() || len(ops) > 0 {
+		// A parse that declared prefixes logs the whole table; every other
+		// commit leaves it out.
+		var prefixes *rdf.Namespaces
+		if ns.Generation() != nsGen {
+			prefixes = ns
+		}
+		if span.Cleared() || len(ops) > 0 || prefixes != nil {
 			logErr = s.durable.Append(durable.Record{
 				Cleared:       span.Cleared(),
 				Ops:           ops,
 				EndVersion:    span.EndVersion(),
 				TotalInferred: s.reasoner.TotalInferred(),
 				Derivations:   s.reasoner.JournalSince(mark),
+				Namespaces:    prefixes,
 			})
 		}
 	}

@@ -201,6 +201,77 @@ func TestSessionRDFXMLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSessionPrefixesSurviveWALRecovery pins that prefix declarations are
+// durable without a compaction: a commit that changes the prefix table
+// logs it, and WAL replay restores it, so both serializations of the
+// recovered session match the live one. The RDF/XML parser declares no
+// prefixes, so its case checks that an RDF/XML commit after a Turtle one
+// leaves the logged table intact.
+func TestSessionPrefixesSurviveWALRecovery(t *testing.T) {
+	const rdfxmlDoc = `<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" xmlns:ex="http://xx.example/">
+  <rdf:Description rdf:about="http://xx.example/a"><ex:p rdf:resource="http://xx.example/b"/></rdf:Description>
+</rdf:RDF>`
+	cases := []struct {
+		name string
+		load func(*Session) error
+	}{
+		{"turtle", func(s *Session) error {
+			// A document that only declares a prefix commits no triple.
+			if err := s.LoadTurtle("@prefix yy: <http://yy.example/> ."); err != nil {
+				return err
+			}
+			return s.LoadTurtle("@prefix zz: <http://zz.example/> . zz:a zz:p zz:b .")
+		}},
+		{"rdfxml", func(s *Session) error {
+			if err := s.LoadTurtle("@prefix zz: <http://zz.example/> . zz:a zz:p zz:b ."); err != nil {
+				return err
+			}
+			return s.LoadRDFXML(strings.NewReader(rdfxmlDoc))
+		}},
+	}
+	dump := func(t *testing.T, s *Session) string {
+		t.Helper()
+		var ttl, xml strings.Builder
+		if err := s.WriteTurtle(&ttl); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteRDFXML(&xml); err != nil {
+			t.Fatal(err)
+		}
+		return ttl.String() + xml.String()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(Options{Data: DataNone, DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.load(s); err != nil {
+				t.Fatal(err)
+			}
+			want := dump(t, s)
+			if !strings.Contains(want, "@prefix zz: <http://zz.example/>") {
+				t.Fatalf("live Turtle lacks the declared prefix:\n%.300s", want)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(Options{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if !s2.Replayed() {
+				t.Fatal("reopened session did not replay")
+			}
+			if got := dump(t, s2); got != want {
+				t.Fatalf("recovered serialization differs:\n got %.400s\nwant %.400s", got, want)
+			}
+		})
+	}
+}
+
 // TestSessionConcurrentQuery guards the public concurrency contract: a
 // materialized Session serves Query from many goroutines at once.
 func TestSessionConcurrentQuery(t *testing.T) {

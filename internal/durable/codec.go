@@ -38,6 +38,9 @@ func (e *encoder) triple(t rdf.Triple) {
 type decoder struct {
 	buf []byte
 	err error
+	// rules interns derivation rule names: a trace names a few dozen
+	// rules hundreds of thousands of times.
+	rules map[string]string
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -72,17 +75,34 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) str() string {
+// raw reads a length-prefixed byte string without copying it.
+func (d *decoder) raw() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.buf)) {
 		d.fail("durable: string length %d exceeds remaining %d bytes", n, len(d.buf))
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *decoder) str() string { return string(d.raw()) }
+
+// rule reads a rule name, allocating each distinct name once per decoder.
+func (d *decoder) rule() string {
+	b := d.raw()
+	if s, ok := d.rules[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.rules == nil {
+		d.rules = make(map[string]string)
+	}
+	d.rules[s] = s
 	return s
 }
 
@@ -122,7 +142,13 @@ func (d *decoder) count(perElem int, what string) int {
 
 // ---- record payload ----
 
-const recFlagCleared = 1 << 0
+const (
+	recFlagCleared = 1 << 0
+	// recFlagPrefixes marks a record that ends with the graph's whole
+	// prefix table (sorted prefix/IRI pairs, then the base IRI). Records
+	// without it decode as before the flag existed.
+	recFlagPrefixes = 1 << 1
+)
 
 // appendRecord encodes rec as a WAL record payload.
 func appendRecord(buf []byte, rec Record) []byte {
@@ -130,6 +156,9 @@ func appendRecord(buf []byte, rec Record) []byte {
 	var flags byte
 	if rec.Cleared {
 		flags |= recFlagCleared
+	}
+	if rec.Namespaces != nil {
+		flags |= recFlagPrefixes
 	}
 	e.byte(flags)
 	e.uvarint(rec.EndVersion)
@@ -144,6 +173,16 @@ func appendRecord(buf []byte, rec Record) []byte {
 		e.triple(op.T)
 	}
 	appendDerivations(e, rec.Derivations)
+	if rec.Namespaces != nil {
+		prefixes := rec.Namespaces.Prefixes() // sorted
+		e.uvarint(uint64(len(prefixes)))
+		for _, p := range prefixes {
+			iri, _ := rec.Namespaces.IRIFor(p)
+			e.str(p)
+			e.str(iri)
+		}
+		e.str(rec.Namespaces.Base())
+	}
 	return e.buf
 }
 
@@ -151,7 +190,7 @@ func parseRecord(payload []byte) (Record, error) {
 	d := &decoder{buf: payload}
 	var rec Record
 	flags := d.byte()
-	if flags&^recFlagCleared != 0 {
+	if flags&^(recFlagCleared|recFlagPrefixes) != 0 {
 		d.fail("durable: unknown record flags %#x", flags)
 	}
 	rec.Cleared = flags&recFlagCleared != 0
@@ -169,6 +208,15 @@ func parseRecord(payload []byte) (Record, error) {
 		}
 	}
 	rec.Derivations = parseDerivations(d)
+	if flags&recFlagPrefixes != 0 {
+		rec.Namespaces = rdf.NewNamespaces()
+		n := d.count(2, "prefix")
+		for i := 0; i < n && d.err == nil; i++ {
+			prefix, iri := d.str(), d.str()
+			rec.Namespaces.Bind(prefix, iri)
+		}
+		rec.Namespaces.SetBase(d.str())
+	}
 	if d.err == nil && len(d.buf) != 0 {
 		d.fail("durable: %d trailing bytes after record", len(d.buf))
 	}
@@ -197,7 +245,7 @@ func parseDerivations(d *decoder) []reasoner.TracedDerivation {
 	out := make([]reasoner.TracedDerivation, n)
 	for i := range out {
 		out[i].Conclusion = d.triple()
-		out[i].Rule = d.str()
+		out[i].Rule = d.rule()
 		nPrem := d.count(4, "premise")
 		if d.err != nil {
 			return nil
@@ -215,64 +263,72 @@ func parseDerivations(d *decoder) []reasoner.TracedDerivation {
 	return out
 }
 
-// The snapshot file's closure section is dictionary-coded: derivation
-// conclusions and premises are triples of the snapshotted graph, so their
-// terms are encoded as references into the graph dictionary the snapshot
-// already carries — a uvarint instead of re-serialized strings, decoded by
-// a slice index instead of an allocation. (WAL records keep the
+// The snapshot file's closure section is written straight from the
+// reasoner's ID-space trace, in the dictionary the snapshot's graph section
+// already carries:
+//
+//	uvarint(TotalInferred) uvarint(n)
+//	n × { ref ref ref  str(rule)  uvarint(k)  k × { ref ref ref } }
+//
+// where a term ref is uvarint(id+1), entries are in ascending conclusion ID
+// order, and premises keep their recorded order. Neither side touches a
+// term: the encoder copies IDs, the decoder range-checks them into chunked
+// IDTriple arenas, and rule names are interned. (WAL records keep the
 // self-describing term encoding above: their ops introduce terms the
-// snapshot dictionary has never seen.) The rare term that is not interned
-// — nothing produces one today — falls back to an inline encoding.
+// snapshot dictionary has never seen.) The reader also accepts a ref of 0
+// followed by an inline term, which older encoders wrote for a term
+// missing from the dictionary; it interns that term.
 
-func (e *encoder) termRef(g *store.Graph, t rdf.Term) {
-	if id, ok := g.LookupID(t); ok {
-		e.uvarint(uint64(id) + 1)
-		return
-	}
-	e.uvarint(0)
-	e.term(t)
+func (e *encoder) idTriple(t store.IDTriple) {
+	e.uvarint(uint64(t.S) + 1)
+	e.uvarint(uint64(t.P) + 1)
+	e.uvarint(uint64(t.O) + 1)
 }
 
-func (e *encoder) tripleRef(g *store.Graph, t rdf.Triple) {
-	e.termRef(g, t.S)
-	e.termRef(g, t.P)
-	e.termRef(g, t.O)
-}
-
-func (d *decoder) termRef(g *store.Graph) rdf.Term {
+func (d *decoder) idRef(g *store.Graph) store.ID {
 	v := d.uvarint()
 	if d.err != nil {
-		return rdf.Term{}
+		return store.NoID
 	}
 	if v == 0 {
-		return d.term()
+		t := d.term()
+		if d.err != nil {
+			return store.NoID
+		}
+		id := g.InternTerm(t)
+		if id == store.NoID {
+			d.fail("durable: invalid inline term %v", t)
+		}
+		return id
 	}
-	if v > uint64(g.Dict().Len()) {
-		d.fail("durable: term reference %d out of dictionary range %d", v-1, g.Dict().Len())
-		return rdf.Term{}
+	if n := g.Dict().Len(); v > uint64(n) {
+		d.fail("durable: term reference %d out of dictionary range %d", v-1, n)
+		return store.NoID
 	}
-	return g.TermOf(store.ID(v - 1))
+	return store.ID(v - 1)
 }
 
-func (d *decoder) tripleRef(g *store.Graph) rdf.Triple {
-	return rdf.Triple{S: d.termRef(g), P: d.termRef(g), O: d.termRef(g)}
+func (d *decoder) idTriple(g *store.Graph) store.IDTriple {
+	return store.IDTriple{S: d.idRef(g), P: d.idRef(g), O: d.idRef(g)}
 }
 
-func appendClosure(buf []byte, g *store.Graph, st reasoner.ClosureState) []byte {
+//feo:idspace
+func appendClosure(buf []byte, st reasoner.ClosureState) []byte {
 	e := &encoder{buf: buf}
 	e.uvarint(uint64(st.TotalInferred))
 	e.uvarint(uint64(len(st.Derivations)))
 	for _, dv := range st.Derivations {
-		e.tripleRef(g, dv.Conclusion)
+		e.idTriple(dv.Conclusion)
 		e.str(dv.Rule)
 		e.uvarint(uint64(len(dv.Premises)))
 		for _, p := range dv.Premises {
-			e.tripleRef(g, p)
+			e.idTriple(p)
 		}
 	}
 	return e.buf
 }
 
+//feo:idspace
 func parseClosure(payload []byte, g *store.Graph) (reasoner.ClosureState, []byte, error) {
 	d := &decoder{buf: payload}
 	var st reasoner.ClosureState
@@ -285,11 +341,11 @@ func parseClosure(payload []byte, g *store.Graph) (reasoner.ClosureState, []byte
 		// allocation pressure. Sealed-capacity subslices keep later
 		// appends from aliasing earlier lists.
 		const arenaChunk = 1 << 13
-		var arena []rdf.Triple
-		st.Derivations = make([]reasoner.TracedDerivation, n)
+		var arena []store.IDTriple
+		st.Derivations = make([]reasoner.IDDerivation, n)
 		for i := range st.Derivations {
-			st.Derivations[i].Conclusion = d.tripleRef(g)
-			st.Derivations[i].Rule = d.str()
+			st.Derivations[i].Conclusion = d.idTriple(g)
+			st.Derivations[i].Rule = d.rule()
 			nPrem := d.count(3, "premise")
 			if d.err != nil {
 				break
@@ -298,11 +354,11 @@ func parseClosure(payload []byte, g *store.Graph) (reasoner.ClosureState, []byte
 				continue
 			}
 			if cap(arena)-len(arena) < nPrem {
-				arena = make([]rdf.Triple, 0, max(arenaChunk, nPrem))
+				arena = make([]store.IDTriple, 0, max(arenaChunk, nPrem))
 			}
 			start := len(arena)
 			for j := 0; j < nPrem; j++ {
-				arena = append(arena, d.tripleRef(g))
+				arena = append(arena, d.idTriple(g))
 			}
 			st.Derivations[i].Premises = arena[start:len(arena):len(arena)]
 		}

@@ -26,10 +26,11 @@
 //
 // Frame 0 is a header naming the generation and the graph version the
 // snapshot captured; every later frame is one Record: the flags byte
-// (Clear), the ordered add/remove mutation stream of one commit (asserted
-// AND inferred triples, exactly as the store applied them), the graph
-// version the commit reached, the reasoner's cumulative inferred count,
-// and the derivation-trace delta the commit produced. Because the stream
+// (Clear, prefix table present), the ordered add/remove mutation stream of
+// one commit (asserted AND inferred triples, exactly as the store applied
+// them), the graph version the commit reached, the reasoner's cumulative
+// inferred count, the derivation-trace delta the commit produced, and —
+// only when the commit changed it — the graph's whole prefix table. Because the stream
 // is verbatim, replay applies it with no rule evaluation at all — boot
 // cost is O(bytes), and the restored closure state lets the next write
 // keep using the incremental materialization path.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/rdf"
 	"repro/internal/reasoner"
 	"repro/internal/store"
 )
@@ -55,6 +56,11 @@ type Record struct {
 	TotalInferred int
 	// Derivations is the derivation-trace delta the commit recorded.
 	Derivations []reasoner.TracedDerivation
+	// Namespaces is the graph's prefix table after the commit, set only
+	// when the commit changed it (a Turtle @prefix or @base); nil leaves
+	// the recovered table as it was. Append encodes it before returning,
+	// so the caller may pass its live table.
+	Namespaces *rdf.Namespaces
 }
 
 // Boot is what Open recovered from the data directory.
@@ -64,7 +70,8 @@ type Boot struct {
 	// yet (a fresh directory) — the caller must build its initial state
 	// and seed the store with Compact before appending.
 	Graph *store.Graph
-	// Closure is the reasoner closure state matching Graph.
+	// Closure is the reasoner closure state matching Graph, its IDs in
+	// Graph's dictionary.
 	Closure reasoner.ClosureState
 	// Generation is the recovered snapshot generation.
 	Generation uint64
@@ -285,6 +292,9 @@ func appendFrame(buf, payload []byte) []byte {
 // applyRecord replays one WAL record onto the recovered graph and closure
 // accumulator. Ops replay verbatim — no rule evaluation — because the
 // stream already contains every inferred triple the original commit added.
+// The record's derivations are then mapped into the graph's dictionary
+// (the ops have interned their terms; a premise term they did not mention
+// is interned here), so the accumulator stays in ID space.
 func applyRecord(g *store.Graph, closure *reasoner.ClosureState, rec Record) {
 	if rec.Cleared {
 		g.Clear()
@@ -298,8 +308,37 @@ func applyRecord(g *store.Graph, closure *reasoner.ClosureState, rec Record) {
 		}
 	}
 	g.ForceVersion(rec.EndVersion)
+	if rec.Namespaces != nil {
+		ns := g.Namespaces()
+		for _, p := range rec.Namespaces.Prefixes() {
+			iri, _ := rec.Namespaces.IRIFor(p)
+			ns.Bind(p, iri)
+		}
+		ns.SetBase(rec.Namespaces.Base())
+	}
 	closure.TotalInferred = rec.TotalInferred
-	closure.Derivations = append(closure.Derivations, rec.Derivations...)
+	if len(rec.Derivations) == 0 {
+		return
+	}
+	intern := func(t rdf.Triple) store.IDTriple {
+		return store.IDTriple{S: g.InternTerm(t.S), P: g.InternTerm(t.P), O: g.InternTerm(t.O)}
+	}
+	n := 0
+	for _, dv := range rec.Derivations {
+		n += len(dv.Premises)
+	}
+	arena := make([]store.IDTriple, 0, n)
+	for _, dv := range rec.Derivations {
+		start := len(arena)
+		for _, p := range dv.Premises {
+			arena = append(arena, intern(p))
+		}
+		closure.Derivations = append(closure.Derivations, reasoner.IDDerivation{
+			Conclusion: intern(dv.Conclusion),
+			Rule:       dv.Rule,
+			Premises:   arena[start:len(arena):len(arena)],
+		})
+	}
 }
 
 // createWAL writes a fresh WAL (magic + header frame) and returns the open
@@ -612,7 +651,7 @@ func encodeSnapshot(gen uint64, g *store.Graph, closure reasoner.ClosureState) (
 	e.uvarint(gen)
 	e.uvarint(uint64(gbuf.Len()))
 	e.buf = append(e.buf, gbuf.Bytes()...)
-	e.buf = appendClosure(e.buf, g, closure)
+	e.buf = appendClosure(e.buf, closure)
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(e.buf, castagnoli))
 	return append(e.buf, sum[:]...), nil

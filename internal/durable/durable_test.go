@@ -69,6 +69,14 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 				{Conclusion: tTriple(10), Rule: "cax-sco"},
 			},
 		},
+		func() Record {
+			rec := testRecord(2, 8)
+			rec.Namespaces = rdf.NewNamespaces()
+			rec.Namespaces.Bind("zz", "http://zz.example/")
+			rec.Namespaces.Bind("e", "http://e/")
+			rec.Namespaces.SetBase("http://base.example/")
+			return rec
+		}(),
 	}
 	for i, rec := range recs {
 		payload := appendRecord(nil, rec)
@@ -86,6 +94,10 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 				t.Fatalf("rec %d op %d: %+v != %+v", i, j, got.Ops[j], rec.Ops[j])
 			}
 		}
+		if (got.Namespaces == nil) != (rec.Namespaces == nil) ||
+			fmt.Sprint(prefixTable(got.Namespaces)) != fmt.Sprint(prefixTable(rec.Namespaces)) {
+			t.Fatalf("rec %d: prefix table %v, want %v", i, prefixTable(got.Namespaces), prefixTable(rec.Namespaces))
+		}
 		for j := range rec.Derivations {
 			if got.Derivations[j].Conclusion != rec.Derivations[j].Conclusion ||
 				got.Derivations[j].Rule != rec.Derivations[j].Rule ||
@@ -96,12 +108,27 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// prefixTable lists ns as "prefix=iri" pairs plus the base.
+func prefixTable(ns *rdf.Namespaces) []string {
+	var out []string
+	for _, p := range ns.Prefixes() {
+		iri, _ := ns.IRIFor(p)
+		out = append(out, p+"="+iri)
+	}
+	return append(out, "base="+ns.Base())
+}
+
 func TestRecordCodecRejectsDamage(t *testing.T) {
 	payload := appendRecord(nil, testRecord(3, 9))
+	withPrefixes := testRecord(3, 9)
+	withPrefixes.Namespaces = rdf.NewNamespaces()
+	withPrefixes.Namespaces.Bind("zz", "http://zz.example/")
 	// Every truncation must error (the payload has no optional tail).
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := parseRecord(payload[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	for _, full := range [][]byte{payload, appendRecord(nil, withPrefixes)} {
+		for cut := 0; cut < len(full); cut++ {
+			if _, err := parseRecord(full[:cut]); err == nil {
+				t.Fatalf("truncation at %d of %d accepted", cut, len(full))
+			}
 		}
 	}
 	if _, err := parseRecord(append(payload[:len(payload):len(payload)], 0)); err == nil {

@@ -16,6 +16,8 @@ type Namespaces struct {
 	prefixToIRI map[string]string
 	iriToPrefix map[string]string
 	base        string
+	// gen counts the Bind and SetBase calls that changed the mapping.
+	gen uint64
 }
 
 // NewNamespaces returns an empty prefix mapping.
@@ -47,15 +49,35 @@ func (ns *Namespaces) Bind(prefix, iri string) {
 		ns.prefixToIRI = make(map[string]string)
 		ns.iriToPrefix = make(map[string]string)
 	}
-	if old, ok := ns.prefixToIRI[prefix]; ok {
+	old, ok := ns.prefixToIRI[prefix]
+	if ok && old == iri && ns.iriToPrefix[iri] == prefix {
+		return
+	}
+	if ok {
 		delete(ns.iriToPrefix, old)
 	}
 	ns.prefixToIRI[prefix] = iri
 	ns.iriToPrefix[iri] = prefix
+	ns.gen++
 }
 
 // SetBase sets the base IRI used to resolve relative IRIs.
-func (ns *Namespaces) SetBase(base string) { ns.base = base }
+func (ns *Namespaces) SetBase(base string) {
+	if ns.base != base {
+		ns.base = base
+		ns.gen++
+	}
+}
+
+// Generation returns a counter that increases whenever Bind or SetBase
+// changes the mapping, so a caller can tell whether a parse declared
+// anything new without copying the table.
+func (ns *Namespaces) Generation() uint64 {
+	if ns == nil {
+		return 0
+	}
+	return ns.gen
+}
 
 // Base returns the base IRI, or "" if none is set.
 func (ns *Namespaces) Base() string {

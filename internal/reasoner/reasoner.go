@@ -21,7 +21,10 @@ type Options struct {
 	MaxRounds int
 	// TraceDerivations records, for every inferred triple, the rule and
 	// premises that first produced it. Required for trace-based
-	// explanations; costs one map entry per inferred triple.
+	// explanations. The trace is held in dictionary IDs with no pointers:
+	// one map entry (a 12-byte ID triple keying a 12-byte record) per
+	// inferred triple plus 12 bytes per premise in a shared arena — about
+	// 70 B per derivation, none of which the GC has to scan.
 	TraceDerivations bool
 	// IncludeReflexive additionally materializes the reflexive
 	// rdfs:subClassOf/subPropertyOf triples of OWL RL rule scm-cls/scm-op.
@@ -69,11 +72,20 @@ func (s Stats) String() string {
 }
 
 // iTriple is a dictionary-encoded triple. The whole rule engine — queue,
-// joins, premise bookkeeping — runs on these 12-byte values; rdf.Triple is
-// only materialized at the public API boundary (Derivation, Proof) and when
-// tracing is on.
+// joins, premise bookkeeping — and the derivation trace and journal run on
+// these 12-byte values; rdf.Triple is only materialized at the public API
+// boundary (Derivation, Proof, StaleDerivations, JournalSince), and only
+// for what that call returns. It is a local type rather than an alias of
+// store.IDTriple so the rule bodies can keep their positional literals;
+// the two convert freely.
 type iTriple struct {
 	S, P, O store.ID
+}
+
+// derivation is one trace entry: the rule (an index into Reasoner.rules)
+// and the premises r.premises[off : off+n]. Three uint32s, no pointers.
+type derivation struct {
+	rule, off, n uint32
 }
 
 // vocab holds the interned IDs of every RDF/RDFS/OWL term the rule bodies
@@ -165,8 +177,17 @@ type Reasoner struct {
 	stats     Stats
 	// derivations maps each inferred triple to its first derivation. It
 	// persists across runs so proofs over old and new inferences keep
-	// working after incremental updates.
-	derivations map[rdf.Triple]Derivation
+	// working after incremental updates. Keys and premises are IDs of
+	// dict; a dictionary swap drops the whole trace (see bind).
+	derivations map[iTriple]derivation
+	// premises is the append-only arena every derivation's premise list
+	// lives in. It is never rewritten in place: ClosureState hands out
+	// subslices of it that a compaction may still be reading after the
+	// writer lock is released, so a reset allocates a new arena instead.
+	premises []store.IDTriple
+	// rules interns rule names; derivation.rule indexes it.
+	rules   []string
+	ruleIDs map[string]uint32
 	// pendingExpr queues structural triples (delta input or fresh
 	// inferences) whose expression-table entries need patching; drained
 	// before each queue pop so rule joins always see a current table.
@@ -185,9 +206,12 @@ type Reasoner struct {
 	// journaling/journal implement the derivation journal (see state.go):
 	// when enabled, every newly recorded derivation's conclusion is
 	// appended here in inference order so commit-scoped consumers can read
-	// exact derivation deltas via JournalSince.
-	journaling bool
-	journal    []rdf.Triple
+	// exact derivation deltas via JournalSince. Positions below
+	// journalFloor were journaled against a dictionary that has since been
+	// replaced; their IDs mean nothing in the current one.
+	journaling   bool
+	journal      []iTriple
+	journalFloor int
 }
 
 // New returns a Reasoner with the given options.
@@ -195,7 +219,7 @@ func New(opts Options) *Reasoner {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 1000
 	}
-	return &Reasoner{opts: opts}
+	return &Reasoner{opts: opts, ruleIDs: make(map[string]uint32)}
 }
 
 // Materialize computes the OWL RL closure of g in place and returns run
@@ -279,7 +303,7 @@ func (r *Reasoner) bind(g *store.Graph) {
 		r.dict = g.Dict()
 		r.totalInferred = 0
 		if r.derivations != nil {
-			r.derivations = make(map[rdf.Triple]Derivation)
+			r.resetTrace(0)
 		}
 	}
 	r.prepared = false
@@ -302,8 +326,79 @@ func (r *Reasoner) beginRun(delta bool) {
 		RuleFirings: make(map[string]int),
 	}
 	if r.opts.TraceDerivations && r.derivations == nil {
-		r.derivations = make(map[rdf.Triple]Derivation)
+		r.resetTrace(0)
 	}
+}
+
+// resetTrace starts an empty derivation trace sized for n entries, in a
+// fresh premise arena (the old one may still be aliased by an exported
+// ClosureState). Journal entries recorded so far become unreachable.
+func (r *Reasoner) resetTrace(n int) {
+	r.derivations = make(map[iTriple]derivation, n)
+	r.premises = nil
+	r.journalFloor = len(r.journal)
+}
+
+// traceValid reports whether the trace describes r.g's current
+// dictionary. Graph.Clear swaps the dictionary under the Reasoner; until
+// the next run rebinds, the recorded IDs would decode to unrelated terms,
+// so every trace read treats the trace as empty.
+func (r *Reasoner) traceValid() bool {
+	return r.g != nil && r.dict == r.g.Dict()
+}
+
+// derivationOf returns the recorded derivation of t, if the trace is valid.
+func (r *Reasoner) derivationOf(t iTriple) (derivation, bool) {
+	if !r.traceValid() {
+		return derivation{}, false
+	}
+	d, ok := r.derivations[t]
+	return d, ok
+}
+
+// record stores the derivation of concl whose premises were just appended
+// to the arena at r.premises[off:].
+//
+//feo:idspace
+func (r *Reasoner) record(concl iTriple, rule string, off int) {
+	id, ok := r.ruleIDs[rule]
+	if !ok {
+		id = uint32(len(r.rules))
+		r.rules = append(r.rules, rule)
+		r.ruleIDs[rule] = id
+	}
+	r.derivations[concl] = derivation{rule: id, off: uint32(off), n: uint32(len(r.premises) - off)}
+}
+
+// premisesOf returns d's premise list, capacity-sealed so a caller's
+// append can never write into the arena.
+func (r *Reasoner) premisesOf(d derivation) []store.IDTriple {
+	end := d.off + d.n
+	return r.premises[d.off:end:end]
+}
+
+// lookup encodes t in the graph's dictionary without interning; false
+// before any run, or when t has a term the graph never saw.
+func (r *Reasoner) lookup(t rdf.Triple) (iTriple, bool) {
+	if r.g == nil {
+		return iTriple{}, false
+	}
+	s, ok1 := r.g.LookupID(t.S)
+	p, ok2 := r.g.LookupID(t.P)
+	o, ok3 := r.g.LookupID(t.O)
+	return iTriple{s, p, o}, ok1 && ok2 && ok3
+}
+
+// decodeDerivation materializes a trace entry at the public API boundary.
+func (r *Reasoner) decodeDerivation(d derivation) Derivation {
+	out := Derivation{Rule: r.rules[d.rule]}
+	if d.n > 0 {
+		out.Premises = make([]rdf.Triple, d.n)
+		for i, p := range r.premisesOf(d) {
+			out.Premises[i] = r.decode(iTriple(p))
+		}
+	}
+	return out
 }
 
 // finishRun folds the run's growth into the cumulative counters and records
@@ -338,8 +433,15 @@ func (r *Reasoner) snapshot() []iTriple {
 // Derivation returns how t was inferred. ok is false for asserted triples,
 // for unknown triples, or when tracing was disabled.
 func (r *Reasoner) Derivation(t rdf.Triple) (Derivation, bool) {
-	d, ok := r.derivations[t]
-	return d, ok
+	it, ok := r.lookup(t)
+	if !ok {
+		return Derivation{}, false
+	}
+	d, ok := r.derivationOf(it)
+	if !ok {
+		return Derivation{}, false
+	}
+	return r.decodeDerivation(d), true
 }
 
 // ProofTree returns the derivation of t and, recursively, of its premises,
@@ -352,29 +454,35 @@ type ProofStep struct {
 }
 
 // Proof reconstructs the full derivation chain for t. The result is empty
-// when tracing was disabled or t is unknown.
+// when tracing was disabled or t is unknown. The walk runs on IDs; only
+// the returned steps are decoded.
 func (r *Reasoner) Proof(t rdf.Triple) []ProofStep {
+	root, ok := r.lookup(t)
+	if !ok {
+		return nil
+	}
 	var steps []ProofStep
-	seen := make(map[rdf.Triple]bool)
-	var walk func(rdf.Triple)
-	walk = func(cur rdf.Triple) {
+	seen := make(map[iTriple]bool)
+	var walk func(iTriple)
+	walk = func(cur iTriple) {
 		if seen[cur] {
 			return
 		}
 		seen[cur] = true
-		d, ok := r.derivations[cur]
+		d, ok := r.derivationOf(cur)
 		if !ok {
-			if r.g != nil && r.g.Has(cur.S, cur.P, cur.O) {
-				steps = append(steps, ProofStep{Conclusion: cur, Rule: "asserted"})
+			if r.g.HasID(cur.S, cur.P, cur.O) {
+				steps = append(steps, ProofStep{Conclusion: r.decode(cur), Rule: "asserted"})
 			}
 			return
 		}
-		for _, p := range d.Premises {
-			walk(p)
+		for _, p := range r.premisesOf(d) {
+			walk(iTriple(p))
 		}
-		steps = append(steps, ProofStep{Conclusion: cur, Rule: d.Rule, Premises: d.Premises})
+		dd := r.decodeDerivation(d)
+		steps = append(steps, ProofStep{Conclusion: r.decode(cur), Rule: dd.Rule, Premises: dd.Premises})
 	}
-	walk(t)
+	walk(root)
 	return steps
 }
 
@@ -387,13 +495,14 @@ func (r *Reasoner) Proof(t rdf.Triple) []ProofStep {
 // derivation is recorded, so a conclusion reported stale may still hold via
 // an alternative derivation the trace never saw. Empty when tracing is off.
 func (r *Reasoner) StaleDerivations(removed []rdf.Triple) []rdf.Triple {
-	if len(removed) == 0 || len(r.derivations) == 0 || r.g == nil {
+	if len(removed) == 0 || len(r.derivations) == 0 || !r.traceValid() {
 		return nil
 	}
-	gone := make(map[rdf.Triple]bool, len(removed))
+	gone := make(map[iTriple]bool, len(removed))
 	for _, t := range removed {
-		if !r.g.Has(t.S, t.P, t.O) { // deleted and not re-inserted
-			gone[t] = true
+		// A term the dictionary never saw cannot be anyone's premise.
+		if it, ok := r.lookup(t); ok && !r.g.HasID(it.S, it.P, it.O) { // deleted and not re-inserted
+			gone[it] = true
 		}
 	}
 	if len(gone) == 0 {
@@ -402,14 +511,14 @@ func (r *Reasoner) StaleDerivations(removed []rdf.Triple) []rdf.Triple {
 	// One pass over the trace builds a premise→conclusions index; a
 	// worklist then walks only the affected cone, so the cost is
 	// O(|trace| + |cone|) rather than one full rescan per dependency level.
-	rev := make(map[rdf.Triple][]rdf.Triple)
+	rev := make(map[iTriple][]iTriple)
 	for concl, d := range r.derivations {
-		for _, p := range d.Premises {
-			rev[p] = append(rev[p], concl)
+		for _, p := range r.premisesOf(d) {
+			rev[iTriple(p)] = append(rev[iTriple(p)], concl)
 		}
 	}
-	stale := make(map[rdf.Triple]bool)
-	work := make([]rdf.Triple, 0, len(gone))
+	stale := make(map[iTriple]bool)
+	work := make([]iTriple, 0, len(gone))
 	for t := range gone {
 		work = append(work, t)
 	}
@@ -425,8 +534,8 @@ func (r *Reasoner) StaleDerivations(removed []rdf.Triple) []rdf.Triple {
 	}
 	out := make([]rdf.Triple, 0, len(stale))
 	for t := range stale {
-		if r.g.Has(t.S, t.P, t.O) {
-			out = append(out, t)
+		if r.g.HasID(t.S, t.P, t.O) {
+			out = append(out, r.decode(t))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return compareTriples(out[i], out[j]) < 0 })
@@ -503,7 +612,10 @@ func (r *Reasoner) runNaive() {
 }
 
 // infer adds a conclusion triple; when new, it is queued for further delta
-// processing and its derivation is recorded. All arguments are interned IDs.
+// processing and its derivation is recorded. All arguments are interned
+// IDs, and tracing records them as IDs: nothing is decoded here.
+//
+//feo:idspace
 func (r *Reasoner) infer(rule string, s, p, o store.ID, premises ...iTriple) {
 	if !r.g.IsResourceID(s) || r.g.KindOf(p) != rdf.KindIRI {
 		return
@@ -517,14 +629,13 @@ func (r *Reasoner) infer(rule string, s, p, o store.ID, premises ...iTriple) {
 		r.queue = append(r.queue, t)
 	}
 	if r.opts.TraceDerivations {
-		prem := make([]rdf.Triple, len(premises))
-		for i, pt := range premises {
-			prem[i] = r.decode(pt)
+		off := len(r.premises)
+		for _, pt := range premises {
+			r.premises = append(r.premises, store.IDTriple(pt))
 		}
-		concl := r.decode(t)
-		r.derivations[concl] = Derivation{Rule: rule, Premises: prem}
+		r.record(t, rule, off)
 		if r.journaling {
-			r.journal = append(r.journal, concl)
+			r.journal = append(r.journal, t)
 		}
 	}
 	if !r.opts.Naive && r.structIDs.Contains(p) {

@@ -2,6 +2,7 @@ package reasoner
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/rdf"
@@ -51,15 +52,18 @@ func TestClosureStateRoundTrip(t *testing.T) {
 
 	// Every traced derivation answers identically, including multi-step
 	// proof chains (a-t-c via transitivity, x type C3 via domain+subclass).
+	// The exported conclusions are IDs of g's dictionary; decode them
+	// through g.
 	for _, d := range r1.ClosureState().Derivations {
-		p1 := r1.Proof(d.Conclusion)
-		p2 := r2.Proof(d.Conclusion)
-		if len(p1) != len(p2) {
-			t.Fatalf("proof length for %v: %d vs %d", d.Conclusion, len(p1), len(p2))
+		concl := rdf.Triple{S: g.TermOf(d.Conclusion.S), P: g.TermOf(d.Conclusion.P), O: g.TermOf(d.Conclusion.O)}
+		p1 := r1.Proof(concl)
+		p2 := r2.Proof(concl)
+		if len(p1) == 0 || len(p1) != len(p2) {
+			t.Fatalf("proof length for %v: %d vs %d", concl, len(p1), len(p2))
 		}
 		for i := range p1 {
 			if p1[i].Rule != p2[i].Rule || p1[i].Conclusion != p2[i].Conclusion {
-				t.Fatalf("proof step %d for %v differs", i, d.Conclusion)
+				t.Fatalf("proof step %d for %v differs", i, concl)
 			}
 		}
 	}
@@ -103,6 +107,9 @@ func TestClosureStateDeterministic(t *testing.T) {
 	for i := range a.Derivations {
 		if a.Derivations[i].Conclusion != b.Derivations[i].Conclusion {
 			t.Fatalf("export order unstable at %d", i)
+		}
+		if i > 0 && compareIDTriples(a.Derivations[i-1].Conclusion, a.Derivations[i].Conclusion) >= 0 {
+			t.Fatalf("export not in ascending ID-triple order at %d", i)
 		}
 	}
 }
@@ -149,5 +156,72 @@ func TestDerivationJournal(t *testing.T) {
 	// Negative and stale marks clamp instead of panicking.
 	if r.JournalSince(-5) != nil || r.JournalSince(99) != nil {
 		t.Fatal("out-of-range marks should return nil on an empty journal")
+	}
+}
+
+// TestDerivationJournalAcrossDictionarySwap pins the journal's contract
+// over Graph.Clear: the trace and journal are keyed by IDs of a dictionary
+// Clear replaces, so no mark taken before the swap may return an entry
+// journaled before it — not even one whose conclusion is derived again
+// after the swap — and every entry journaled after it is returned.
+func TestDerivationJournalAcrossDictionarySwap(t *testing.T) {
+	g := stateTestGraph()
+	r := New(Options{TraceDerivations: true})
+	r.StartDerivationJournal()
+	r.Materialize(g)
+	marks := []int{0, r.JournalLen() / 2, r.JournalLen()}
+	if marks[2] == 0 {
+		t.Fatal("test graph should journal derivations")
+	}
+	xtc := rdf.Triple{S: iri("x"), P: rdf.TypeIRI, O: iri("C3")}
+	if _, ok := r.Derivation(xtc); !ok {
+		t.Fatalf("%v should be derived before the swap", xtc)
+	}
+
+	g.Clear()
+	// Swapped but not yet rebound: the old IDs mean nothing in the new
+	// dictionary, so nothing resolves.
+	for _, m := range marks {
+		if got := r.JournalSince(m); got != nil {
+			t.Fatalf("JournalSince(%d) after Clear = %d entries, want none", m, len(got))
+		}
+	}
+	if st := r.ClosureState(); len(st.Derivations) != 0 {
+		t.Fatalf("ClosureState after Clear exports %d stale derivations", len(st.Derivations))
+	}
+
+	// Refill with the same statements: every old conclusion is derived
+	// again, so each pre-swap journal entry names a live trace entry and
+	// only the swap itself can keep it out.
+	for _, tr := range stateTestGraph().Triples() {
+		g.Add(tr.S, tr.P, tr.O)
+	}
+	st := r.Materialize(g)
+	if st.Inferred == 0 {
+		t.Fatal("refill should infer")
+	}
+	post := r.JournalLen() - marks[2]
+	for _, m := range marks {
+		got := r.JournalSince(m)
+		if len(got) != post || len(got) != st.Inferred {
+			t.Fatalf("JournalSince(%d) = %d entries, want the %d post-swap ones", m, len(got), post)
+		}
+		for _, d := range got {
+			if !g.Has(d.Conclusion.S, d.Conclusion.P, d.Conclusion.O) {
+				t.Fatalf("journaled conclusion %v not in graph", d.Conclusion)
+			}
+			want, ok := r.Derivation(d.Conclusion)
+			if !ok || want.Rule != d.Rule || !slices.Equal(want.Premises, d.Premises) {
+				t.Fatalf("journaled %v disagrees with the trace", d.Conclusion)
+			}
+			for _, p := range d.Premises {
+				if !g.Has(p.S, p.P, p.O) {
+					t.Fatalf("premise %v of %v not in graph", p, d.Conclusion)
+				}
+			}
+		}
+	}
+	if p := r.Proof(xtc); len(p) == 0 || p[len(p)-1].Conclusion != xtc {
+		t.Fatalf("proof of %v after the swap = %v", xtc, p)
 	}
 }
