@@ -24,7 +24,7 @@ import (
 //	            Results stream in the negotiated W3C format — JSON, XML,
 //	            CSV, or TSV via ?format= or the Accept header — with
 //	            O(row) serialization memory. CONSTRUCT/DESCRIBE answer
-//	            text/turtle.
+//	            text/turtle, written from dictionary IDs.
 //	POST /explain    {"type","primary","secondary","user"} -> explanation
 //	GET  /recommend?user=IRI&limit=N   (1 <= N <= 100; an IRI that is
 //	                 not a food:User answers 404 "unknown user <IRI>")
@@ -34,11 +34,13 @@ import (
 //	                 hit/miss counts, snapshot age, graph size, and
 //	                 reasoner inference gauges
 //
-// Every query runs under -query-timeout plus the -max-rows / -max-bytes
-// result caps: a runaway query is canceled cooperatively, and one that
-// trips a cap mid-stream ends with a well-formed truncated document
-// whose reason travels in the X-Feo-Truncated trailer (JSON and XML also
-// record it in-band). Unknown methods get 405 with Allow, unsupported
+// Every query — CONSTRUCT and DESCRIBE included — runs under
+// -query-timeout plus the -max-rows / -max-bytes result caps: a runaway
+// query is canceled cooperatively, and one that trips a cap mid-stream
+// ends with a well-formed truncated document whose reason travels in the
+// X-Feo-Truncated trailer (JSON and XML also record it in-band, Turtle
+// in a final "# truncated: <reason>" comment). For a graph result
+// -max-rows counts triples. Unknown methods get 405 with Allow, unsupported
 // POST bodies 415, unsatisfiable Accept headers 406 — all decided before
 // any evaluation work.
 //

@@ -224,25 +224,24 @@ func (s *apiServer) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Trailer", truncationTrailer)
 	rw := format.newWriter(w)
 	st, err := sn.QueryStream(query, rw, opts)
+	started := rw.Written() > 0
+	if errors.Is(err, feo.ErrGraphResult) {
+		// CONSTRUCT/DESCRIBE: a graph, streamed as Turtle under the same
+		// limits. Nothing has been written yet, so the negotiated
+		// Content-Type can be replaced; the query already parsed, so any
+		// error but the deadline is a transport failure mid-stream.
+		w.Header().Set("Content-Type", "text/turtle; charset=utf-8")
+		st, err = sn.QueryGraphStream(query, w, opts)
+		started = true
+	}
 	switch {
 	case err == nil:
 		if st.Truncated {
 			// In the trailer for every format (CSV/TSV have no in-band
-			// channel); JSON/XML documents additionally carry it inline.
+			// channel); JSON/XML documents additionally carry it inline,
+			// and Turtle in a final comment line.
 			w.Header().Set(truncationTrailer, st.Reason)
 			s.metrics.truncations(st.Reason).Inc()
-		}
-	case errors.Is(err, feo.ErrGraphResult):
-		// CONSTRUCT/DESCRIBE: a graph, not bindings. Nothing has been
-		// written yet, so the negotiated headers can be replaced wholesale.
-		res, qerr := sn.Query(query)
-		if qerr != nil {
-			writeError(w, http.StatusBadRequest, qerr)
-			return
-		}
-		w.Header().Set("Content-Type", "text/turtle; charset=utf-8")
-		if werr := feo.WriteGraphTurtle(w, res.Graph); werr != nil {
-			log.Printf("feo: sparql turtle response: %v", werr)
 		}
 	case errors.Is(err, feo.ErrQueryDeadlineExceeded):
 		// The deadline fired before the first row; one that fires after it
@@ -250,7 +249,7 @@ func (s *apiServer) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		s.metrics.truncations("deadline").Inc()
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("query exceeded the server time limit (%s)", s.queryTimeout))
-	case rw.Written() == 0:
+	case !started:
 		// Parse/evaluation failure before the first result byte: a clean
 		// HTTP error is still possible.
 		writeError(w, http.StatusBadRequest, err)

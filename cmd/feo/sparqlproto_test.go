@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/feo"
+	"repro/internal/turtle"
 )
 
 const protoQuery = "SELECT ?q WHERE { ?q a feo:FoodQuestion }"
@@ -392,5 +393,85 @@ func TestMetricsEndpoint(t *testing.T) {
 	// serve path keeps the cached plan hot across requests.
 	if strings.Contains(out, "feo_query_plan_cache_hits 0\n") {
 		t.Error("plan cache never hit across repeated identical queries")
+	}
+}
+
+// TestSPARQLGraphResultHonoursLimits gives CONSTRUCT/DESCRIBE the SELECT
+// contract: -max-rows counts triples, -max-bytes cuts between subject
+// blocks, and either ends a parseable Turtle document with a
+// "# truncated: <reason>" line plus the trailer; a deadline before the
+// first byte is a 503; an uncapped answer is exactly WriteGraphTurtle of
+// the materialized result graph.
+func TestSPARQLGraphResultHonoursLimits(t *testing.T) {
+	sess := feo.NewSession(feo.Options{})
+	const construct = "CONSTRUCT { ?s a ?c } WHERE { ?s a ?c }"
+	get := func(srv *apiServer, q string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		srv.mux().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(q), nil))
+		return rr
+	}
+	res, err := sess.Snapshot().Query(construct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := feo.WriteGraphTurtle(&want, res.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if res.Graph.Len() < 20 || want.Len() < 4000 {
+		t.Fatalf("fixture too small: %d triples, %d bytes", res.Graph.Len(), want.Len())
+	}
+	full := get(newAPIServer(sess, 30*time.Second, 0, 0), construct)
+	if full.Code != http.StatusOK || full.Body.String() != want.String() {
+		t.Fatalf("uncapped CONSTRUCT: status %d, body differs from WriteGraphTurtle (%d vs %d bytes)",
+			full.Code, full.Body.Len(), want.Len())
+	}
+	if got := full.Result().Trailer.Get(truncationTrailer); got != "" {
+		t.Errorf("uncapped CONSTRUCT: trailer = %q", got)
+	}
+	for _, tc := range []struct {
+		name     string
+		srv      *apiServer
+		query    string
+		reason   string
+		triples  int // exact triple count, or -1 for "fewer than the full graph"
+		maxBytes int
+	}{
+		{"max-rows", newAPIServer(sess, 30*time.Second, 5, 0), construct, "rows", 5, 0},
+		{"max-bytes", newAPIServer(sess, 30*time.Second, 0, 1000), construct, "bytes", -1, 1000},
+		{"describe max-rows", newAPIServer(sess, 30*time.Second, 3, 0),
+			"DESCRIBE ?q WHERE { ?q a feo:FoodQuestion }", "rows", 3, 0},
+	} {
+		rr := get(tc.srv, tc.query)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d body=%s", tc.name, rr.Code, rr.Body.String())
+		}
+		body := rr.Body.String()
+		if got := rr.Result().Trailer.Get(truncationTrailer); got != tc.reason {
+			t.Errorf("%s: trailer = %q, want %q", tc.name, got, tc.reason)
+		}
+		if !strings.HasSuffix(body, "# truncated: "+tc.reason+"\n") {
+			t.Errorf("%s: body does not end with the truncation comment:\n%s", tc.name, body)
+		}
+		g, err := turtle.Parse(body)
+		if err != nil {
+			t.Fatalf("%s: truncated body is not Turtle: %v\n%s", tc.name, err, body)
+		}
+		switch {
+		case tc.triples >= 0 && g.Len() != tc.triples:
+			t.Errorf("%s: %d triples, want %d", tc.name, g.Len(), tc.triples)
+		case tc.triples < 0 && (g.Len() == 0 || g.Len() >= res.Graph.Len()):
+			t.Errorf("%s: %d triples, want a nonempty part of %d", tc.name, g.Len(), res.Graph.Len())
+		}
+		if tc.maxBytes > 0 && len(body) > 2*tc.maxBytes {
+			t.Errorf("%s: %d bytes for a %d-byte cap", tc.name, len(body), tc.maxBytes)
+		}
+		if tc.triples > 0 && !strings.HasPrefix(want.String(), strings.TrimSuffix(body, "# truncated: "+tc.reason+"\n")[:200]) {
+			t.Errorf("%s: truncated body is not a prefix of the full document", tc.name)
+		}
+	}
+	slow := newAPIServer(sess, 50*time.Millisecond, 0, 0)
+	if rr := get(slow, "CONSTRUCT { ?a ?b ?i } WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }"); rr.Code != http.StatusServiceUnavailable {
+		t.Errorf("runaway CONSTRUCT: status = %d, want 503", rr.Code)
 	}
 }

@@ -82,8 +82,8 @@ type (
 
 // Streaming-query sentinel errors (see Snapshot.QueryStream).
 var (
-	// ErrGraphResult marks a CONSTRUCT/DESCRIBE handed to the streaming
-	// path; evaluate it with Query and serialize the graph instead.
+	// ErrGraphResult marks a CONSTRUCT/DESCRIBE handed to QueryStream;
+	// stream it with QueryGraphStream instead.
 	ErrGraphResult = sparql.ErrGraphResult
 	// ErrQueryDeadlineExceeded marks a query canceled by its deadline
 	// before the first result byte was written.

@@ -84,12 +84,24 @@ func (sn *Snapshot) Query(q string) (*QueryResult, error) { return sparql.Run(sn
 // QueryStream runs a SELECT or ASK query against the pinned version and
 // feeds each result row into rw as it is produced, bounded by opts —
 // memory stays O(row) on the serialization side no matter how large the
-// result is. CONSTRUCT/DESCRIBE return ErrGraphResult (use Query plus a
-// graph serializer); a deadline that fires before the first row returns
+// result is. A deadline that fires before the first row returns
 // ErrQueryDeadlineExceeded, and one that fires after it ends the
-// document with a well-formed truncation instead.
+// document with a well-formed truncation instead. CONSTRUCT/DESCRIBE
+// return ErrGraphResult before evaluation: route them to
+// QueryGraphStream.
 func (sn *Snapshot) QueryStream(q string, rw ResultWriter, opts StreamOptions) (StreamStats, error) {
 	return sparql.RunStream(sn.g, q, rw, opts)
+}
+
+// QueryGraphStream runs a CONSTRUCT or DESCRIBE query against the pinned
+// version and writes its result graph to w as Turtle — byte for byte
+// WriteGraphTurtle of Query's result graph — under the same bounds as
+// QueryStream: a deadline before the first byte returns
+// ErrQueryDeadlineExceeded, MaxRows counts triples, MaxBytes is checked
+// between subject blocks, and a truncated document ends with a
+// "# truncated: <reason>" comment line.
+func (sn *Snapshot) QueryGraphStream(q string, w io.Writer, opts StreamOptions) (StreamStats, error) {
+	return sparql.RunGraphStream(sn.g, q, w, opts)
 }
 
 // Recommend ranks recipes for the user against the pinned version.

@@ -9,9 +9,11 @@
 package rdf
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three kinds of RDF terms plus the zero Term.
@@ -236,47 +238,95 @@ func (t Term) Compact(ns *Namespaces) string {
 // QuoteLiteral returns lex as a double-quoted Turtle/N-Triples string with
 // the required escape sequences applied.
 func QuoteLiteral(lex string) string {
-	var b strings.Builder
-	b.Grow(len(lex) + 2)
-	b.WriteByte('"')
-	for _, r := range lex {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
+	var buf [64]byte // short literals quote on the stack: one allocation, the string
+	return string(AppendQuoted(buf[:0], lex))
 }
 
-// Compare imposes a total order on terms: invalid < blank < IRI < literal,
-// then by value, datatype, and language. It is used by DISTINCT, ORDER BY,
-// and deterministic serialization.
+// AppendQuoted appends QuoteLiteral(lex) to dst: the lexical form in
+// double quotes with ", \, LF, CR and tab escaped, and each byte that is
+// not valid UTF-8 replaced by U+FFFD.
+func AppendQuoted(dst []byte, lex string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(lex); {
+		b := lex[i]
+		if b >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(lex[i:])
+			if r == utf8.RuneError && size == 1 {
+				dst = utf8.AppendRune(append(dst, lex[start:i]...), r)
+				start = i + 1
+			}
+			i += size
+			continue
+		}
+		var esc string
+		switch b {
+		case '"':
+			esc = `\"`
+		case '\\':
+			esc = `\\`
+		case '\n':
+			esc = `\n`
+		case '\r':
+			esc = `\r`
+		case '\t':
+			esc = `\t`
+		default:
+			i++
+			continue
+		}
+		dst = append(append(dst, lex[start:i]...), esc...)
+		i++
+		start = i
+	}
+	return append(append(dst, lex[start:]...), '"')
+}
+
+// Append appends t.String() to dst — the N-Triples form — without
+// building the intermediate strings.
+func (t Term) Append(dst []byte) []byte {
+	switch t.Kind {
+	case KindIRI:
+		return append(append(append(dst, '<'), t.Value...), '>')
+	case KindBlank:
+		return append(append(dst, "_:"...), t.Value...)
+	case KindLiteral:
+		dst = AppendQuoted(dst, t.Value)
+		if t.Lang != "" {
+			return append(append(dst, '@'), t.Lang...)
+		}
+		if t.Datatype != "" && t.Datatype != XSDString {
+			return append(append(append(dst, "^^<"...), t.Datatype...), '>')
+		}
+		return dst
+	default:
+		return append(dst, "<invalid>"...)
+	}
+}
+
+// Compare imposes a total order on terms: invalid < blank < IRI < literal.
+// Among literals, numerics (a numeric datatype whose lexical form parses)
+// come first, ordered by value, then lexical form, then datatype; every
+// other literal follows, ordered by lexical form, datatype, and language.
+// Blank nodes and IRIs order by value. The order is transitive, so
+// DISTINCT, ORDER BY's fallback and deterministic serialization sort the
+// same term set the same way whatever order it arrives in.
 func Compare(a, b Term) int {
 	if a.Kind != b.Kind {
 		return int(kindOrder(a.Kind)) - int(kindOrder(b.Kind))
 	}
 	if a.Kind == KindLiteral {
-		// Numeric literals order by value when both are numeric.
-		if fa, ok := a.Float(); ok {
-			if fb, ok2 := b.Float(); ok2 {
-				switch {
-				case fa < fb:
-					return -1
-				case fa > fb:
-					return 1
-				}
+		fa, aNum := a.Float()
+		fb, bNum := b.Float()
+		switch {
+		case aNum && bNum:
+			if c := cmp.Compare(fa, fb); c != 0 {
+				return c
 			}
+		case aNum:
+			return -1
+		case bNum:
+			return 1
 		}
 	}
 	if c := strings.Compare(a.Value, b.Value); c != 0 {

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -261,6 +262,114 @@ func TestIsNumericDatatype(t *testing.T) {
 	for _, dt := range []string{XSDString, XSDBoolean, XSDDate, ""} {
 		if IsNumericDatatype(dt) {
 			t.Errorf("%s should not be numeric", dt)
+		}
+	}
+}
+
+// TestCompareNumericCycle is the three-term cycle an order that compares
+// numerics by value but falls back to lexical order against other
+// literals walks into: 2 < 10 by value, 10 < "15x" and "15x" < 2
+// lexically.
+func TestCompareNumericCycle(t *testing.T) {
+	two, ten, other := NewInt(2), NewInt(10), NewLiteral("15x")
+	if Compare(two, ten) >= 0 || Compare(ten, other) >= 0 || Compare(two, other) >= 0 {
+		t.Errorf("want 2 < 10 < \"15x\": Compare(2,10)=%d Compare(10,15x)=%d Compare(2,15x)=%d",
+			Compare(two, ten), Compare(ten, other), Compare(two, other))
+	}
+}
+
+// TestCompareTransitive checks that Compare is a total order over a
+// randomized mix of numeric, numeric-looking and other literals (plus
+// IRIs and blank nodes): antisymmetric, and transitive over every triple
+// of the sample, so a sort's result cannot depend on its input order.
+func TestCompareTransitive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lex := []string{"2", "10", "15x", "-3", "1e2", "0", "-0", "07", "2.5", "NaN", "INF", "-INF", "abc", "", "9", "100"}
+	dts := []string{XSDInteger, XSDDecimal, XSDDouble, XSDString, XSDInt, "http://e/dt"}
+	terms := make([]Term, 40)
+	for i := range terms {
+		v := lex[rng.Intn(len(lex))]
+		switch rng.Intn(6) {
+		case 0:
+			terms[i] = NewIRI("http://e/" + v)
+		case 1:
+			terms[i] = NewBlank("b" + v)
+		case 2:
+			terms[i] = NewLangLiteral(v, "en")
+		default:
+			terms[i] = NewTypedLiteral(v, dts[rng.Intn(len(dts))])
+		}
+	}
+	for _, a := range terms {
+		for _, b := range terms {
+			if ab, ba := Compare(a, b), Compare(b, a); (ab < 0) != (ba > 0) || (ab == 0) != (a == b) {
+				t.Fatalf("not antisymmetric: Compare(%v,%v)=%d, reversed %d", a, b, ab, ba)
+			}
+			for _, c := range terms {
+				if Compare(a, b) < 0 && Compare(b, c) < 0 && Compare(a, c) >= 0 {
+					t.Fatalf("not transitive: %v < %v < %v but Compare(a,c)=%d", a, b, c, Compare(a, c))
+				}
+			}
+		}
+	}
+}
+
+// refQuoteLiteral is the rune-at-a-time quoting AppendQuoted replaced,
+// kept as its oracle (strings.Builder.WriteRune turns each invalid UTF-8
+// byte into U+FFFD).
+func refQuoteLiteral(lex string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for _, r := range lex {
+		switch r {
+		case '"':
+			b.WriteString(`\"`)
+		case '\\':
+			b.WriteString(`\\`)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\r':
+			b.WriteString(`\r`)
+		case '\t':
+			b.WriteString(`\t`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+
+// nastyLexicals covers every byte class the quoting and CSV/TSV writers
+// treat specially.
+var nastyLexicals = []string{
+	"", "plain", `"`, `\`, "\r", "\n", "\t", "\r\n", " lead", "\tlead", `\.`, ",", "a,b",
+	`say "hi"`, "ünïcødé", "\xff", "ok\xffok", "\xe2\x82", "\xed\xa0\x80", "�", "trail ",
+	"_:b1", "<iri>", "&amp;'<>", "\x00\x01", " nbsp", " sep",
+}
+
+func TestAppendQuotedMatchesReference(t *testing.T) {
+	for _, s := range nastyLexicals {
+		if got, want := string(AppendQuoted([]byte("pre"), s)), "pre"+refQuoteLiteral(s); got != want {
+			t.Errorf("AppendQuoted(%q) = %q, want %q", s, got, want)
+		}
+	}
+	if err := quick.Check(func(s string) bool { return QuoteLiteral(s) == refQuoteLiteral(s) }, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestTermAppendMatchesString(t *testing.T) {
+	var terms []Term
+	for _, s := range nastyLexicals {
+		terms = append(terms, NewIRI("http://e/"+s), NewBlank("b"+s), NewLiteral(s),
+			NewLangLiteral(s, "en-GB"), NewTypedLiteral(s, XSDInteger), NewTypedLiteral(s, XSDString),
+			Term{Kind: KindLiteral, Value: s})
+	}
+	terms = append(terms, Term{})
+	for _, tm := range terms {
+		if got := string(tm.Append([]byte("x"))); got != "x"+tm.String() {
+			t.Errorf("%#v.Append = %q, want %q", tm, got, "x"+tm.String())
 		}
 	}
 }

@@ -36,9 +36,10 @@
 // # The lazy-decode rule
 //
 // A term is decoded from its ID only when something needs its lexical
-// form: a FILTER expression reading a slot, ORDER BY comparisons,
-// CONSTRUCT/DESCRIBE instantiation, update templates, and final result
-// materialization. Operators that only move bindings around (joins,
+// form: a FILTER expression reading a slot, ORDER BY comparisons, update
+// templates, and final result serialization. CONSTRUCT/DESCRIBE decode
+// nothing before the Turtle writer, which decodes each distinct term of
+// the result once. Operators that only move bindings around (joins,
 // UNION, MINUS, projection, DISTINCT — which dedups on slot IDs) decode
 // nothing; BOUND and the single-pattern EXISTS fast path touch no term at
 // all. Property paths decode nothing: they walk the indexes from the
@@ -88,6 +89,13 @@
 // SELECT streams in constant serialization memory. WriteJSON/WriteCSV/
 // WriteTSV/WriteXML on Result adapt the same writers (formats.go).
 //
+// Each writer takes its output buffer from a sync.Pool with its first
+// write and returns it once End or Boolean has flushed, so a stream of responses allocates no
+// output buffers. The CSV, TSV and XML writers append terms straight into
+// that buffer — TSV in N-Triples syntax (rdf.Term.Append), CSV quoted
+// exactly as encoding/csv quotes with UseCRLF, XML with entity escapes —
+// so a row costs no per-term garbage.
+//
 // Limits. StreamOptions bounds a query three ways: MaxRows and MaxBytes
 // truncate the emission, and Deadline cancels evaluation cooperatively —
 // an atomic flag polled per row by the join steps, the filter loop, the
@@ -96,14 +104,36 @@
 // can still send a clean error; any limit that trips after it instead
 // ends the document well-formed with a Truncation (JSON's "truncated"
 // member, an XML comment, or the caller's out-of-band channel for
-// CSV/TSV). CONSTRUCT/DESCRIBE are graph-shaped and return ErrGraphResult
-// up front.
+// CSV/TSV).
 //
 // Every writer's emission path is marked //feo:emit: output bytes must be
 // a pure function of the result sequence, so no writer may range over a
 // map or consult clocks, randomness, or pointer identity. feovet's
 // mapdeterminism pass enforces the map half of that obligation at compile
 // time.
+//
+// # Graph results
+//
+// CONSTRUCT and DESCRIBE run their WHERE clause through the same
+// evalSelect pipeline, so LIMIT, OFFSET and ORDER BY choose the solutions
+// (SPARQL 1.1 §16.2). A CONSTRUCT template is resolved once per query —
+// a constant to its ID (encodeTerm), a variable to its slot, a template
+// blank node to a fresh per-solution extension ID — and each pushed row
+// instantiates it into ID triples; no row is collected and no graph is
+// built. DESCRIBE walks the described resources' triples with ForEachID
+// into the same triple list. ExecuteGraphStream/RunGraphStream hand that
+// list to turtle.WriteIDs, which decodes, ranks and formats each distinct
+// term once and writes the sorted, deduplicated document; Execute builds
+// Result.Graph from it instead, and turtle.Write of that graph emits the
+// same bytes. ExecuteStream answers a graph form with ErrGraphResult
+// before evaluating, which is how a caller holding only the query text
+// routes it.
+//
+// Graph results keep the Limits contract: the Turtle writer starts after
+// evaluation, so a deadline during evaluation is ErrDeadlineExceeded;
+// MaxRows counts triples, MaxBytes and the deadline are checked between
+// subject blocks, and a truncated document ends with a
+// "# truncated: <reason>" comment line.
 //
 // # Concurrency and row order
 //

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -44,10 +43,8 @@ func Execute(g *store.Graph, q *Query) (*Result, error) {
 	switch q.Kind {
 	case KindAsk:
 		res.Boolean = ec.exists(q.Where, ec.newRow())
-	case KindConstruct:
-		res.Graph = ec.constructGraph(q, ec.evalGroupRows(q.Where, []idRow{ec.newRow()}))
-	case KindDescribe:
-		res.Graph = ec.describeGraph(q, ec.evalGroupRows(q.Where, []idRow{ec.newRow()}))
+	case KindConstruct, KindDescribe:
+		res.Graph = ec.resultGraph(q, ec.graphTriples(q))
 	default:
 		var slots []int
 		res.Vars, slots = ec.projection(q)
@@ -1308,81 +1305,176 @@ func sortRows(ec *evalContext, rows []idRow, conds []OrderCondition) {
 
 // ---- CONSTRUCT / DESCRIBE ----
 
-func (ec *evalContext) constructGraph(q *Query, rows []idRow) *store.Graph {
-	out := store.New()
-	if q.Namespaces != nil {
-		for _, p := range q.Namespaces.Prefixes() {
-			if iri, ok := q.Namespaces.IRIFor(p); ok {
-				out.Namespaces().Bind(p, iri)
-			}
-		}
+// graphTriples evaluates a CONSTRUCT or DESCRIBE query to the triples of
+// its result graph in ec's ID space (graph IDs plus extension IDs),
+// duplicates included: what ExecuteGraphStream hands the Turtle writer
+// and Execute builds Result.Graph from. The WHERE clause runs through
+// evalSelect, so LIMIT, OFFSET and ORDER BY select the solutions the
+// template instantiates or the described variables bind, and no term is
+// decoded.
+func (ec *evalContext) graphTriples(q *Query) []store.IDTriple {
+	if q.Kind == KindDescribe {
+		return ec.describeTriples(q)
 	}
-	for i, r := range rows {
-		bnodeSeq := i + 1
-		for _, tp := range q.Template {
-			s, sOK := ec.instantiatePos(tp.S, r, bnodeSeq)
-			p, pOK := ec.instantiatePos(tp.P, r, bnodeSeq)
-			o, oOK := ec.instantiatePos(tp.O, r, bnodeSeq)
-			if sOK && pOK && oOK {
-				out.Add(s, p, o)
+	tmpl, slots := ec.compileTemplate(q.Template)
+	var out []store.IDTriple
+	row := 0
+	ec.evalSelect(q, slots, func(r idRow) bool {
+		row++
+		out = ec.instantiate(tmpl, r, row, out)
+		return true
+	})
+	return out
+}
+
+// templatePos is one template position resolved against the query's ID
+// space: a constant's ID, a variable's slot (-1 for a variable the WHERE
+// clause never binds), or a template blank node, fresh per solution.
+type templatePos struct {
+	id    store.ID
+	slot  int
+	blank string // the blank node's parser name, e.g. "bnode3"
+}
+
+// compileTemplate resolves every template position once per query and
+// returns the slots its variables read. A template triple whose constant
+// subject is not a resource or whose constant predicate is not an IRI can
+// never instantiate and is dropped.
+func (ec *evalContext) compileTemplate(tps []TriplePattern) ([][3]templatePos, []int) {
+	var out [][3]templatePos
+	var slots []int
+	for _, tp := range tps {
+		var t [3]templatePos
+		for i, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
+			switch {
+			case !tv.IsVar:
+				t[i] = templatePos{id: ec.encodeTerm(tv.Term), slot: -1}
+			case strings.HasPrefix(tv.Var, " bnode"):
+				t[i] = templatePos{id: store.NoID, slot: -1, blank: strings.TrimSpace(tv.Var)}
+			default:
+				t[i] = templatePos{id: store.NoID, slot: ec.env.slot(tv.Var)}
+				if t[i].slot >= 0 {
+					slots = append(slots, t[i].slot)
+				}
 			}
 		}
+		if (!tp.S.IsVar && !tp.S.Term.IsResource()) || (!tp.P.IsVar && !tp.P.Term.IsIRI()) {
+			continue
+		}
+		out = append(out, t)
+	}
+	return out, slots
+}
+
+// instantiate appends the template's triples for one solution row (the
+// row-th, numbering from 1, which names its blank nodes) to out. A triple
+// with an unbound position, a subject that is not a resource or a
+// predicate that is not an IRI is skipped, as RDF requires.
+func (ec *evalContext) instantiate(tmpl [][3]templatePos, r idRow, row int, out []store.IDTriple) []store.IDTriple {
+	for _, tp := range tmpl {
+		var ids [3]store.ID
+		for i, pos := range tp {
+			switch {
+			case pos.slot >= 0:
+				ids[i] = r[pos.slot]
+			case pos.blank != "":
+				ids[i] = ec.encodeTerm(rdf.NewBlank("c" + strconv.Itoa(row) + pos.blank))
+			default:
+				ids[i] = pos.id
+			}
+		}
+		if ids[0] == store.NoID || ids[1] == store.NoID || ids[2] == store.NoID {
+			continue
+		}
+		if k := ec.kindOf(ids[0]); (k != rdf.KindIRI && k != rdf.KindBlank) || ec.kindOf(ids[1]) != rdf.KindIRI {
+			continue
+		}
+		out = append(out, store.IDTriple{S: ids[0], P: ids[1], O: ids[2]})
 	}
 	return out
 }
 
-// instantiatePos resolves a template position against a row, decoding the
-// bound slot (or minting a per-row blank node for template bnodes).
-func (ec *evalContext) instantiatePos(tv TermOrVar, r idRow, bnodeSeq int) (rdf.Term, bool) {
-	if !tv.IsVar {
-		return tv.Term, true
-	}
-	if strings.HasPrefix(tv.Var, " bnode") {
-		// Template blank nodes are fresh per solution.
-		return rdf.NewBlank(fmt.Sprintf("c%d%s", bnodeSeq, strings.TrimSpace(tv.Var))), true
-	}
-	return ec.valueOf(r, tv.Var)
-}
-
-// describeGraph returns the concise bounded description of every described
-// resource: all triples with the resource as subject, recursing through
-// blank-node objects, plus incoming triples.
-//
-//feo:unordered
-func (ec *evalContext) describeGraph(q *Query, rows []idRow) *store.Graph {
+// describeTriples returns the concise bounded description of every
+// described resource: all triples with the resource as subject, recursing
+// through blank-node objects, plus incoming triples. Targets are taken in
+// first-seen order; a triple is emitted once.
+func (ec *evalContext) describeTriples(q *Query) []store.IDTriple {
 	g := ec.g
-	out := store.New()
-	targets := make(map[rdf.Term]bool)
+	var targets []store.ID
+	isTarget := make(map[store.ID]bool)
+	addTarget := func(id store.ID) {
+		if id != store.NoID && !isTarget[id] {
+			isTarget[id] = true
+			targets = append(targets, id)
+		}
+	}
+	var slots []int
 	for _, dt := range q.DescribeTerms {
 		if !dt.IsVar {
-			targets[dt.Term] = true
-			continue
-		}
-		for _, r := range rows {
-			if t, ok := ec.valueOf(r, dt.Var); ok {
-				targets[t] = true
+			if id, ok := g.LookupID(dt.Term); ok {
+				addTarget(id)
 			}
+		} else if s := ec.env.slot(dt.Var); s >= 0 {
+			slots = append(slots, s)
 		}
 	}
-	var describe func(t rdf.Term, depth int)
-	describe = func(t rdf.Term, depth int) {
+	if len(slots) > 0 {
+		ec.evalSelect(q, slots, func(r idRow) bool {
+			for _, s := range slots {
+				addTarget(r[s])
+			}
+			return true
+		})
+	}
+	var out []store.IDTriple
+	seen := make(map[store.IDTriple]bool)
+	add := func(s, p, o store.ID) bool {
+		t := store.IDTriple{S: s, P: p, O: o}
+		if seen[t] {
+			return false
+		}
+		seen[t] = true
+		out = append(out, t)
+		return true
+	}
+	var describe func(id store.ID, depth int)
+	describe = func(id store.ID, depth int) {
 		if depth > 8 {
 			return
 		}
-		g.ForEach(t, store.Wildcard, store.Wildcard, func(tr rdf.Triple) bool {
-			if out.AddTriple(tr) && tr.O.IsBlank() {
-				describe(tr.O, depth+1)
+		g.ForEachID(id, store.NoID, store.NoID, func(s, p, o store.ID) bool {
+			if add(s, p, o) && g.KindOf(o) == rdf.KindBlank {
+				describe(o, depth+1)
 			}
 			return true
 		})
 	}
-	//feo:unordered // graph insertion; triple sets are order-insensitive
-	for t := range targets {
+	for _, t := range targets {
 		describe(t, 0)
-		g.ForEach(store.Wildcard, store.Wildcard, t, func(tr rdf.Triple) bool {
-			out.AddTriple(tr)
+		g.ForEachID(store.NoID, store.NoID, t, func(s, p, o store.ID) bool {
+			add(s, p, o)
 			return true
 		})
 	}
 	return out
+}
+
+// resultGraph builds Result.Graph from graphTriples' output: a fresh graph
+// carrying the standard namespaces plus the query's prefixes.
+func (ec *evalContext) resultGraph(q *Query, ts []store.IDTriple) *store.Graph {
+	out := store.New()
+	bindPrefixes(out.Namespaces(), q.Namespaces)
+	for _, t := range ts {
+		out.Add(ec.termOf(t.S), ec.termOf(t.P), ec.termOf(t.O))
+	}
+	return out
+}
+
+// bindPrefixes binds every prefix of from in ns.
+func bindPrefixes(ns, from *rdf.Namespaces) {
+	for _, p := range from.Prefixes() {
+		if iri, ok := from.IRIFor(p); ok {
+			ns.Bind(p, iri)
+		}
+	}
 }

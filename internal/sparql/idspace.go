@@ -251,6 +251,15 @@ func (ec *evalContext) termOf(id store.ID) rdf.Term {
 	return ec.g.TermOf(id)
 }
 
+// kindOf returns the kind of the term behind an ID from either range,
+// without copying a graph term out of the dictionary.
+func (ec *evalContext) kindOf(id store.ID) rdf.TermKind {
+	if int64(id) < int64(ec.dictLen) {
+		return ec.g.KindOf(id)
+	}
+	return ec.termOf(id).Kind
+}
+
 // valueOf resolves a variable against a row, decoding lazily.
 func (ec *evalContext) valueOf(r idRow, name string) (rdf.Term, bool) {
 	s := ec.env.slot(name)

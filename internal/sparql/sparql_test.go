@@ -466,6 +466,42 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
+// TestConstructDescribeModifiers holds the graph forms to their solution
+// modifiers (SPARQL 1.1 §16.2): LIMIT, OFFSET and ORDER BY choose the
+// solutions the template instantiates or the described variables bind.
+func TestConstructDescribeModifiers(t *testing.T) {
+	g := testGraph(t, fixture)
+	ex := func(s string) rdf.Term { return rdf.NewIRI("http://e/" + s) }
+	age := func(p string) rdf.Triple { return rdf.NewTriple(ex(p), ex("older"), ex("x")) }
+	for _, tc := range []struct {
+		query string
+		want  []rdf.Triple
+	}{
+		{`CONSTRUCT { ?p ex:older ex:x } WHERE { ?p ex:age ?a } ORDER BY ?a LIMIT 2`, []rdf.Triple{age("bob"), age("alice")}},
+		{`CONSTRUCT { ?p ex:older ex:x } WHERE { ?p ex:age ?a } ORDER BY DESC(?a) LIMIT 1`, []rdf.Triple{age("carol")}},
+		{`CONSTRUCT { ?p ex:older ex:x } WHERE { ?p ex:age ?a } ORDER BY ?a OFFSET 2`, []rdf.Triple{age("carol")}},
+		{`CONSTRUCT { ?p ex:older ex:x } WHERE { ?p ex:age ?a } LIMIT 0`, nil},
+		{`DESCRIBE ?f WHERE { ?f a ex:Food } ORDER BY ?f LIMIT 1`, []rdf.Triple{ // pizza, not sushi
+			rdf.NewTriple(ex("pizza"), rdf.TypeIRI, ex("Food")),
+			rdf.NewTriple(ex("pizza"), ex("cuisine"), rdf.NewLiteral("italian")),
+			rdf.NewTriple(ex("alice"), ex("likes"), ex("pizza")),
+			rdf.NewTriple(ex("bob"), ex("likes"), ex("pizza")),
+		}},
+	} {
+		res := run(t, g, "PREFIX ex: <http://e/> "+tc.query)
+		got := res.Graph.Triples()
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d triples %v, want %v", tc.query, len(got), got, tc.want)
+			continue
+		}
+		for _, tr := range tc.want {
+			if !res.Graph.Has(tr.S, tr.P, tr.O) {
+				t.Errorf("%s: missing %v in %v", tc.query, tr, got)
+			}
+		}
+	}
+}
+
 func TestSubSelectStyleNestedGroup(t *testing.T) {
 	g := testGraph(t, fixture)
 	res := run(t, g, `PREFIX ex: <http://e/>

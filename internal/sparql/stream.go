@@ -1,20 +1,26 @@
 package sparql
 
 import (
-	"encoding/csv"
 	"errors"
 	"io"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
+	"repro/internal/turtle"
 )
 
 // This file is the streaming half of the result-format layer: the
-// ResultWriter contract, its four W3C serializations, and the
+// ResultWriter contract, its four W3C serializations, the
 // ExecuteStream/RunStream entry points that feed rows into a writer as
-// the evaluator produces them, under a deadline and row/byte limits.
+// the evaluator produces them, and the ExecuteGraphStream/RunGraphStream
+// entry points that write a CONSTRUCT/DESCRIBE graph as Turtle, both
+// under a deadline and row/byte limits.
 //
 // The materialize-then-write methods on Result (formats.go) are thin
 // adapters over the same writers, so the two paths cannot drift: a byte
@@ -31,7 +37,10 @@ import (
 //
 // A writer buffers internally but never holds more than one buffer
 // (streamBufSize plus a row) of serialized output: memory is O(row), not
-// O(result). Writers are not safe for concurrent use.
+// O(result). The buffer is pooled: taken by Begin or Boolean, returned
+// when End or Boolean has flushed it, so a writer must not be used after
+// either. A writer abandoned mid-document leaves its buffer to the
+// collector. Writers are not safe for concurrent use.
 type ResultWriter interface {
 	Begin(vars []string) error
 	Row(terms []rdf.Term) error
@@ -80,10 +89,13 @@ type StreamStats struct {
 }
 
 // ErrGraphResult is returned by ExecuteStream/RunStream for CONSTRUCT and
-// DESCRIBE queries, whose results are graphs: callers serialize those via
-// Execute and a graph writer (Turtle/RDF-XML), not a bindings writer. It
-// is returned before evaluation, so routing on it costs one cached parse.
-var ErrGraphResult = errors.New("sparql: CONSTRUCT/DESCRIBE produces a graph, not bindings; use Execute and a graph serializer")
+// DESCRIBE queries, whose results are graphs: callers serialize those
+// with ExecuteGraphStream/RunGraphStream instead. It is returned before
+// evaluation, so routing on it costs one cached parse.
+var ErrGraphResult = errors.New("sparql: CONSTRUCT/DESCRIBE produces a graph, not bindings; use ExecuteGraphStream")
+
+// errBindingsResult is ExecuteGraphStream's answer to a SELECT or ASK.
+var errBindingsResult = errors.New("sparql: SELECT/ASK produces bindings, not a graph; use ExecuteStream")
 
 // ErrDeadlineExceeded is returned when StreamOptions.Deadline expires
 // before the first result byte is written. After the first byte the
@@ -121,16 +133,11 @@ func ExecuteStream(g *store.Graph, q *Query, rw ResultWriter, opts StreamOptions
 		return st, ErrGraphResult
 	}
 	ec := newEvalContext(g, buildQueryEnv(q))
-	if !opts.Deadline.IsZero() {
-		d := time.Until(opts.Deadline)
-		if d <= 0 {
-			return st, ErrDeadlineExceeded
-		}
-		stop := new(atomic.Bool)
-		ec.stop = stop
-		timer := time.AfterFunc(d, func() { stop.Store(true) })
-		defer timer.Stop()
+	release, ok := ec.armDeadline(opts.Deadline)
+	if !ok {
+		return st, ErrDeadlineExceeded
 	}
+	defer release()
 	if q.Kind == KindAsk {
 		found := ec.exists(q.Where, ec.newRow())
 		if ec.canceled() {
@@ -187,19 +194,88 @@ func ExecuteStream(g *store.Graph, q *Query, rw ResultWriter, opts StreamOptions
 	return st, rw.End(trunc)
 }
 
+// armDeadline makes deadline cancel ec's evaluation cooperatively (see
+// evalContext.stop). It reports false, arming nothing, when the deadline
+// has already passed; release stops the timer.
+func (ec *evalContext) armDeadline(deadline time.Time) (release func(), ok bool) {
+	if deadline.IsZero() {
+		return func() {}, true
+	}
+	d := time.Until(deadline)
+	if d <= 0 {
+		return nil, false
+	}
+	stop := new(atomic.Bool)
+	ec.stop = stop
+	timer := time.AfterFunc(d, func() { stop.Store(true) })
+	return func() { timer.Stop() }, true
+}
+
+// RunGraphStream parses src (memoized, like Run) and writes its result
+// graph to w as Turtle. See ExecuteGraphStream.
+func RunGraphStream(g *store.Graph, src string, w io.Writer, opts StreamOptions) (StreamStats, error) {
+	q, err := parseQueryCached(src)
+	if err != nil {
+		return StreamStats{}, err
+	}
+	return ExecuteGraphStream(g, q, w, opts)
+}
+
+// ExecuteGraphStream runs a CONSTRUCT or DESCRIBE query and writes its
+// result graph to w as Turtle (turtle.WriteIDs): the bytes
+// turtle.Write(Execute(g, q).Graph) would produce, without building that
+// graph or decoding a term before the writer. Template instantiation and
+// the description walk push ID triples; the writer decodes, ranks and
+// formats each distinct term once.
+//
+// opts gives graph results the SELECT contract: a deadline that fires
+// before the first byte returns ErrDeadlineExceeded with nothing written;
+// MaxRows counts triples, MaxBytes is checked between subject blocks, and
+// the deadline too is checked there once output has begun. A limit that
+// trips ends the document with a "# truncated: <reason>" comment line and
+// is reported in the returned StreamStats.
+func ExecuteGraphStream(g *store.Graph, q *Query, w io.Writer, opts StreamOptions) (StreamStats, error) {
+	if q.Kind != KindConstruct && q.Kind != KindDescribe {
+		return StreamStats{}, errBindingsResult
+	}
+	ec := newEvalContext(g, buildQueryEnv(q))
+	release, ok := ec.armDeadline(opts.Deadline)
+	if !ok {
+		return StreamStats{}, ErrDeadlineExceeded
+	}
+	defer release()
+	ts := ec.graphTriples(q)
+	if ec.canceled() {
+		return StreamStats{}, ErrDeadlineExceeded
+	}
+	ns := rdf.StandardNamespaces()
+	bindPrefixes(ns, q.Namespaces)
+	ws, err := turtle.WriteIDs(w, ns, ts, ec.termOf, turtle.Limits{
+		MaxTriples: opts.MaxRows, MaxBytes: opts.MaxBytes, Expired: ec.canceled,
+	})
+	return StreamStats{Rows: ws.Triples, Truncated: ws.Reason != "", Reason: ws.Reason}, err
+}
+
 // streamBufSize is how much output a writer accumulates before handing
 // it to the transport in one write, so a 3 MB document leaves in ≈ 46
 // writes (each one or two syscalls under net/http) rather than one per
 // 4 KiB, and a row reaches the client at most one buffer after it is
-// serialized. The buffer grows to this size by append: a small document
-// costs a buffer of its own size, not a fixed one per request.
+// serialized.
 const streamBufSize = 64 << 10
+
+// bufPool recycles countWriter buffers across documents: a writer takes
+// one with its first write and returns it once End or Boolean has flushed,
+// so a steady stream of responses allocates no output buffers. A buffer
+// that a huge row grew past twice streamBufSize is left to the collector
+// instead of pinning that memory in the pool.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // countWriter is the shared buffered sink under every streaming writer:
 // it tracks bytes accepted (before they reach the transport, so Written
 // is exact and deterministic regardless of buffer boundaries) and keeps
 // the transport's first error — the emit helpers are fire-and-forget, and
-// the error surfaces from endRow, flush or the next Write.
+// the error surfaces from endRow or flush. Its buffer comes from bufPool
+// at start and goes back at release.
 type countWriter struct {
 	w   io.Writer
 	buf []byte
@@ -209,10 +285,21 @@ type countWriter struct {
 
 func newCountWriter(w io.Writer) *countWriter { return &countWriter{w: w} }
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.buf = append(c.buf, p...)
-	c.n += int64(len(p))
-	return len(p), c.err
+// start takes the buffer from bufPool. Every document's first write —
+// Begin or Boolean — calls it, so a writer that never writes (a graph
+// query routed elsewhere, a deadline before the first row) holds none.
+func (c *countWriter) start() { c.buf = (*bufPool.Get().(*[]byte))[:0] }
+
+// release flushes and returns the buffer to bufPool; the writer must not
+// be used for output afterwards (Written still answers).
+func (c *countWriter) release() error {
+	err := c.flush()
+	if cap(c.buf) <= 2*streamBufSize {
+		b := c.buf
+		bufPool.Put(&b)
+	}
+	c.buf = nil
+	return err
 }
 
 func (c *countWriter) str(s string) {
@@ -293,6 +380,7 @@ type jsonResultWriter struct {
 func NewJSONWriter(w io.Writer) ResultWriter { return &jsonResultWriter{c: newCountWriter(w)} }
 
 func (jw *jsonResultWriter) Begin(vars []string) error {
+	jw.c.start()
 	jw.vars = vars
 	jw.c.str(`{"head":{"vars":[`)
 	for i, v := range vars {
@@ -352,16 +440,17 @@ func (jw *jsonResultWriter) End(trunc *Truncation) error {
 		jw.c.jsonString(trunc.Reason)
 	}
 	jw.c.str("}\n")
-	return jw.c.flush()
+	return jw.c.release()
 }
 
 func (jw *jsonResultWriter) Boolean(b bool) error {
+	jw.c.start()
 	if b {
 		jw.c.str(`{"head":{"vars":[]},"boolean":true}` + "\n")
 	} else {
 		jw.c.str(`{"head":{"vars":[]},"boolean":false}` + "\n")
 	}
-	return jw.c.flush()
+	return jw.c.release()
 }
 
 func (jw *jsonResultWriter) Written() int64 { return jw.c.written() }
@@ -391,6 +480,7 @@ func (xw *xmlResultWriter) header(vars []string) {
 }
 
 func (xw *xmlResultWriter) Begin(vars []string) error {
+	xw.c.start()
 	xw.vars = vars
 	xw.header(vars)
 	xw.c.str("  <results>\n")
@@ -445,10 +535,11 @@ func (xw *xmlResultWriter) End(trunc *Truncation) error {
 		xw.c.str(" limit reached -->\n")
 	}
 	xw.c.str("</sparql>\n")
-	return xw.c.flush()
+	return xw.c.release()
 }
 
 func (xw *xmlResultWriter) Boolean(b bool) error {
+	xw.c.start()
 	xw.header(nil)
 	if b {
 		xw.c.str("  <boolean>true</boolean>\n")
@@ -456,30 +547,100 @@ func (xw *xmlResultWriter) Boolean(b bool) error {
 		xw.c.str("  <boolean>false</boolean>\n")
 	}
 	xw.c.str("</sparql>\n")
-	return xw.c.flush()
+	return xw.c.release()
 }
 
 func (xw *xmlResultWriter) Written() int64 { return xw.c.written() }
 
-// xmlEscape writes s with XML special characters escaped (the five
-// predefined entities plus the CR that XML 1.0 normalizes away).
+// xmlEscapes maps each byte XML text must escape to its entity: the five
+// predefined entities plus the CR that XML 1.0 normalizes away.
+var xmlEscapes = [256]string{'<': "&lt;", '>': "&gt;", '&': "&amp;", '"': "&quot;", '\'': "&apos;", '\r': "&#xD;"}
+
+// xmlEscape writes s with xmlEscapes applied. A string with no special
+// byte — nearly every IRI and name — is one append.
 func (c *countWriter) xmlEscape(s string) {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if esc := xmlEscapes[s[i]]; esc != "" {
+			c.str(s[start:i])
+			c.str(esc)
+			start = i + 1
+		}
+	}
+	c.str(s[start:])
+}
+
+// ---- CSV: the W3C SPARQL 1.1 CSV format (RFC 4180, CRLF line endings) ----
+
+type csvResultWriter struct {
+	c *countWriter
+}
+
+// NewCSVWriter returns a streaming writer for text/csv. Per RFC 4180 (and
+// the W3C SPARQL 1.1 CSV Results note) records end in CRLF, and cells
+// hold lexical values, with blank nodes as _:label so they stay distinct
+// from literals. Fields are quoted exactly as encoding/csv quotes them
+// with UseCRLF. ASK results serialize as a single boolean cell; CSV has
+// no in-band truncation channel — transports signal it out of band.
+func NewCSVWriter(w io.Writer) ResultWriter { return &csvResultWriter{c: newCountWriter(w)} }
+
+func (vw *csvResultWriter) Begin(vars []string) error {
+	vw.c.start()
+	for i, v := range vars {
+		if i > 0 {
+			vw.c.byte(',')
+		}
+		vw.c.csvField("", v)
+	}
+	vw.c.str("\r\n")
+	return nil
+}
+
+func (vw *csvResultWriter) Row(terms []rdf.Term) error {
+	for i, t := range terms {
+		if i > 0 {
+			vw.c.byte(',')
+		}
+		if t.IsBlank() {
+			vw.c.csvField("_:", t.Value)
+		} else {
+			vw.c.csvField("", t.Value)
+		}
+	}
+	vw.c.str("\r\n")
+	return vw.c.endRow()
+}
+
+// csvField writes the field prefix+s (prefix is "" or "_:", which needs
+// no quoting) the way encoding/csv.Writer with UseCRLF writes a field: in
+// double quotes when it is `\.`, holds a comma, quote, CR or LF, or
+// starts with a Unicode space; inside quotes a quote doubles, a CR is
+// dropped and a LF becomes CRLF.
+func (c *countWriter) csvField(prefix, s string) {
+	// Vectorized byte searches beat one byte-at-a-time scan on the IRIs
+	// and labels that make up nearly every cell.
+	quote := strings.IndexByte(s, ',') >= 0 || strings.IndexByte(s, '"') >= 0 ||
+		strings.IndexByte(s, '\n') >= 0 || strings.IndexByte(s, '\r') >= 0
+	if prefix == "" && s != "" && !quote {
+		r, _ := utf8.DecodeRuneInString(s)
+		quote = s == `\.` || unicode.IsSpace(r)
+	}
+	if !quote {
+		c.str(prefix)
+		c.str(s)
+		return
+	}
+	c.byte('"')
+	c.str(prefix)
 	start := 0
 	for i := 0; i < len(s); i++ {
 		var esc string
 		switch s[i] {
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '&':
-			esc = "&amp;"
 		case '"':
-			esc = "&quot;"
-		case '\'':
-			esc = "&apos;"
+			esc = `""`
 		case '\r':
-			esc = "&#xD;"
+		case '\n':
+			esc = "\r\n"
 		default:
 			continue
 		}
@@ -488,67 +649,22 @@ func (c *countWriter) xmlEscape(s string) {
 		start = i + 1
 	}
 	c.str(s[start:])
+	c.byte('"')
 }
 
-// ---- CSV: the W3C SPARQL 1.1 CSV format (RFC 4180, CRLF line endings) ----
-
-type csvResultWriter struct {
-	c   *countWriter
-	cw  *csv.Writer
-	row []string
-}
-
-// NewCSVWriter returns a streaming writer for text/csv. Per RFC 4180 (and
-// the W3C SPARQL 1.1 CSV Results note) records end in CRLF, and cells
-// hold lexical values, with blank nodes as _:label so they stay distinct
-// from literals. ASK results serialize as a single boolean cell; CSV has
-// no in-band truncation channel — transports signal it out of band.
-func NewCSVWriter(w io.Writer) ResultWriter {
-	c := newCountWriter(w)
-	cw := csv.NewWriter(c)
-	cw.UseCRLF = true
-	return &csvResultWriter{c: c, cw: cw}
-}
-
-func (vw *csvResultWriter) Begin(vars []string) error {
-	vw.row = make([]string, len(vars))
-	return vw.cw.Write(vars)
-}
-
-func (vw *csvResultWriter) Row(terms []rdf.Term) error {
-	for i, t := range terms {
-		vw.row[i] = t.Value
-		if t.IsBlank() {
-			vw.row[i] = "_:" + t.Value
-		}
-	}
-	if err := vw.cw.Write(vw.row); err != nil {
-		return err
-	}
-	return vw.c.endRow()
-}
-
-func (vw *csvResultWriter) End(*Truncation) error {
-	vw.cw.Flush()
-	if err := vw.cw.Error(); err != nil {
-		return err
-	}
-	return vw.c.flush()
-}
+func (vw *csvResultWriter) End(*Truncation) error { return vw.c.release() }
 
 func (vw *csvResultWriter) Boolean(b bool) error {
+	vw.c.start()
 	if b {
 		vw.c.str("true\r\n")
 	} else {
 		vw.c.str("false\r\n")
 	}
-	return vw.c.flush()
+	return vw.c.release()
 }
 
-func (vw *csvResultWriter) Written() int64 {
-	vw.cw.Flush() // csv.Writer buffers a record at a time; count it
-	return vw.c.written()
-}
+func (vw *csvResultWriter) Written() int64 { return vw.c.written() }
 
 // ---- TSV: the W3C SPARQL 1.1 TSV format (N-Triples term syntax) ----
 
@@ -557,11 +673,12 @@ type tsvResultWriter struct {
 }
 
 // NewTSVWriter returns a streaming writer for text/tab-separated-values:
-// header of ?var names, then terms in full N-Triples syntax. Like CSV,
-// truncation has no in-band channel.
+// header of ?var names, then terms in full N-Triples syntax, appended in
+// place (rdf.Term.Append). Like CSV, truncation has no in-band channel.
 func NewTSVWriter(w io.Writer) ResultWriter { return &tsvResultWriter{c: newCountWriter(w)} }
 
 func (tw *tsvResultWriter) Begin(vars []string) error {
+	tw.c.start()
 	for i, v := range vars {
 		if i > 0 {
 			tw.c.byte('\t')
@@ -574,27 +691,31 @@ func (tw *tsvResultWriter) Begin(vars []string) error {
 }
 
 func (tw *tsvResultWriter) Row(terms []rdf.Term) error {
+	c := tw.c
+	before := len(c.buf)
 	for i, t := range terms {
 		if i > 0 {
-			tw.c.byte('\t')
+			c.buf = append(c.buf, '\t')
 		}
 		if t.IsValid() {
-			tw.c.str(t.String())
+			c.buf = t.Append(c.buf)
 		}
 	}
-	tw.c.byte('\n')
-	return tw.c.endRow()
+	c.buf = append(c.buf, '\n')
+	c.n += int64(len(c.buf) - before)
+	return c.endRow()
 }
 
-func (tw *tsvResultWriter) End(*Truncation) error { return tw.c.flush() }
+func (tw *tsvResultWriter) End(*Truncation) error { return tw.c.release() }
 
 func (tw *tsvResultWriter) Boolean(b bool) error {
+	tw.c.start()
 	if b {
 		tw.c.str("true\n")
 	} else {
 		tw.c.str("false\n")
 	}
-	return tw.c.flush()
+	return tw.c.release()
 }
 
 func (tw *tsvResultWriter) Written() int64 { return tw.c.written() }

@@ -14,9 +14,10 @@
 #   --tolerance   max allowed ns/op increase in percent (default 15)
 #   --filter      benchmarks the gate applies to (default: the paper
 #                 artifact suite, the reasoner ablations, the store's
-#                 bitset/dense-pattern suite, and the durability boot and
-#                 write paths — the noisier micro/scale benchmarks are
-#                 reported but not gated)
+#                 bitset/dense-pattern suite, the durability boot and
+#                 write paths, and the CONSTRUCT/SELECT result writers —
+#                 the noisier micro/scale benchmarks are reported but not
+#                 gated)
 #
 # Only the "benchmarks" array of each file is read (BENCH_*.json files may
 # carry extra hand-written arrays such as baseline_seed). Benchmarks
@@ -25,7 +26,7 @@
 set -euo pipefail
 
 tolerance=15
-filter='^Benchmark(Listing|Table1|Figure|Reasoner|Bitset|StoreMatch|MaterializeSolutions|MaterializeDelta|ExplainWarm|PlanCache|SnapshotLoad|TurtleBoot|WALAppend|SnapshotPin|ReadUnderWrite)'
+filter='^Benchmark(Listing|Table1|Figure|Reasoner|Bitset|StoreMatch|MaterializeSolutions|MaterializeDelta|ExplainWarm|PlanCache|SnapshotLoad|TurtleBoot|WALAppend|SnapshotPin|ReadUnderWrite|ConstructTurtle|StreamWriters)'
 
 args=()
 while [ $# -gt 0 ]; do
@@ -34,7 +35,7 @@ while [ $# -gt 0 ]; do
         --tolerance=*) tolerance="${1#*=}"; shift ;;
         --filter) filter="$2"; shift 2 ;;
         --filter=*) filter="${1#*=}"; shift ;;
-        -h|--help) sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
         *) args+=("$1"); shift ;;
     esac
 done
