@@ -14,8 +14,9 @@ import (
 // serverMetrics instruments the serve tier: per-endpoint latency
 // histograms and response counters, SPARQL truncation counters, and
 // scrape-time gauges over the session (plan-cache hit/miss counts,
-// snapshot age, graph size, reasoner inference counters). Everything is
-// served from one registry on GET /metrics in the Prometheus text format.
+// snapshot age, graph size, reasoner inference counters, failed
+// compactions). Everything is served from one registry on GET /metrics in
+// the Prometheus text format.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -60,6 +61,10 @@ func newServerMetrics(sess *feo.Session) *serverMetrics {
 		"Triples inferred by the most recent materialization run (the reasoner delta).", func() float64 {
 			_, lastRun := sess.ReasonerInferred()
 			return float64(lastRun)
+		})
+	m.reg.GaugeFunc("feo_compaction_failures_total",
+		"Durability compactions that failed (the WAL chain kept every commit).", func() float64 {
+			return float64(sess.CompactionFailures())
 		})
 	return m
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -288,5 +290,34 @@ func TestNewSessionDatasets(t *testing.T) {
 	}
 	if _, err := newSession("bogus"); err == nil {
 		t.Error("bogus dataset should error")
+	}
+}
+
+// TestExplainSurvivesFailedCompaction: an /explain whose commit triggers
+// a compaction that fails answers 200 — the explanation is durably
+// logged — and /metrics counts the failed compaction.
+func TestExplainSurvivesFailedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	sess, err := feo.Open(feo.Options{DataDir: dir, CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	// A directory squatting on the snapshot temp file's name fails the
+	// compaction's write, even for root.
+	if err := os.Mkdir(filepath.Join(dir, "snapshot.bin.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mux := newAPIServer(sess, 30*time.Second, 0, 0).mux()
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/explain",
+		strings.NewReader(`{"type": "contextual", "primary": "feo:CauliflowerPotatoCurry"}`)))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("explain status = %d body=%s", rr.Code, rr.Body.String())
+	}
+	rr = httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rr.Body.String(), "\nfeo_compaction_failures_total 1\n") {
+		t.Errorf("/metrics does not count the failed compaction:\n%s", rr.Body.String())
 	}
 }

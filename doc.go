@@ -75,14 +75,17 @@
 // kills (feo/crash_test.go, internal/durable/durable_test.go). Turn it
 // on with feo.Options{DataDir: ...} or `feo -datadir` (sync policy
 // selectable: always/interval/never); `feo compact` rewrites the
-// snapshot and truncates the log, and `feo serve` drains in-flight
+// snapshot and starts a fresh log, and `feo serve` drains in-flight
 // requests and flushes the WAL on SIGINT/SIGTERM. The gated
 // SnapshotLoad/TurtleBoot benchmark pair keeps snapshot boot measurably
 // faster than re-parsing Turtle and re-running the reasoner. Commits
 // append to the log before the new version is published, so a pinned
-// reader can never observe state that is not durably logged, and
-// feo.Session.Compact serializes its snapshot from a pinned immutable
-// view — the fsync-heavy step blocks neither readers nor writers.
+// reader can never observe state that is not durably logged. Every
+// compaction — forced or size-triggered — rotates the log under the
+// writer lock and then serializes its snapshot from the pinned immutable
+// view with the lock released: the fsync-heavy step blocks neither
+// readers nor other writers, and recovery replays the chain of logs
+// written since the last installed snapshot.
 //
 // # The serve tier
 //

@@ -462,6 +462,92 @@ INSERT DATA {
 		}
 	})
 
+	// A WAL chain: two failed compactions (a directory squats on the
+	// snapshot temp file's name) leave snapshot 1 with wal-1, wal-2 and
+	// wal-3, two commits in each of the first two and one in the third.
+	chainDir := copyDataDir(t, base)
+	chain := openReplayed(t, chainDir)
+	chainStates := []*Graph{chain.Graph().Clone()}
+	var sizeBefore []int64 // each commit's WAL size before it
+	for i := 0; i < 5; i++ {
+		if i == 2 || i == 4 {
+			tmp := filepath.Join(chainDir, "snapshot.bin.tmp")
+			if err := os.Mkdir(tmp, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := chain.Compact(); err == nil {
+				t.Fatal("compaction over a squatted temp file succeeded")
+			}
+			os.Remove(tmp)
+		}
+		wals, _ := filepath.Glob(filepath.Join(chainDir, "wal-*.log"))
+		fi, err := os.Stat(wals[len(wals)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizeBefore = append(sizeBefore, fi.Size())
+		if _, err := chain.Update(fmt.Sprintf("INSERT DATA { <http://e/chain%d> <http://e/p> <http://e/o> . }", i)); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		chainStates = append(chainStates, chain.Graph().Clone())
+	}
+	if got := chain.CompactionFailures(); got != 2 {
+		t.Fatalf("CompactionFailures = %d, want 2", got)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(dir string) error
+		want   int      // acknowledged state recovered
+		wals   []string // WALs left after recovery
+	}{
+		{"chain intact", func(string) error { return nil }, 5,
+			[]string{"wal-1.log", "wal-2.log", "wal-3.log"}},
+		{"chain gap", func(dir string) error {
+			return os.Remove(filepath.Join(dir, "wal-2.log"))
+		}, 2, []string{"wal-1.log"}},
+		{"chain base-version mismatch", func(dir string) error {
+			// Drop wal-1's last record whole: wal-1 stays intact, but
+			// wal-2 no longer builds on the version it reaches.
+			return os.Truncate(filepath.Join(dir, "wal-1.log"), sizeBefore[1])
+		}, 1, []string{"wal-1.log"}},
+		{"chain torn older WAL", func(dir string) error {
+			return os.Truncate(filepath.Join(dir, "wal-1.log"), sizeBefore[1]+7)
+		}, 1, []string{"wal-1.log"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := copyDataDir(t, chainDir)
+			if err := tc.damage(dir); err != nil {
+				t.Fatal(err)
+			}
+			s := openReplayed(t, dir)
+			defer s.Close()
+			if m := matchPrefix(s.Graph(), chainStates); m != tc.want {
+				t.Fatalf("recovered acknowledged state %d, want %d", m, tc.want)
+			}
+			wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+			for i := range wals {
+				wals[i] = filepath.Base(wals[i])
+			}
+			if !reflect.DeepEqual(wals, tc.wals) {
+				t.Fatalf("WALs after recovery: %v, want %v", wals, tc.wals)
+			}
+			// The recovered session commits onto the chain's end, and a
+			// compaction folds the chain into one snapshot.
+			if _, err := s.Update("INSERT DATA { <http://e/chain/after> <http://e/p> <http://e/o> . }"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			after := openReplayed(t, copyDataDir(t, dir))
+			defer after.Close()
+			if !after.Graph().Equal(s.Graph()) {
+				t.Fatal("state lost across the compaction of a recovered chain")
+			}
+		})
+	}
+	chain.Close()
+
 	t.Run("auto compaction", func(t *testing.T) {
 		dir := copyDataDir(t, base)
 		s, err := Open(Options{DataDir: dir, CompactBytes: 1}) // compact after every commit
@@ -481,4 +567,52 @@ INSERT DATA {
 			t.Fatal("state lost across auto-compactions")
 		}
 	})
+}
+
+// TestAutoCompactionFailureKeepsCommit: a size-triggered compaction that
+// fails does not fail the commit that triggered it. That commit is
+// already logged; it is acknowledged, counted in CompactionFailures, and
+// recovered from the WAL chain. The next trigger compacts.
+func TestAutoCompactionFailureKeepsCommit(t *testing.T) {
+	dir := copyDataDir(t, seedBaseDir(t))
+	s, err := Open(Options{DataDir: dir, CompactBytes: 1}) // compact after every commit
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A directory squatting on the temp file's name fails the snapshot
+	// write, even for root.
+	tmp := filepath.Join(dir, "snapshot.bin.tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Explain(Question{Type: Contextual, Primary: FEO("Sushi"), User: FEO("User1")}); err != nil {
+		t.Fatalf("explain whose compaction failed: %v", err)
+	}
+	if got := s.CompactionFailures(); got != 1 {
+		t.Fatalf("CompactionFailures = %d, want 1", got)
+	}
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	crashed := openReplayed(t, copyDataDir(t, dir))
+	if !crashed.Graph().Equal(s.Graph()) {
+		t.Fatal("the acknowledged explanation was not recovered")
+	}
+	crashed.Close()
+
+	if _, err := s.Update("INSERT DATA { <http://e/retry> <http://e/p> <http://e/o> . }"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CompactionFailures(); got != 1 {
+		t.Fatalf("CompactionFailures after the retry = %d, want 1", got)
+	}
+	after := openReplayed(t, copyDataDir(t, dir))
+	defer after.Close()
+	if !after.Graph().Equal(s.Graph()) {
+		t.Fatal("state lost across the retried compaction")
+	}
+	if wal := filepath.Base(walPath(t, dir)); wal != "wal-3.log" {
+		t.Fatalf("live WAL after the retry is %s, want wal-3.log", wal)
+	}
 }

@@ -169,9 +169,10 @@ type Options struct {
 	// SyncEvery is the background fsync period under SyncInterval
 	// (default 100ms).
 	SyncEvery time.Duration
-	// CompactBytes triggers automatic log compaction (snapshot + log
-	// rotation) once the WAL exceeds this size. Zero means 64 MiB;
-	// negative disables automatic compaction (Compact still works).
+	// CompactBytes triggers automatic log compaction once the WAL reaches
+	// this size, run by the commit that reached it (see Compact); a failed
+	// compaction fails no commit. Zero means 64 MiB; negative disables
+	// automatic compaction (Compact still works).
 	CompactBytes int64
 }
 
@@ -220,8 +221,12 @@ const (
 // their own serialization.
 type Session struct {
 	// mu serializes writers end to end: transaction, re-materialization,
-	// WAL append, publish, auto-compaction. Readers never take it.
+	// WAL append, a compaction's pin. Readers never take it.
 	mu sync.Mutex
+	// compacting admits one compaction, pin to snapshot install: the size
+	// trigger skips it (TryLock under mu), Compact and Close wait before mu.
+	compacting         sync.Mutex
+	compactionFailures atomic.Uint64
 	// live guards the mutate-and-materialize step of a commit against the
 	// few reads of live (unpublished, unversioned) state: ExplainTriple's
 	// reasoner proofs. Writers hold it only while mutating — never across
@@ -389,6 +394,9 @@ func (s *Session) Recipes() []Term { return s.Snapshot().Recipes() }
 //     copies per freeze — while isolation is untouched, because pins
 //     only ever see published states and the WAL append above still
 //     precedes every publish.
+//  4. If the WAL reached Options.CompactBytes and no compaction is
+//     running, pin one (beginCompact). Its snapshot write runs after the
+//     writer lock is released, before commitWrite returns.
 //
 // The commit is logged and committed even when op failed: a parser can
 // die after half its triples landed, and those mutations are part of the
@@ -398,6 +406,14 @@ func (s *Session) Recipes() []Term { return s.Snapshot().Recipes() }
 // and is returned so the caller never acknowledges an unlogged mutation
 // (the state is still committed — it is real, merely not durable).
 func (s *Session) commitWrite(op func(tx *store.Txn) error) error {
+	var c *durable.Compaction
+	defer func() {
+		// After mu is released. The commit is logged: a failed compaction
+		// is counted, not reported, and the next trigger retries.
+		if c != nil {
+			s.finishCompact(c)
+		}
+	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mark := 0
@@ -442,79 +458,74 @@ func (s *Session) commitWrite(op func(tx *store.Txn) error) error {
 		}
 		return logErr
 	}
-	if s.durable != nil && s.compactBytes > 0 && s.durable.WALSize() >= s.compactBytes {
-		if err := s.compactLocked(); err != nil && opErr == nil {
-			return err
-		}
+	if s.durable != nil && s.compactBytes > 0 && s.durable.WALSize() >= s.compactBytes &&
+		s.compacting.TryLock() {
+		c, _ = s.beginCompact() // a failure is counted
 	}
 	return opErr
 }
 
-// compactLocked writes a fresh snapshot and rotates the WAL, entirely
-// under the writer lock (held by the caller). The serialization blocks
-// writers for its duration but — unlike the pre-MVCC design — no reader:
-// snapshot readers run against their pinned frozen views throughout.
-func (s *Session) compactLocked() error {
-	if err := s.durable.Compact(s.graph, s.reasoner.ClosureState()); err != nil {
-		return err
+// beginCompact pins a compaction under mu, compacting held: publish, rotate
+// the WAL at the published state, and trim the journal the old WAL holds.
+// On failure it counts the failure and frees compacting.
+func (s *Session) beginCompact() (*durable.Compaction, error) {
+	snap := s.graph.Publish()
+	s.dirty.Store(false)
+	c, err := s.durable.BeginCompact(snap.Graph(), s.reasoner.ClosureState())
+	if err != nil {
+		s.compactionFailures.Add(1)
+		s.compacting.Unlock()
+		return nil, err
 	}
 	s.reasoner.TrimJournal()
-	return nil
+	return c, nil
+}
+
+// finishCompact writes the pinned snapshot after mu is released and
+// frees compacting.
+func (s *Session) finishCompact(c *durable.Compaction) error {
+	defer s.compacting.Unlock()
+	err := c.Finish()
+	if err != nil {
+		s.compactionFailures.Add(1)
+	}
+	return err
 }
 
 // Compact forces a durability compaction now: the current graph and
 // closure state become the on-disk snapshot, and the write-ahead log
-// restarts empty. No-op for non-durable sessions.
-//
-// The heavy work — serializing and fsyncing the snapshot file — runs from
-// a pinned in-memory snapshot with the writer lock RELEASED, so commits
-// proceed concurrently. If a commit lands while the file is being
-// written, the pinned bytes no longer describe the latest acknowledged
-// state (its WAL records would be lost with the rotation), so the pending
-// file is discarded and Compact falls back to one compaction under the
-// writer lock — guaranteed progress under any write load.
+// restarts empty. No-op for non-durable sessions. Like the size trigger it
+// rotates the log under the writer lock and writes the snapshot after
+// releasing it, so commits go on into the new log; it waits for a
+// compaction already running.
 func (s *Session) Compact() error {
-	s.mu.Lock()
 	if s.durable == nil {
-		s.mu.Unlock()
 		return nil
 	}
-	// Pin a consistent (graph, closure) pair: the writer lock is held, so
-	// no commit can interleave between the publish and the closure export.
-	snap := s.graph.Publish()
-	s.dirty.Store(false)
-	closure := s.reasoner.ClosureState()
-	ver := s.graph.Version()
-	pc, err := s.durable.BeginCompact()
+	s.compacting.Lock()
+	s.mu.Lock()
+	c, err := s.beginCompact()
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := pc.WriteSnapshot(snap.Graph(), closure); err != nil {
-		pc.Abort()
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.graph.Version() != ver {
-		pc.Abort()
-		return s.compactLocked()
-	}
-	if err := pc.Install(ver); err != nil {
-		return err
-	}
-	s.reasoner.TrimJournal()
-	return nil
+	return s.finishCompact(c)
 }
+
+// CompactionFailures counts the compactions that failed since Open. A
+// failed compaction loses nothing: the WAL chain holds every commit.
+func (s *Session) CompactionFailures() uint64 { return s.compactionFailures.Load() }
 
 // Close flushes and closes the durability store (if any). Mutating calls
 // after Close fail their commit append; read-only calls keep working.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.durable == nil {
 		return nil
 	}
+	s.compacting.Lock() // let a compaction in flight finish
+	defer s.compacting.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.durable.Close()
 }
 

@@ -6,17 +6,27 @@
 //
 // # Data directory layout
 //
-// A data directory holds at most two live files:
+// A data directory holds a snapshot plus a WAL chain:
 //
 //	snapshot.bin   the graph + closure state as of generation G
-//	wal-G.log      every commit applied since that snapshot
+//	wal-G.log …    the commits since, one more WAL per compaction begun
+//	               and not yet installed
 //
-// The generation number G ties the pair together. Compaction writes the
-// next snapshot (generation G+1) via temp file + fsync + atomic rename +
-// directory fsync, creates wal-(G+1).log, and only then deletes the old
-// log; a crash anywhere in that sequence leaves either the old pair or the
-// new pair recoverable, and Open deletes any WAL whose generation does not
-// match the surviving snapshot (its records are already folded in).
+// Each WAL's header names its generation and its base version, the graph
+// version its first record builds on. Recovery replays wal-G, wal-(G+1),
+// … while each header names its own generation and a base version equal
+// to the version recovered so far, stops at the first defect (a missing
+// or foreign WAL, a torn frame), and deletes every WAL outside the chain.
+//
+// A compaction rotates at the pin and writes off the lock. BeginCompact,
+// under the caller's writer lock, fsyncs WAL N, creates wal-(N+1).log
+// based on the pinned version and switches appends to it (failpoint
+// "rotated"). Finish, with no lock held, writes snapshot N+1 to
+// snapshot.bin.tmp and fsyncs it ("synced"), renames it over snapshot.bin
+// ("renamed"), fsyncs the directory ("dir-synced") and deletes the WALs
+// older than N+1. Commits acknowledged meanwhile are in wal-(N+1), which
+// both snapshots' chains reach, so a crash anywhere recovers them; a
+// failed write leaves a longer chain for the next compaction to fold.
 //
 // # Record framing
 //
@@ -24,8 +34,8 @@
 //
 //	[uint32 LE payload length][uint32 LE CRC-32C of payload][payload]
 //
-// Frame 0 is a header naming the generation and the graph version the
-// snapshot captured; every later frame is one Record: the flags byte
+// Frame 0 is a header naming the generation and the base version; every
+// later frame is one Record: the flags byte
 // (Clear, prefix table present), the ordered add/remove mutation stream of
 // one commit (asserted AND inferred triples, exactly as the store applied
 // them), the graph version the commit reached, the reasoner's cumulative
@@ -62,7 +72,9 @@
 // applied; everything at and after it is discarded. This is the standard
 // WAL bargain: a torn tail is indistinguishable from a crash mid-write of
 // the first bad record, so the log recovers the longest prefix of commits
-// whose frames are intact. A failed append additionally poisons the Store
-// (further appends error out) so no later record can hide behind a torn
-// middle.
+// whose frames are intact. In a chain, a torn WAL ends the chain: every
+// later WAL is discarded with the torn tail. A failed append additionally
+// poisons the Store (further appends error out) so no later record can
+// hide behind a torn middle; the Store stays poisoned until a snapshot
+// that covers the poisoned WAL is installed.
 package durable

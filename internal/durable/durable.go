@@ -65,10 +65,10 @@ type Record struct {
 
 // Boot is what Open recovered from the data directory.
 type Boot struct {
-	// Graph is the recovered graph: the snapshot with every intact WAL
-	// record replayed onto it. Nil when the directory holds no snapshot
-	// yet (a fresh directory) — the caller must build its initial state
-	// and seed the store with Compact before appending.
+	// Graph is the recovered graph: the snapshot with every intact record
+	// of its WAL chain replayed onto it. Nil when the directory holds no
+	// snapshot yet (a fresh directory) — the caller must build its initial
+	// state and seed the store with Compact before appending.
 	Graph *store.Graph
 	// Closure is the reasoner closure state matching Graph, its IDs in
 	// Graph's dictionary.
@@ -92,36 +92,46 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// walFile is the handle the Store writes records through. It is a seam:
-// the crash-fault-injection tests swap newWALFile for a failpoint
-// implementation that dies mid-write at a chosen byte offset.
+// walFile is the handle the Store writes WAL records and snapshot bytes
+// through. It is a seam: the crash-fault-injection tests swap newFile for
+// a failpoint implementation that dies mid-write at a chosen byte offset
+// or parks on command.
 type walFile interface {
 	io.Writer
 	Sync() error
 	Close() error
 }
 
-// newWALFile opens WAL files; a package variable so tests can inject
-// write/sync faults.
-var newWALFile = func(path string, flag int) (walFile, error) {
+// newFile opens the WAL and snapshot temp files; a package variable so
+// tests can inject write/sync faults into either.
+var newFile = func(path string, flag int) (walFile, error) {
 	return os.OpenFile(path, flag, 0o644)
 }
 
+// failpoint runs after each compaction step ("rotated", "synced",
+// "renamed", "dir-synced"); a non-nil error abandons the compaction there.
+// Tests use it to crash or fail a compaction at each step.
+var failpoint = func(step string) error { return nil }
+
 // Store is an open data directory: the WAL append handle plus the
-// bookkeeping Compact needs. Append/Compact/Sync/Close are safe for
-// concurrent use, but the caller must serialize Append against the graph
-// mutations it records (feo.Session's write lock does).
+// bookkeeping compaction needs. Append/BeginCompact/Sync/Close are safe
+// for concurrent use, but the caller must serialize Append and
+// BeginCompact against the graph mutations they record (feo.Session's
+// write lock does) and admit one compaction at a time.
 type Store struct {
 	dir  string
 	opts Options
 
-	mu     sync.Mutex
-	gen    uint64
-	wal    walFile
-	path   string
-	size   int64
-	dirty  bool // bytes written since the last fsync
-	broken error
+	mu      sync.Mutex
+	snapGen uint64 // generation of snapshot.bin; 0 = none yet
+	walGen  uint64 // generation of the WAL appends go to
+	wal     walFile
+	size    int64
+	dirty   bool // bytes written since the last fsync
+	broken  error
+	// brokenGen is the WAL generation a failed append or sync poisoned;
+	// installing a snapshot of a later generation covers it.
+	brokenGen uint64
 
 	stop     chan struct{}
 	syncDone chan struct{}
@@ -129,11 +139,11 @@ type Store struct {
 
 func walName(gen uint64) string { return fmt.Sprintf("wal-%d.log", gen) }
 
-// Open recovers the data directory: load the snapshot, replay the matching
-// WAL (truncating a torn tail), delete stale files from interrupted
-// compactions, and return both the recovered state and a Store ready for
-// appends. A directory with no snapshot returns Boot.Graph == nil; seed it
-// with Compact before the first Append.
+// Open recovers the data directory: load the snapshot, replay its WAL
+// chain (truncating a torn tail), delete every WAL outside the chain, and
+// return both the recovered state and a Store ready for appends. A
+// directory with no snapshot returns Boot.Graph == nil; seed it with
+// Compact before the first Append.
 func Open(dir string, opts Options) (*Store, *Boot, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = defaultSyncEvery
@@ -143,123 +153,116 @@ func Open(dir string, opts Options) (*Store, *Boot, error) {
 	}
 	st := &Store{dir: dir, opts: opts}
 	boot := &Boot{}
-	// Leftovers from an interrupted compaction (classic or two-phase) are
-	// never part of recovered state; drop them so they cannot be confused
-	// for one.
+	// A temp file from an interrupted compaction is never recovered state.
 	os.Remove(filepath.Join(dir, snapshotName+".tmp"))
-	os.Remove(filepath.Join(dir, snapshotName+".pending"))
 
 	gen, g, closure, err := readSnapshotFile(filepath.Join(dir, snapshotName))
 	if err != nil {
 		return nil, nil, err
 	}
-	st.gen = gen
+	st.snapGen = gen
 	boot.Generation = gen
 	boot.Graph = g
 	boot.Closure = closure
 
-	// Delete WALs from other generations: either stale files an
-	// interrupted compaction left behind (their records are folded into
-	// the surviving snapshot) or orphans in a directory whose snapshot
-	// never got written (no acknowledged state can exist without one).
-	stale, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	live := filepath.Join(dir, walName(gen))
-	for _, p := range stale {
-		if g == nil || p != live {
-			if err := os.Remove(p); err != nil {
-				return nil, nil, err
-			}
+	if g != nil {
+		if err := st.recoverChain(g, boot); err != nil {
+			return nil, nil, err
 		}
 	}
-	if g == nil {
-		st.startSyncer()
-		return st, boot, nil
+	// Delete WALs outside the chain: files an interrupted compaction or a
+	// broken chain left behind, or orphans in a directory whose snapshot
+	// never got written (no acknowledged state can exist without one).
+	wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	removed := false
+	for _, p := range wals {
+		var k uint64
+		_, err := fmt.Sscanf(filepath.Base(p), "wal-%d.log", &k)
+		if g != nil && err == nil && p == filepath.Join(dir, walName(k)) && k >= st.snapGen && k <= st.walGen {
+			continue
+		}
+		if err := os.Remove(p); err != nil {
+			return nil, nil, err
+		}
+		removed = true
 	}
-
-	if err := st.recoverWAL(live, g, boot); err != nil {
-		return nil, nil, err
+	if removed {
+		// A later chain must not see a discarded WAL come back.
+		if err := syncDir(dir); err != nil {
+			return nil, nil, err
+		}
 	}
 	st.startSyncer()
 	return st, boot, nil
 }
 
-// recoverWAL replays the live WAL onto g, truncates a torn tail, and opens
-// the append handle. A missing or header-corrupt WAL is reinitialized
-// empty (prefix-0 recovery: the snapshot alone is the recovered state).
-func (st *Store) recoverWAL(path string, g *store.Graph, boot *Boot) error {
-	data, err := os.ReadFile(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		data = nil
-	case err != nil:
-		return err
-	}
-
-	valid := int64(0)
-	if len(data) >= len(walMagic) && string(data[:len(walMagic)]) == walMagic {
-		if hdrEnd, ok := st.checkHeader(data); ok {
-			valid = hdrEnd
-			off := hdrEnd
-			for {
-				payload, next, ok := readFrame(data, off)
-				if !ok {
-					break
-				}
-				rec, err := parseRecord(payload)
-				if err != nil {
-					break
-				}
-				applyRecord(g, &boot.Closure, rec)
-				boot.Records++
-				valid, off = next, next
-			}
-			if valid < int64(len(data)) {
-				boot.Truncated = true
-			}
-		}
-	} else if len(data) > 0 {
-		boot.Truncated = true
-	}
-
-	if valid == 0 {
-		// No intact header: reinitialize the WAL for this generation.
-		if len(data) > 0 {
-			boot.Truncated = true
-		}
-		wal, size, err := createWAL(path, st.gen, g.Version())
-		if err != nil {
+// recoverChain replays the snapshot's WAL chain onto g: wal-G, then
+// wal-(G+1), and so on, while each WAL's header names its own generation
+// and the version recovered so far as its base. It stops at the first
+// defect — a missing or foreign WAL, or a torn frame, which is truncated
+// — and opens the chain's last WAL for appends. A chain with no intact
+// first WAL is reinitialized empty (prefix-0 recovery: the snapshot alone
+// is the recovered state).
+func (st *Store) recoverChain(g *store.Graph, boot *Boot) error {
+	for k := st.snapGen; ; k++ {
+		data, err := os.ReadFile(filepath.Join(st.dir, walName(k)))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
-		st.wal, st.path, st.size = wal, path, size
-		return nil
-	}
-	if valid < int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return err
+		valid := replayWAL(data, k, g, boot)
+		if valid == 0 && k > st.snapGen {
+			break
+		}
+		st.walGen, st.size = k, valid
+		if valid < int64(len(data)) || valid == 0 {
+			boot.Truncated = boot.Truncated || len(data) > 0
+			break
 		}
 	}
-	wal, err := newWALFile(path, os.O_WRONLY|os.O_APPEND)
-	if err != nil {
+	path := filepath.Join(st.dir, walName(st.walGen))
+	if st.size == 0 {
+		wal, size, err := createWAL(path, st.walGen, g.Version())
+		st.wal, st.size = wal, size
 		return err
 	}
-	st.wal, st.path, st.size = wal, path, valid
-	return nil
+	if err := os.Truncate(path, st.size); err != nil { // drop a torn tail
+		return err
+	}
+	wal, err := newFile(path, os.O_WRONLY|os.O_APPEND)
+	st.wal = wal
+	return err
 }
 
-// checkHeader validates the WAL's header frame (frame 0) and returns the
-// offset where record frames begin.
-func (st *Store) checkHeader(data []byte) (int64, bool) {
-	payload, next, ok := readFrame(data, int64(len(walMagic)))
+// replayWAL applies the intact record prefix of one chain WAL onto g and
+// returns the offset just past it, or 0 when the WAL does not continue
+// the chain: missing, or a header that does not name generation gen with
+// g's current version as its base.
+func replayWAL(data []byte, gen uint64, g *store.Graph, boot *Boot) int64 {
+	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
+		return 0
+	}
+	payload, off, ok := readFrame(data, int64(len(walMagic)))
 	if !ok {
-		return 0, false
+		return 0
 	}
 	d := &decoder{buf: payload}
-	gen := d.uvarint()
-	d.uvarint() // base version, informational
-	if d.err != nil || len(d.buf) != 0 || gen != st.gen {
-		return 0, false
+	hdrGen, base := d.uvarint(), d.uvarint()
+	if d.err != nil || len(d.buf) != 0 || hdrGen != gen || base != g.Version() {
+		return 0
 	}
-	return next, true
+	for {
+		payload, next, ok := readFrame(data, off)
+		if !ok {
+			return off
+		}
+		rec, err := parseRecord(payload)
+		if err != nil {
+			return off
+		}
+		applyRecord(g, &boot.Closure, rec)
+		boot.Records++
+		off = next
+	}
 }
 
 // readFrame parses the frame at off: payload, offset past the frame, and
@@ -341,8 +344,9 @@ func applyRecord(g *store.Graph, closure *reasoner.ClosureState, rec Record) {
 	}
 }
 
-// createWAL writes a fresh WAL (magic + header frame) and returns the open
-// append handle and its size.
+// createWAL writes a fresh WAL (magic + header frame naming gen and the
+// graph version its first record builds on) and returns the open append
+// handle and its size. On error the file is removed.
 func createWAL(path string, gen, baseVersion uint64) (walFile, int64, error) {
 	e := &encoder{buf: []byte(walMagic)}
 	hdr := &encoder{}
@@ -350,16 +354,18 @@ func createWAL(path string, gen, baseVersion uint64) (walFile, int64, error) {
 	hdr.uvarint(baseVersion)
 	e.buf = appendFrame(e.buf, hdr.buf)
 
-	f, err := newWALFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
+	f, err := newFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return nil, 0, err
 	}
 	if _, err := f.Write(e.buf); err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, 0, err
 	}
 	return f, int64(len(e.buf)), nil
@@ -368,8 +374,9 @@ func createWAL(path string, gen, baseVersion uint64) (walFile, int64, error) {
 // Append frames rec, writes it to the WAL, and applies the sync policy.
 // On a write error the Store is poisoned: the log may end in a torn frame,
 // so accepting further appends could strand acknowledged records behind an
-// unreadable middle; every later Append fails until a Compact rewrites the
-// log. The caller must not acknowledge the commit when Append errors.
+// unreadable middle; every later Append fails until a snapshot that covers
+// the poisoned WAL is installed. The caller must not acknowledge the
+// commit when Append errors.
 //
 //feo:wal-append
 func (st *Store) Append(rec Record) error {
@@ -378,24 +385,30 @@ func (st *Store) Append(rec Record) error {
 	if st.broken != nil {
 		return st.broken
 	}
-	if st.wal == nil {
+	if st.snapGen == 0 {
 		return errors.New("durable: store has no snapshot yet (seed with Compact)")
 	}
 	frame := appendFrame(nil, appendRecord(nil, rec))
 	if _, err := st.wal.Write(frame); err != nil {
-		st.broken = fmt.Errorf("durable: WAL append failed (store poisoned until compaction): %w", err)
-		return st.broken
+		return st.poison("WAL append failed", err)
 	}
 	st.size += int64(len(frame))
 	if st.opts.Sync == SyncAlways {
 		if err := st.wal.Sync(); err != nil {
-			st.broken = fmt.Errorf("durable: WAL sync failed (store poisoned until compaction): %w", err)
-			return st.broken
+			return st.poison("WAL sync failed", err)
 		}
 	} else {
 		st.dirty = true
 	}
 	return nil
+}
+
+// poison marks the live WAL unusable after a failed write or sync and
+// returns the error every later Append reports. st.mu held.
+func (st *Store) poison(what string, err error) error {
+	st.broken = fmt.Errorf("durable: %s (store poisoned until compaction): %w", what, err)
+	st.brokenGen = st.walGen
+	return st.broken
 }
 
 // WALSize returns the current WAL length in bytes — the compaction
@@ -410,149 +423,117 @@ func (st *Store) WALSize() int64 {
 func (st *Store) Generation() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.gen
+	return st.snapGen
 }
 
-// Compact durably writes (g, closure) as the next-generation snapshot and
-// rotates the WAL: snapshot to a temp file, fsync, atomic rename over
-// snapshot.bin, directory fsync, fresh wal-(G+1).log, then delete the old
-// log. The caller must guarantee g and closure are quiescent and include
-// every record appended so far (feo.Session calls it under its write
-// lock). Compaction also repairs a poisoned Store: the new snapshot
-// captures the full in-memory state, so the torn log is obsolete.
+// Compaction is a compaction between its pin (BeginCompact) and its
+// snapshot write (Finish).
+type Compaction struct {
+	st      *Store
+	gen     uint64
+	g       *store.Graph
+	closure reasoner.ClosureState
+}
+
+// Compact durably writes (g, closure) as the next-generation snapshot:
+// BeginCompact and Finish back to back. For callers whose state is
+// already quiescent and includes every record appended so far — seeding
+// a fresh directory, tests. It also repairs a poisoned Store.
 func (st *Store) Compact(g *store.Graph, closure reasoner.ClosureState) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	newGen := st.gen + 1
-	if err := writeSnapshotFile(st.dir, newGen, g, closure); err != nil {
+	c, err := st.BeginCompact(g, closure)
+	if err != nil {
 		return err
 	}
-	// The new snapshot is durable; from here the old WAL is obsolete and
-	// any crash recovers from the new generation (Open deletes leftovers).
-	st.rotateWAL(newGen, g.Version())
-	return st.broken
+	return c.Finish()
 }
 
-// rotateWAL switches the store to a fresh WAL for newGen after its
-// snapshot has durably replaced snapshot.bin: close the old log, create
-// wal-newGen.log, fsync the directory, delete the old log. On success the
-// store is healthy (broken cleared — the new snapshot captures the full
-// state, so a previously torn log is obsolete); on failure it is
-// poisoned. st.mu held by the caller.
-func (st *Store) rotateWAL(newGen, baseVersion uint64) {
-	oldWAL := st.path
-	if st.wal != nil {
-		st.wal.Close()
-		st.wal = nil
-	}
-	path := filepath.Join(st.dir, walName(newGen))
-	wal, size, err := createWAL(path, newGen, baseVersion)
+// BeginCompact is a compaction's pin, cheap enough for the caller's writer
+// lock: fsync the live WAL N, create wal-(N+1).log based on g's version,
+// and switch appends to it. (g, closure) must include every record
+// appended so far and must not change afterwards (a frozen snapshot
+// view). The caller admits one compaction at a time.
+func (st *Store) BeginCompact(g *store.Graph, closure reasoner.ClosureState) (*Compaction, error) {
+	gen, err := st.rotate(g.Version())
 	if err != nil {
-		st.broken = fmt.Errorf("durable: WAL rotation failed (store poisoned): %w", err)
-		return
+		return nil, err
+	}
+	if err := failpoint("rotated"); err != nil {
+		return nil, err
+	}
+	return &Compaction{st: st, gen: gen, g: g, closure: closure}, nil
+}
+
+// rotate switches appends to a fresh WAL of the next generation whose
+// header names baseVersion, and returns that generation.
+func (st *Store) rotate(baseVersion uint64) (uint64, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.broken == errClosed {
+		return 0, errClosed
+	}
+	// The old WAL's records must be durable before appends move on (the
+	// syncer only syncs the live WAL). A poisoned WAL is skipped: the
+	// snapshot will cover it.
+	if st.broken == nil {
+		if err := st.syncLocked(); err != nil {
+			return 0, err
+		}
+	}
+	gen := st.walGen + 1
+	path := filepath.Join(st.dir, walName(gen))
+	wal, size, err := createWAL(path, gen, baseVersion)
+	if err != nil {
+		return 0, err
 	}
 	if err := syncDir(st.dir); err != nil {
 		wal.Close()
-		st.broken = fmt.Errorf("durable: WAL rotation failed (store poisoned): %w", err)
-		return
+		os.Remove(path)
+		return 0, err
 	}
-	if oldWAL != "" && oldWAL != path {
-		os.Remove(oldWAL) // best-effort; Open cleans up leftovers
+	if st.wal != nil {
+		st.wal.Close()
 	}
-	st.gen, st.wal, st.path, st.size = newGen, wal, path, size
-	st.dirty = false
-	st.broken = nil
+	st.walGen, st.wal, st.size, st.dirty = gen, wal, size, false
+	return gen, nil
 }
 
-// PendingCompact is a two-phase compaction in flight: BeginCompact
-// reserved the generation, WriteSnapshot durably wrote its bytes to a
-// side file, and Install/Abort decides whether that file becomes the
-// store's snapshot. The pending file is invisible to recovery — a crash
-// at any point before Install leaves the store exactly as it was.
-type PendingCompact struct {
-	st   *Store
-	gen  uint64
-	path string
-	done bool
-}
-
-// BeginCompact reserves the next snapshot generation for a two-phase
-// compaction. Cheap (one lock acquisition); the caller then serializes
-// the state with WriteSnapshot — typically off every lock, from an
-// immutable store.Snapshot view — and finishes with Install or Abort.
-func (st *Store) BeginCompact() (*PendingCompact, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.broken == errClosed {
-		return nil, errClosed
-	}
-	return &PendingCompact{
-		st:   st,
-		gen:  st.gen + 1,
-		path: filepath.Join(st.dir, snapshotName+".pending"),
-	}, nil
-}
-
-// WriteSnapshot serializes (g, closure) as the pending generation's
-// snapshot and fsyncs it to the side file. This is the heavy step —
-// encode plus fsync — and takes no Store lock: appends and even a
-// concurrent classic Compact proceed freely while it runs. The caller
-// must guarantee g and closure do not mutate during the call; a frozen
-// snapshot view satisfies that by construction.
-func (pc *PendingCompact) WriteSnapshot(g *store.Graph, closure reasoner.ClosureState) error {
-	data, err := encodeSnapshot(pc.gen, g, closure)
-	if err != nil {
+// Finish writes the pinned state as snapshot N+1 with no lock held (see
+// the package documentation), while appends flow into wal-(N+1). A failure
+// at any step leaves the WAL chain recoverable from the old snapshot.
+func (c *Compaction) Finish() error {
+	st := c.st
+	tmp := filepath.Join(st.dir, snapshotName+".tmp")
+	if err := writeSnapshot(tmp, c.gen, c.g, c.closure); err != nil {
 		return err
 	}
-	return writeFileSync(pc.path, data)
-}
-
-// Install atomically promotes the pending snapshot file to snapshot.bin
-// and rotates the WAL to the new generation at baseVersion. The caller
-// must guarantee — under whatever lock serializes its writers — that no
-// record has been appended since the state WriteSnapshot serialized
-// (otherwise those acknowledged records would be lost with the rotation;
-// verify the graph version and Abort instead). Install fails without
-// side effects if another compaction already took the generation.
-func (pc *PendingCompact) Install(baseVersion uint64) error {
-	st := pc.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if pc.done {
-		return errors.New("durable: Install on a finished compaction")
-	}
-	pc.done = true
-	if st.broken == errClosed {
-		os.Remove(pc.path)
-		return errClosed
-	}
-	if st.gen+1 != pc.gen {
-		os.Remove(pc.path)
-		return fmt.Errorf("durable: pending compaction superseded (generation %d is taken)", pc.gen)
-	}
-	if err := os.Rename(pc.path, filepath.Join(st.dir, snapshotName)); err != nil {
-		os.Remove(pc.path)
+	if err := failpoint("synced"); err != nil {
 		return err
 	}
+	if err := os.Rename(tmp, filepath.Join(st.dir, snapshotName)); err != nil {
+		return err // Open deletes the temp file
+	}
+	if err := failpoint("renamed"); err != nil {
+		return err
+	}
+	// Until the rename is durable, a crash may boot either snapshot; the
+	// old WALs stay until then so both recover.
 	if err := syncDir(st.dir); err != nil {
-		// The rename may or may not be durable; either way recovery is
-		// sound (the old WAL's records are folded into both generations),
-		// but this store's log state is now unknown — poison it.
-		st.broken = fmt.Errorf("durable: snapshot install failed (store poisoned): %w", err)
-		return st.broken
+		return err
 	}
-	st.rotateWAL(pc.gen, baseVersion)
-	return st.broken
-}
-
-// Abort discards the pending snapshot file. Safe to call at any point
-// after BeginCompact; idempotent.
-func (pc *PendingCompact) Abort() {
-	if pc.done {
-		return
+	if err := failpoint("dir-synced"); err != nil {
+		return err
 	}
-	pc.done = true
-	os.Remove(pc.path)
+	st.mu.Lock()
+	old := st.snapGen
+	st.snapGen = c.gen
+	if st.broken != nil && st.broken != errClosed && st.brokenGen < c.gen {
+		st.broken = nil
+	}
+	st.mu.Unlock()
+	for k := old; k < c.gen; k++ {
+		os.Remove(filepath.Join(st.dir, walName(k))) // best-effort; Open deletes WALs outside the chain
+	}
+	return nil
 }
 
 // Sync forces an fsync of the WAL now, regardless of policy.
@@ -573,8 +554,7 @@ func (st *Store) syncLocked() error {
 		return nil
 	}
 	if err := st.wal.Sync(); err != nil {
-		st.broken = fmt.Errorf("durable: WAL sync failed (store poisoned until compaction): %w", err)
-		return st.broken
+		return st.poison("WAL sync failed", err)
 	}
 	st.dirty = false
 	return nil
@@ -639,66 +619,45 @@ func (st *Store) startSyncer() {
 
 // ---- snapshot file ----
 
-// encodeSnapshot serializes generation gen of (g, closure) to the
-// snapshot file format: magic + payload + trailing CRC-32C over
-// everything before it.
-func encodeSnapshot(gen uint64, g *store.Graph, closure reasoner.ClosureState) ([]byte, error) {
-	var gbuf bytes.Buffer
-	if err := g.WriteSnapshot(&gbuf); err != nil {
-		return nil, err
-	}
-	e := &encoder{buf: []byte(snapMagic)}
-	e.uvarint(gen)
-	e.uvarint(uint64(gbuf.Len()))
-	e.buf = append(e.buf, gbuf.Bytes()...)
-	e.buf = appendClosure(e.buf, closure)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(e.buf, castagnoli))
-	return append(e.buf, sum[:]...), nil
-}
-
-// writeFileSync replaces path with data and fsyncs it; on error the file
-// is removed.
+// writeSnapshot writes generation gen of (g, closure) to path in the
+// snapshot file format — magic, generation, graph section length, graph
+// section, closure section, and a trailing CRC-32C over everything before
+// it — and fsyncs it. The sections are written as encoded, never
+// concatenated in memory. On error the file is removed.
 //
 //feo:wal-sync
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+func writeSnapshot(path string, gen uint64, g *store.Graph, closure reasoner.ClosureState) error {
+	var graph bytes.Buffer
+	if err := g.WriteSnapshot(&graph); err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return err
-	}
-	return nil
-}
+	hdr := &encoder{buf: []byte(snapMagic)}
+	hdr.uvarint(gen)
+	hdr.uvarint(uint64(graph.Len()))
+	tail := appendClosure(nil, closure)
+	sum := crc32.Checksum(hdr.buf, castagnoli)
+	sum = crc32.Update(sum, castagnoli, graph.Bytes())
+	tail = binary.LittleEndian.AppendUint32(tail, crc32.Update(sum, castagnoli, tail))
 
-// writeSnapshotFile atomically replaces dir/snapshot.bin with generation
-// gen of (g, closure): temp file, fsync, rename, directory fsync.
-func writeSnapshotFile(dir string, gen uint64, g *store.Graph, closure reasoner.ClosureState) error {
-	data, err := encodeSnapshot(gen, g, closure)
+	f, err := newFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, snapshotName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
-		return err
+	for _, b := range [][]byte{hdr.buf, graph.Bytes(), tail} {
+		if _, err = f.Write(b); err != nil {
+			break
+		}
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotName)); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	return syncDir(dir)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
 // readSnapshotFile loads dir/snapshot.bin. A missing file returns a nil

@@ -41,7 +41,7 @@ const snapshotFormatVersion = 1
 
 // WriteSnapshot writes the graph in the binary snapshot format. Calling it
 // on a frozen snapshot view is safe concurrently with the live writer
-// (that is how Session.Compact serializes off the write lock): the view's
+// (that is how a compaction serializes off the write lock): the view's
 // COW storage is immutable and the dictionary is truncated to the
 // publish-time prefix, so the output is deterministic.
 //
