@@ -123,15 +123,22 @@ func (sr *statusRecorder) Flush() {
 }
 
 // instrument wraps a handler with latency and response-code accounting
-// (and keeps the snapshot-age tracker current on the request path).
+// (and keeps the snapshot-age tracker current on the request path). The
+// 200 series is resolved once here; other codes are looked up per
+// response.
 func (s *apiServer) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.metrics.duration(endpoint)
+	ok := s.metrics.requests(endpoint, http.StatusOK)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(sr, r)
 		hist.Observe(time.Since(start).Seconds())
-		s.metrics.requests(endpoint, sr.status).Inc()
+		if sr.status == http.StatusOK {
+			ok.Inc()
+		} else {
+			s.metrics.requests(endpoint, sr.status).Inc()
+		}
 		s.metrics.observeVersion(s.sess.Snapshot().Version())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"log"
 	"mime"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,9 +80,10 @@ var mediaTypeFormats = map[string]string{
 // negotiateFormat resolves the result format before evaluation: an
 // explicit ?format= wins (unknown values are a 400), otherwise the Accept
 // header is parsed with q-values (unsatisfiable is a 406), and no
-// preference at all defaults to the SPARQL results JSON format.
-func negotiateFormat(r *http.Request) (resultFormat, int, error) {
-	if name := r.URL.Query().Get("format"); name != "" {
+// preference at all defaults to the SPARQL results JSON format. params
+// is the request's parsed URL query.
+func negotiateFormat(r *http.Request, params url.Values) (resultFormat, int, error) {
+	if name := params.Get("format"); name != "" {
 		f, ok := formatNamed(name)
 		if !ok {
 			return resultFormat{}, http.StatusBadRequest, fmt.Errorf("unknown format %q (want json, xml, csv, or tsv)", name)
@@ -91,6 +93,12 @@ func negotiateFormat(r *http.Request) (resultFormat, int, error) {
 	accept := r.Header.Get("Accept")
 	if strings.TrimSpace(accept) == "" {
 		return resultFormats[0], 0, nil
+	}
+	if name, ok := mediaTypeFormats[accept]; ok {
+		// One known media type and nothing else: what the loop below
+		// would pick, without splitting and parsing the header.
+		f, _ := formatNamed(name)
+		return f, 0, nil
 	}
 	type choice struct {
 		name string
@@ -147,11 +155,12 @@ func negotiateFormat(r *http.Request) (resultFormat, int, error) {
 }
 
 // readQuery extracts the query string per the protocol's invocation
-// forms. A non-zero status means the request was rejected.
-func readQuery(r *http.Request) (string, int, error) {
+// forms. A non-zero status means the request was rejected. params is
+// the request's parsed URL query.
+func readQuery(r *http.Request, params url.Values) (string, int, error) {
 	switch r.Method {
 	case http.MethodGet:
-		q := r.URL.Query().Get("query")
+		q := params.Get("query")
 		if strings.TrimSpace(q) == "" {
 			return "", http.StatusBadRequest, errors.New("missing query parameter")
 		}
@@ -199,12 +208,13 @@ func (s *apiServer) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errMethodNotAllowed)
 		return
 	}
-	format, status, err := negotiateFormat(r)
+	params := r.URL.Query()
+	format, status, err := negotiateFormat(r, params)
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
-	query, status, err := readQuery(r)
+	query, status, err := readQuery(r, params)
 	if err != nil {
 		writeError(w, status, err)
 		return

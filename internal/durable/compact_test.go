@@ -297,7 +297,8 @@ func reopen(t *testing.T, dir string) (*Store, *Boot) {
 // previous on-disk protocol (one WAL per snapshot, a crashed two-phase
 // compaction's snapshot.bin.pending side file left behind) and checks it
 // recovers the acknowledged state: generation 2's snapshot plus the two
-// records of wal-2.log, never the uninstalled side file's state.
+// records of wal-2.log, never the uninstalled side file's state — and
+// that boot deletes the side file.
 func TestRecoveryParentDataDir(t *testing.T) {
 	dir := copyDir(t, filepath.Join("testdata", "parentdir"))
 	want := store.New()
@@ -310,6 +311,9 @@ func TestRecoveryParentDataDir(t *testing.T) {
 		want.ForceVersion(rec.EndVersion)
 	}
 	st, boot := reopen(t, dir)
+	if _, err := os.Stat(filepath.Join(dir, snapshotName+".pending")); !os.IsNotExist(err) {
+		t.Fatalf("the side file survived boot: stat err %v", err)
+	}
 	if boot.Generation != 2 || boot.Records != 2 || boot.Truncated {
 		t.Fatalf("boot: generation %d, %d records, truncated %v", boot.Generation, boot.Records, boot.Truncated)
 	}

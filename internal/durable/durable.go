@@ -153,8 +153,10 @@ func Open(dir string, opts Options) (*Store, *Boot, error) {
 	}
 	st := &Store{dir: dir, opts: opts}
 	boot := &Boot{}
-	// A temp file from an interrupted compaction is never recovered state.
+	// A temp file from an interrupted compaction is never recovered state,
+	// nor is the ".pending" side file of the older two-phase compaction.
 	os.Remove(filepath.Join(dir, snapshotName+".tmp"))
+	os.Remove(filepath.Join(dir, snapshotName+".pending"))
 
 	gen, g, closure, err := readSnapshotFile(filepath.Join(dir, snapshotName))
 	if err != nil {

@@ -64,11 +64,13 @@ type OrderCondition struct {
 }
 
 // TermOrVar is a triple-pattern position: either a concrete RDF term or a
-// variable name.
+// variable name. In a cached template a constant position may instead be
+// a parameter reference, resolved per execution (evalContext.constOf).
 type TermOrVar struct {
 	Term  rdf.Term
 	Var   string // non-empty means variable
 	IsVar bool
+	param int // 1 + the parameter index; 0 for a term or variable
 }
 
 // V returns a variable position.

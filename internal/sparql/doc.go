@@ -47,26 +47,46 @@
 // direction), and their functions carry //feo:idspace so feovet's
 // idspacedecode pass proves it.
 //
-// # Plan cache
+// # Parse and plan caches
+//
+// Run, RunStream and RunGraphStream cache parses by query shape, not by
+// text. One scan of the text (the lexer is a position cursor shared with
+// the parser) writes its fingerprint: the token stream with every lifted
+// constant replaced by a placeholder of its token kind, while the
+// constants themselves go into a parameter vector. Lifted are IRIREFs,
+// string literals (folded with their language tag or datatype) and
+// numeric and boolean literals. In a triple-pattern position of a plain
+// (path-free) pattern, and as expression constants, they become parameter
+// references in the cached template, read from the execution's vector.
+// Everything else stays in the key: prefixed names, the IRIs of PREFIX
+// and BASE, the numbers of LIMIT and OFFSET, and — as "pinned" parameters
+// whose values extend the key — constants in VALUES, property-path
+// endpoints and path IRIs, CONSTRUCT templates, DESCRIBE, signed numbers
+// and GROUP_CONCAT separators. A hit costs the scan alone: no parse tree,
+// no namespace map, no slot-table build. The cache holds at most 512
+// entries and is emptied on overflow; ShapeCacheStats counts hits and
+// misses.
 //
 // Compiling a basic graph pattern — estimating selectivities, picking the
 // greedy join order, encoding constant IDs, segmenting the ordered
-// patterns into fused bitmap-intersection runs — depends only on the
-// pattern list, the graph version, and which slots are certainly bound
-// at entry. planBGP therefore memoizes compiled plans in the store.Memo of
-// the graph value the query runs against, keyed by (BGP identity,
-// bound-slot set). A plan lives exactly as long as that graph version: a
-// pinned snapshot view keeps its plans hot while pinned, and the garbage
-// collector reclaims view and plans together once the last pin is dropped,
-// so a commit-per-request workload never accumulates superseded versions;
-// a live graph drops its plans at the first lookup after a mutation. Each
-// memo holds at most 4096 plans and is emptied on overflow.
-// PlanCacheStats exposes process-wide hit/miss counters and ResetPlanCache
-// gives benchmarks a cold start (it bumps the generation every memo is
-// tagged with). Run additionally
-// memoizes parses by source text, so a serve-time request stream of
-// repeated query strings reuses one immutable parse tree — the BGP
-// identity the plan cache keys on. DisableJoinReorder bypasses the cache
+// patterns into fused bitmap-intersection runs — depends on the pattern
+// list, its constants, the graph version, and which slots are certainly
+// bound at entry. planBGP memoizes compiled plans in the store.Memo of
+// the graph value the query runs against. A BGP whose constants are all
+// in the tree is keyed by (BGP identity, bound-slot set). A template's
+// BGP is estimated per execution — one LookupID per constant, one CountID
+// per pattern — and keyed by (BGP identity, bound-slot set, join order),
+// so every execution runs the order its own constants call for; a hit is
+// rebound to the execution's constant IDs, and an absent constant makes
+// only that execution's BGP empty. A plan lives exactly as long as its
+// graph version: a pinned snapshot view keeps its plans hot while pinned,
+// and the garbage collector reclaims view and plans together once the
+// last pin is dropped, so a commit-per-request workload never accumulates
+// superseded versions; a live graph drops its plans at the first lookup
+// after a mutation. Each memo holds at most 4096 plans and is emptied on
+// overflow. PlanCacheStats exposes process-wide hit/miss counters and
+// ResetPlanCache gives benchmarks a cold start (it bumps the generation
+// every memo is tagged with). DisableJoinReorder bypasses the plan cache
 // (knob-shaped plans are never stored).
 //
 // # Streaming results
@@ -163,6 +183,9 @@
 // nested-loop joins in written order, no reordering, no fusion, no
 // caching — must produce the same solution multiset as the production
 // engine on generated graphs and queries, with cold and warm plans,
-// across interleaved mutations. FuzzParseQuery additionally holds the
-// parser and the renderer ((*Query).String) to a round-trip fixed point.
+// across interleaved mutations; shape_test.go holds cached templates to
+// fresh parses and to the same evaluator. FuzzParseQuery additionally
+// holds the parser and the renderer ((*Query).String) to a round-trip
+// fixed point, and a template filed by other constants to the input's
+// own render.
 package sparql

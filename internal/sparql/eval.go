@@ -38,7 +38,28 @@ type Result struct {
 // that decodes each projected row into its public Solution map — the one
 // map allocation per result row.
 func Execute(g *store.Graph, q *Query) (*Result, error) {
-	ec := newEvalContext(g, buildQueryEnv(q))
+	return prepare(q).execute(g)
+}
+
+// prepared is a query ready to run: a parsed tree or a cached template,
+// its slot table, and the values of the template's parameters.
+type prepared struct {
+	q      *Query
+	env    *slotEnv
+	params []rdf.Term
+}
+
+func prepare(q *Query) prepared { return prepared{q: q, env: buildQueryEnv(q)} }
+
+// context pins g for one execution.
+func (pq prepared) context(g *store.Graph) *evalContext {
+	ec := newEvalContext(g, pq.env)
+	ec.params = pq.params
+	return ec
+}
+
+func (pq prepared) execute(g *store.Graph) (*Result, error) {
+	q, ec := pq.q, pq.context(g)
 	res := &Result{Kind: q.Kind, Namespaces: q.Namespaces}
 	switch q.Kind {
 	case KindAsk:
@@ -73,54 +94,115 @@ func (ec *evalContext) exists(g *Group, r idRow) bool {
 	return found
 }
 
-// Run parses and executes src against g in one call. Parses are memoized
-// by source text (bounded), so the serve-time steady state — the same
-// query string arriving per request — reuses one immutable parse tree,
+// Run parses and executes src against g in one call. Parses are cached
+// by query shape (see lookupQuery), so a request stream of one query
+// template with ever-new constants reuses one immutable parse tree —
 // which in turn is what lets the plan cache hit across requests: its keys
 // include BGP identity, and a fresh parse would mint fresh identities.
 func Run(g *store.Graph, src string) (*Result, error) {
-	q, err := parseQueryCached(src)
+	pq, err := lookupQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	return Execute(g, q)
+	return pq.execute(g)
 }
 
-// queryCache memoizes successful parses by exact source text. Parsed
-// queries are immutable after ParseQuery returns (execution never writes
-// to the AST), so one tree can serve concurrent executions. Bounded the
-// same way as a plan memo: on overflow the whole map drops.
-var (
-	queryCache    sync.Map // string -> *Query
-	queryCacheLen atomic.Int32
-)
+// The shape cache maps a query's fingerprint (lexer.go) to an immutable
+// template: the parse tree with every lifted constant in a triple-pattern
+// position or an expression replaced by a parameter reference, plus its
+// slot table. A hit costs one scan of the text — no parse tree, no
+// namespace map — and the scan's parameter vector binds the template.
+//
+// A template that compiled some lifted constants in (a VALUES cell, a
+// path endpoint, a CONSTRUCT or DESCRIBE term, a signed number, a
+// GROUP_CONCAT separator) lists them as pinned: its fingerprint's entry
+// holds only that list, and the template itself is filed under the
+// fingerprint extended by the pinned values. Bounded like a plan memo:
+// on overflow the whole map drops.
+var shapeCache struct {
+	sync.RWMutex
+	m map[string]*shape
+}
 
-const queryCacheMax = 512
+// shape is one shape-cache entry: a template, or (q == nil) the list of
+// pinned parameters that completes its fingerprint's key.
+type shape struct {
+	q      *Query
+	env    *slotEnv
+	pinned []int
+}
 
-func parseQueryCached(src string) (*Query, error) {
-	if q, ok := queryCache.Load(src); ok {
-		return q.(*Query), nil
-	}
-	q, err := ParseQuery(src)
+const shapeCacheMax = 512
+
+var shapeHits, shapeMisses atomic.Uint64
+
+// ShapeCacheStats returns the cumulative shape-cache hit and miss counts
+// of Run, RunStream and RunGraphStream since process start.
+func ShapeCacheStats() (hits, misses uint64) {
+	return shapeHits.Load(), shapeMisses.Load()
+}
+
+// lookupQuery returns the template src binds and its parameter values,
+// parsing and caching the template on a miss. Parse errors are not
+// cached.
+func lookupQuery(src string) (prepared, error) {
+	var buf [256]byte
+	key, params, err := fingerprint(src, buf[:0])
 	if err != nil {
-		return nil, err // parse errors are not cached (and are cheap to rediscover)
-	}
-	if _, loaded := queryCache.LoadOrStore(src, q); !loaded {
-		if queryCacheLen.Add(1) > queryCacheMax {
-			queryCache.Range(func(k, _ any) bool {
-				queryCache.Delete(k)
-				return true
-			})
-			queryCacheLen.Store(0)
+		if _, perr := ParseQuery(src); perr != nil {
+			err = perr // the error a parse reports
 		}
+		return prepared{}, err
 	}
-	return q, nil
+	fpLen := len(key)
+	shapeCache.RLock()
+	s := shapeCache.m[string(key)]
+	if s != nil && s.q == nil {
+		key = appendPinned(key, s.pinned, params)
+		s = shapeCache.m[string(key)]
+	}
+	shapeCache.RUnlock()
+	if s != nil {
+		shapeHits.Add(1)
+		return prepared{q: s.q, env: s.env, params: params}, nil
+	}
+	shapeMisses.Add(1)
+	q, p, err := parse(src, true)
+	if err != nil {
+		return prepared{}, err
+	}
+	pq := prepared{q: q, env: buildQueryEnv(q), params: p.lx.params}
+	storeShape(key[:fpLen], p.pinned, pq)
+	return pq, nil
+}
+
+// storeShape files a freshly parsed template under fingerprint fp.
+func storeShape(fp []byte, pinned []int, pq prepared) {
+	slices.Sort(pinned)
+	pinned = slices.Compact(pinned)
+	shapeCache.Lock()
+	defer shapeCache.Unlock()
+	if shapeCache.m == nil || len(shapeCache.m) >= shapeCacheMax {
+		shapeCache.m = make(map[string]*shape)
+	}
+	tmpl := &shape{q: pq.q, env: pq.env}
+	if len(pinned) == 0 {
+		shapeCache.m[string(fp)] = tmpl
+		return
+	}
+	// Every text with this fingerprint that parses pins the same
+	// parameters: the parser's path depends only on the token stream the
+	// key keeps.
+	if shapeCache.m[string(fp)] == nil {
+		shapeCache.m[string(fp)] = &shape{pinned: pinned}
+	}
+	shapeCache.m[string(appendPinned(fp, pinned, pq.params))] = tmpl
 }
 
 // evalContext is the state of one execution. It is confined to the
 // goroutine that called Execute, so its lazily filled caches need no
 // synchronisation; only the caches shared across executions (the
-// package-level parse and regex caches, the graph's plan memo) are.
+// package-level shape and regex caches, the graph's plan memo) are.
 type evalContext struct {
 	g *store.Graph
 	// env is the query's variable→slot binding table; every idRow this
@@ -134,6 +216,12 @@ type evalContext struct {
 	// violation, degraded to uncached evaluation instead of stale results).
 	gver    uint64
 	dictLen int
+	// params holds the values of a cached template's parameter
+	// references (see lookupQuery); nil for a parsed query. boundPlans
+	// memoizes the plans of the template's BGPs, which depend on them,
+	// per (BGP, bound set) within this execution.
+	params     []rdf.Term
+	boundPlans map[planKey]*bgpPlan
 	// Query-local extension dictionary: terms the graph has never interned
 	// (expression results, VALUES constants), with IDs growing downward
 	// from just below store.NoID. See idspace.go.
@@ -174,6 +262,15 @@ func newEvalContext(g *store.Graph, env *slotEnv) *evalContext {
 		gver:    g.Version(),
 		dictLen: g.Dict().Len(),
 	}
+}
+
+// constOf returns a constant pattern position's term: this execution's
+// parameter value for a template's parameter reference.
+func (ec *evalContext) constOf(tv TermOrVar) rdf.Term {
+	if tv.param > 0 {
+		return ec.params[tv.param-1]
+	}
+	return tv.Term
 }
 
 type pathIDKey struct {
@@ -872,7 +969,7 @@ func (ec *evalContext) quickExists(g *Group, r idRow) (found, ok bool) {
 			freeSlots[i] = s
 			continue
 		}
-		id, known := ec.g.LookupID(tv.Term)
+		id, known := ec.g.LookupID(ec.constOf(tv))
 		if !known {
 			return false, true // a term the graph has never seen: no match
 		}

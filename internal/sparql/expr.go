@@ -63,6 +63,15 @@ type ConstExpr struct{ Term rdf.Term }
 // Eval returns the constant.
 func (e *ConstExpr) Eval(*evalContext, idRow) (rdf.Term, error) { return e.Term, nil }
 
+// paramExpr is an expression constant lifted out of a cached template: it
+// reads its execution's parameter vector.
+type paramExpr struct{ index int }
+
+// Eval returns this execution's value of the parameter.
+func (e *paramExpr) Eval(ec *evalContext, _ idRow) (rdf.Term, error) {
+	return ec.params[e.index], nil
+}
+
 // ---- compound expressions ----
 
 // BinaryExpr applies an infix operator: || && = != < > <= >= + - * /.

@@ -6,7 +6,10 @@ package sparql_test
 // "does not panic": any input the parser accepts must render
 // ((*Query).String()) to source the parser accepts again, and the second
 // render must be byte-identical to the first — the renderer's fixed-point
-// property, which pins the parser and renderer against each other.
+// property, which pins the parser and renderer against each other. And
+// the shape cache must not alias: after a variant with other constants
+// filed the input's template, looking the input up renders exactly as
+// its fresh parse.
 //
 // CI runs `go test -fuzz=FuzzParseQuery -fuzztime=30s` as a smoke pass
 // (see .github/workflows/ci.yml); longer local runs just work.
@@ -52,6 +55,15 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		if r2 := q2.String(); r1 != r2 {
 			t.Fatalf("render is not a fixed point:\nfirst:  %s\nsecond: %s\ninput:  %q", r1, r2, src)
+		}
+		variant := sparql.MutateConstants(src)
+		sparql.ShapeRender(variant) // files the shape; the variant may not parse
+		cached, err := sparql.ShapeRender(src)
+		if err != nil {
+			t.Fatalf("cached lookup failed: %v\ninput:   %q\nvariant: %q", err, src, variant)
+		}
+		if cached != r1 {
+			t.Fatalf("cached template renders differently:\ncached: %s\nfresh:  %s\ninput:   %q\nvariant: %q", cached, r1, src, variant)
 		}
 	})
 }

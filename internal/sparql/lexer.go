@@ -1,9 +1,12 @@
 package sparql
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/rdf"
 )
 
 // tokenKind classifies lexer output.
@@ -26,8 +29,13 @@ const (
 type token struct {
 	kind tokenKind
 	text string
-	line int
-	col  int
+	// off and end delimit the token's source bytes; a string's end covers
+	// the language tag or datatype folded into it. Errors about the token
+	// are positioned at end (see errAt).
+	off, end int
+	// param indexes the lexer's parameter vector when the token is a
+	// lifted constant, and is -1 otherwise.
+	param int
 }
 
 func (t token) String() string {
@@ -50,41 +58,69 @@ func (e *Error) Error() string {
 	return "sparql: " + e.Msg
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "REDUCED": true, "WHERE": true,
-	"FILTER": true, "OPTIONAL": true, "UNION": true, "MINUS": true,
-	"BIND": true, "AS": true, "VALUES": true, "UNDEF": true,
-	"ORDER": true, "BY": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "OFFSET": true, "GROUP": true, "HAVING": true,
-	"ASK": true, "CONSTRUCT": true, "DESCRIBE": true,
-	"PREFIX": true, "BASE": true, "NOT": true, "EXISTS": true, "IN": true,
-	"A":      true,
-	"INSERT": true, "DELETE": true, "DATA": true, "CLEAR": true,
-}
-
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-	toks []token
-}
-
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
-	if err := l.run(); err != nil {
-		return nil, err
+// keywords maps each keyword to itself, so a lookup by a scratch buffer
+// (see keyword) yields the interned name.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range strings.Fields(`SELECT DISTINCT REDUCED WHERE FILTER OPTIONAL UNION MINUS
+		BIND AS VALUES UNDEF ORDER BY ASC DESC LIMIT OFFSET GROUP HAVING
+		ASK CONSTRUCT DESCRIBE PREFIX BASE NOT EXISTS IN A
+		INSERT DELETE DATA CLEAR`) {
+		m[kw] = kw
 	}
-	l.emit(tokEOF, "")
-	return l.toks, nil
+	return m
+}()
+
+// standardNS resolves prefixed datatype names the query does not declare
+// itself. Read-only after init.
+var standardNS = rdf.StandardNamespaces()
+
+// lexer is a position cursor over the query text: next yields one token
+// at a time, so the parser and the fingerprint scan share one tokenizer
+// and neither builds a token slice.
+//
+// The lexer also lifts constants: it resolves each into a term and
+// appends it to the parameter vector a cached template reads them from.
+// Every IRIREF, string and numeric or boolean literal is lifted except the
+// IRIs of PREFIX and BASE declarations and the numbers after LIMIT and
+// OFFSET; a string's language tag or datatype is folded into its term
+// first. The parser compiles a lifted constant into the template wherever
+// it cannot be a parameter and reports it as pinned (see qparser.pin), so
+// its value joins the cache key.
+type lexer struct {
+	src string
+	pos int
+	err error
+	// pending is a token read ahead while folding a literal's tail.
+	pending    token
+	hasPending bool
+	// prev holds the kinds and texts of the last two tokens returned,
+	// most recent first: the context lifting and declarations read.
+	prev [2]struct {
+		kind tokenKind
+		text string
+	}
+	// ns collects the text's own PREFIX and BASE declarations, for
+	// resolving IRIREFs and prefixed datatypes inside the lexer.
+	ns rdf.Namespaces
+	// params is the parameter vector: the lifted constants in text order.
+	params []rdf.Term
+}
+
+// errAt reports msg at source offset off: line and column (in bytes)
+// counted from 1.
+func (l *lexer) errAt(off int, msg string) *Error {
+	line := 1 + strings.Count(l.src[:off], "\n")
+	return &Error{Line: line, Col: off - strings.LastIndexByte(l.src[:off], '\n'), Msg: msg}
 }
 
 func (l *lexer) errf(format string, args ...any) error {
-	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
+	return l.errAt(l.pos, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) emit(kind tokenKind, text string) {
-	l.toks = append(l.toks, token{kind: kind, text: text, line: l.line, col: l.col})
+// tok makes a token spanning src[off:l.pos].
+func (l *lexer) tok(kind tokenKind, text string, off int) token {
+	return token{kind: kind, text: text, off: off, end: l.pos, param: -1}
 }
 
 func (l *lexer) eof() bool { return l.pos >= len(l.src) }
@@ -106,115 +142,238 @@ func (l *lexer) peekAt(off int) byte {
 func (l *lexer) advance() byte {
 	c := l.src[l.pos]
 	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
 	return c
 }
 
-func (l *lexer) run() error {
+// next returns the next token, lifting it when it is a constant. After
+// end of input or an error it keeps returning EOF (with the error the
+// first time).
+func (l *lexer) next() (token, error) {
+	t, err := l.raw()
+	if err != nil {
+		return t, err
+	}
+	switch t.kind {
+	case tokIRIRef:
+		switch {
+		case l.prevIs(0, tokKeyword, "BASE"):
+			l.ns.SetBase(t.text)
+		case l.prevIs(1, tokKeyword, "PREFIX") && l.prev[0].kind == tokPName:
+			l.ns.Bind(strings.TrimSuffix(l.prev[0].text, ":"), t.text)
+		default:
+			l.lift(&t, rdf.NewIRI(l.ns.Resolve(t.text)))
+		}
+	case tokString:
+		term, err := l.foldTail(&t)
+		if err != nil {
+			return l.fail(err)
+		}
+		l.lift(&t, term)
+	case tokNumber:
+		if !l.prevIs(0, tokKeyword, "LIMIT") && !l.prevIs(0, tokKeyword, "OFFSET") {
+			l.lift(&t, numberTerm(t.text))
+		}
+	case tokBool:
+		l.lift(&t, rdf.NewBool(t.text == "true"))
+	}
+	l.prev[1] = l.prev[0]
+	l.prev[0].kind, l.prev[0].text = t.kind, t.text
+	return t, nil
+}
+
+func (l *lexer) prevIs(i int, kind tokenKind, text string) bool {
+	return l.prev[i].kind == kind && l.prev[i].text == text
+}
+
+func (l *lexer) lift(t *token, term rdf.Term) {
+	if l.params == nil {
+		l.params = make([]rdf.Term, 0, 4)
+	}
+	t.param = len(l.params)
+	l.params = append(l.params, term)
+}
+
+func (l *lexer) fail(err error) (token, error) {
+	l.err = err
+	return token{kind: tokEOF, off: l.pos, end: l.pos, param: -1}, err
+}
+
+// foldTail returns string token t's literal with the language tag or
+// ^^datatype that follows it folded in (extending t's span), or the plain
+// literal, keeping the token it read ahead.
+func (l *lexer) foldTail(t *token) (rdf.Term, error) {
+	n, err := l.raw()
+	if err != nil {
+		return rdf.Term{}, err
+	}
+	var term rdf.Term
+	switch {
+	case n.kind == tokLangTag:
+		term = rdf.NewLangLiteral(t.text, n.text)
+	case n.kind == tokPunct && n.text == "^":
+		caret, err := l.raw()
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		if caret.kind != tokPunct || caret.text != "^" {
+			return rdf.Term{}, l.errAt(caret.end, fmt.Sprintf("expected %q, found %s", "^", caret))
+		}
+		if n, err = l.raw(); err != nil {
+			return rdf.Term{}, err
+		}
+		switch n.kind {
+		case tokIRIRef:
+			term = rdf.NewTypedLiteral(t.text, l.ns.Resolve(n.text))
+		case tokPName:
+			iri, err := l.expand(n)
+			if err != nil {
+				return rdf.Term{}, err
+			}
+			term = rdf.NewTypedLiteral(t.text, iri)
+		default:
+			return rdf.Term{}, l.errAt(n.end, "expected datatype IRI")
+		}
+	default:
+		l.pending, l.hasPending = n, true
+		return rdf.NewLiteral(t.text), nil
+	}
+	t.end = n.end
+	return term, nil
+}
+
+// expand resolves a prefixed name against the text's own declarations,
+// then the standard prefixes — the mapping the parser builds.
+func (l *lexer) expand(t token) (string, error) {
+	if strings.HasPrefix(t.text, "_:") {
+		// Blank nodes in queries are scoped variables.
+		return "", l.errAt(t.end, "labeled blank nodes in queries are not supported; use a variable")
+	}
+	if !strings.Contains(t.text, ":") {
+		return "", l.errAt(t.end, fmt.Sprintf("unexpected bare word %q", t.text))
+	}
+	if iri, ok := l.ns.Expand(t.text); ok {
+		return iri, nil
+	}
+	if iri, ok := standardNS.Expand(t.text); ok {
+		return iri, nil
+	}
+	return "", l.errAt(t.end, fmt.Sprintf("unbound prefix in %q", t.text))
+}
+
+// raw scans the next token without resolving or lifting it.
+func (l *lexer) raw() (token, error) {
+	if l.hasPending {
+		l.hasPending = false
+		return l.pending, nil
+	}
+	if l.err != nil {
+		return token{kind: tokEOF, off: l.pos, end: l.pos, param: -1}, nil
+	}
 	for !l.eof() {
 		c := l.peek()
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			l.advance()
+			continue
 		case c == '#':
 			for !l.eof() && l.peek() != '\n' {
 				l.advance()
 			}
-		case c == '?' || c == '$':
-			// '?' not followed by a name char is the zero-or-one path
-			// modifier, not a variable.
-			if !isNameChar(l.peekAt(1)) {
-				l.advance()
-				l.emit(tokPunct, "?")
-				continue
-			}
-			l.advance()
-			start := l.pos
-			for !l.eof() && isNameChar(l.peek()) {
-				l.advance()
-			}
-			l.emit(tokVar, l.src[start:l.pos])
-		case c == '<':
-			// Distinguish IRIRef from comparison operators: an IRIRef has no
-			// whitespace before the closing '>'.
-			if iri, ok := l.tryIRIRef(); ok {
-				l.emit(tokIRIRef, iri)
-			} else {
-				l.advance()
-				if l.peek() == '=' {
-					l.advance()
-					l.emit(tokPunct, "<=")
-				} else {
-					l.emit(tokPunct, "<")
-				}
-			}
-		case c == '"' || c == '\'':
-			s, err := l.lexString()
-			if err != nil {
-				return err
-			}
-			l.emit(tokString, s)
-		case c == '@':
-			l.advance()
-			start := l.pos
-			for !l.eof() && (isAlpha(l.peek()) || l.peek() == '-' || isDigit(l.peek())) {
-				l.advance()
-			}
-			if l.pos == start {
-				return l.errf("empty language tag")
-			}
-			l.emit(tokLangTag, l.src[start:l.pos])
-		case isDigit(c) || (c == '.' && isDigit(l.peekAt(1))):
-			l.lexNumber(false)
-		case c == '+' || c == '-':
-			// Sign is part of a numeric literal only directly before digits;
-			// the parser decides arithmetic from context, so emit punct and
-			// let numbers be unsigned at the lexer level.
-			l.advance()
-			l.emit(tokPunct, string(c))
-		case c == '[':
-			// ANON blank node "[]" (possibly with inner whitespace) vs '['.
-			save := l.pos
-			l.advance()
-			for !l.eof() && (l.peek() == ' ' || l.peek() == '\t') {
-				l.advance()
-			}
-			if l.peek() == ']' {
-				l.advance()
-				l.emit(tokAnon, "[]")
-			} else {
-				l.pos = save
-				l.advance()
-				l.emit(tokPunct, "[")
-			}
-		case strings.IndexByte("{}().;,*/|^!=>&", c) >= 0:
-			l.lexPunct()
-		case c == '_' && l.peekAt(1) == ':':
-			l.advance()
-			l.advance()
-			start := l.pos
-			for !l.eof() && isNameChar(l.peek()) {
-				l.advance()
-			}
-			l.emit(tokPName, "_:"+l.src[start:l.pos])
-		case isAlpha(c) || c >= utf8.RuneSelf:
-			l.lexWord()
-		default:
-			return l.errf("unexpected character %q", string(c))
+			continue
 		}
+		t, err := l.scan(c)
+		if err != nil {
+			return l.fail(err)
+		}
+		return t, nil
 	}
-	return nil
+	return l.tok(tokEOF, "", l.pos), nil
+}
+
+// scan lexes the token starting with c at the cursor.
+func (l *lexer) scan(c byte) (token, error) {
+	off := l.pos
+	switch {
+	case c == '?' || c == '$':
+		// '?' not followed by a name char is the zero-or-one path
+		// modifier, not a variable.
+		l.advance()
+		if !isNameChar(l.peek()) {
+			return l.tok(tokPunct, "?", off), nil
+		}
+		start := l.pos
+		for !l.eof() && isNameChar(l.peek()) {
+			l.advance()
+		}
+		return l.tok(tokVar, l.src[start:l.pos], off), nil
+	case c == '<':
+		// Distinguish IRIRef from comparison operators: an IRIRef has no
+		// whitespace before the closing '>'.
+		if iri, ok := l.tryIRIRef(); ok {
+			return l.tok(tokIRIRef, iri, off), nil
+		}
+		l.advance()
+		if l.peek() == '=' {
+			l.advance()
+			return l.tok(tokPunct, "<=", off), nil
+		}
+		return l.tok(tokPunct, "<", off), nil
+	case c == '"' || c == '\'':
+		s, err := l.lexString()
+		if err != nil {
+			return token{}, err
+		}
+		return l.tok(tokString, s, off), nil
+	case c == '@':
+		l.advance()
+		start := l.pos
+		for !l.eof() && (isAlpha(l.peek()) || l.peek() == '-' || isDigit(l.peek())) {
+			l.advance()
+		}
+		if l.pos == start {
+			return token{}, l.errf("empty language tag")
+		}
+		return l.tok(tokLangTag, l.src[start:l.pos], off), nil
+	case isDigit(c) || (c == '.' && isDigit(l.peekAt(1))):
+		return l.lexNumber(), nil
+	case c == '+' || c == '-':
+		// Sign is part of a numeric literal only directly before digits;
+		// the parser decides arithmetic from context, so emit punct and
+		// let numbers be unsigned at the lexer level.
+		l.advance()
+		return l.tok(tokPunct, string(c), off), nil
+	case c == '[':
+		// ANON blank node "[]" (possibly with inner whitespace) vs '['.
+		l.advance()
+		for !l.eof() && (l.peek() == ' ' || l.peek() == '\t') {
+			l.advance()
+		}
+		if l.peek() == ']' {
+			l.advance()
+			return l.tok(tokAnon, "[]", off), nil
+		}
+		l.pos = off + 1
+		return l.tok(tokPunct, "[", off), nil
+	case strings.IndexByte("{}().;,*/|^!=>&", c) >= 0:
+		return l.lexPunct(), nil
+	case c == '_' && l.peekAt(1) == ':':
+		l.advance()
+		l.advance()
+		start := l.pos
+		for !l.eof() && isNameChar(l.peek()) {
+			l.advance()
+		}
+		return l.tok(tokPName, "_:"+l.src[start:l.pos], off), nil
+	case isAlpha(c) || c >= utf8.RuneSelf:
+		return l.lexWord(), nil
+	}
+	return token{}, l.errf("unexpected character %q", string(c))
 }
 
 // tryIRIRef attempts to scan <...> as an IRI reference; on failure the
 // position is restored and ok=false (so '<' can be an operator).
 func (l *lexer) tryIRIRef() (string, bool) {
-	save, saveLine, saveCol := l.pos, l.line, l.col
+	save := l.pos
 	l.advance() // '<'
 	start := l.pos
 	for !l.eof() {
@@ -229,7 +388,7 @@ func (l *lexer) tryIRIRef() (string, bool) {
 		}
 		l.advance()
 	}
-	l.pos, l.line, l.col = save, saveLine, saveCol
+	l.pos = save
 	return "", false
 }
 
@@ -318,7 +477,7 @@ func (l *lexer) readHex(n int) (rune, error) {
 	return v, nil
 }
 
-func (l *lexer) lexNumber(neg bool) {
+func (l *lexer) lexNumber() token {
 	start := l.pos
 	for !l.eof() && isDigit(l.peek()) {
 		l.advance()
@@ -343,40 +502,32 @@ func (l *lexer) lexNumber(neg bool) {
 			l.pos = save
 		}
 	}
-	text := l.src[start:l.pos]
-	if neg {
-		text = "-" + text
-	}
-	l.emit(tokNumber, text)
+	return l.tok(tokNumber, l.src[start:l.pos], start)
 }
 
-func (l *lexer) lexPunct() {
+func (l *lexer) lexPunct() token {
+	off := l.pos
 	c := l.advance()
-	two := func(next byte, combined string) {
-		if l.peek() == next {
-			l.advance()
-			l.emit(tokPunct, combined)
-		} else {
-			l.emit(tokPunct, string(c))
-		}
-	}
+	text := l.src[off:l.pos]
+	var next byte
 	switch c {
-	case '!':
-		two('=', "!=")
-	case '>':
-		two('=', ">=")
+	case '!', '>':
+		next = '='
 	case '&':
-		two('&', "&&")
+		next = '&'
 	case '|':
-		two('|', "||")
-	default:
-		l.emit(tokPunct, string(c))
+		next = '|'
 	}
+	if next != 0 && l.peek() == next {
+		l.advance()
+		text = l.src[off:l.pos]
+	}
+	return l.tok(tokPunct, text, off)
 }
 
 // lexWord scans a bare word: keyword, boolean, builtin function name, or
 // prefixed name.
-func (l *lexer) lexWord() {
+func (l *lexer) lexWord() token {
 	start := l.pos
 	for !l.eof() && (isNameChar(l.peek()) || l.peek() >= utf8.RuneSelf) {
 		l.advance()
@@ -385,7 +536,6 @@ func (l *lexer) lexWord() {
 	// prefix:local form (includes empty local "ex:").
 	if l.peek() == ':' {
 		l.advance()
-		lstart := l.pos
 		for !l.eof() {
 			c := l.peek()
 			if isNameChar(c) || c >= utf8.RuneSelf {
@@ -398,23 +548,57 @@ func (l *lexer) lexWord() {
 			}
 			break
 		}
-		l.emit(tokPName, word+":"+l.src[lstart:l.pos])
-		return
+		return l.tok(tokPName, l.src[start:l.pos], start)
 	}
-	switch strings.ToLower(word) {
-	case "true", "false":
-		// Boolean literals are matched case-insensitively: the paper's
-		// Listing 1 spells "False".
-		l.emit(tokBool, strings.ToLower(word))
-		return
+	// Boolean literals are matched case-insensitively: the paper's
+	// Listing 1 spells "False".
+	for _, b := range [2]string{"true", "false"} {
+		if asciiFold(word, b) {
+			return l.tok(tokBool, b, start)
+		}
 	}
-	if keywords[strings.ToUpper(word)] {
-		l.emit(tokKeyword, strings.ToUpper(word))
-		return
+	if kw, ok := keyword(word); ok {
+		return l.tok(tokKeyword, kw, start)
 	}
 	// Builtin function names and anything else: keep verbatim; the parser
 	// resolves them (case-insensitively for functions).
-	l.emit(tokPName, word)
+	return l.tok(tokPName, word, start)
+}
+
+// asciiFold reports whether word is lower (all lower-case ASCII) in any
+// case.
+func asciiFold(word, lower string) bool {
+	if len(word) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		if word[i]|0x20 != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// keyword returns the keyword word spells in any case, upper-casing it
+// in a stack buffer rather than a fresh string.
+func keyword(word string) (string, bool) {
+	var buf [16]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			kw, ok := keywords[strings.ToUpper(word)]
+			return kw, ok
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 func isAlpha(c byte) bool {
@@ -424,3 +608,53 @@ func isAlpha(c byte) bool {
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isNameChar(c byte) bool { return isAlpha(c) || isDigit(c) || c == '-' }
+
+// Fingerprint encoding: every token the key keeps is its kind byte, its
+// text's length as a uvarint and the text; a lifted constant is the one
+// byte liftedKey|kind. Tokens are self-delimiting and the stream ends with
+// the EOF token, so two token streams share a key exactly when they are
+// equal up to lifted values. A pinned-parameter suffix starts with
+// pinnedKey, a byte no token starts with.
+const (
+	liftedKey = 0x80
+	pinnedKey = 0xff
+)
+
+// fingerprint scans src once and appends its shape key to key: the token
+// stream with every lifted constant replaced by a placeholder. params is
+// the lifted constants in text order. Whitespace, comments, keyword case
+// and $/? variable sigils do not reach the key.
+func fingerprint(src string, key []byte) ([]byte, []rdf.Term, error) {
+	l := lexer{src: src}
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, nil, err
+		}
+		if t.param >= 0 {
+			key = append(key, liftedKey|byte(t.kind))
+			continue
+		}
+		key = append(key, byte(t.kind))
+		key = binary.AppendUvarint(key, uint64(len(t.text)))
+		key = append(key, t.text...)
+		if t.kind == tokEOF {
+			return key, l.params, nil
+		}
+	}
+}
+
+// appendPinned extends a shape key with the values of its pinned
+// parameters.
+func appendPinned(key []byte, pinned []int, params []rdf.Term) []byte {
+	key = append(key, pinnedKey)
+	for _, i := range pinned {
+		t := params[i]
+		key = append(key, byte(t.Kind))
+		for _, s := range [3]string{t.Value, t.Datatype, t.Lang} {
+			key = binary.AppendUvarint(key, uint64(len(s)))
+			key = append(key, s...)
+		}
+	}
+	return key
+}

@@ -13,49 +13,133 @@ import (
 // (rdf, rdfs, owl, xsd, eo, feo, food, kg) are pre-bound so the paper's
 // listings parse verbatim.
 func ParseQuery(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &qparser{toks: toks, ns: rdf.StandardNamespaces()}
+	q, _, err := parse(src, false)
+	return q, err
+}
+
+// parse parses a query. With lift set it builds a template: every
+// constant the lexer lifted that sits in a triple-pattern position or is
+// an expression constant becomes a reference into the parameter vector
+// (p.lx.params), and the parameters compiled in elsewhere are listed in
+// p.pinned.
+func parse(src string, lift bool) (*Query, *qparser, error) {
+	p := newParser(src, lift)
 	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
+	if err = p.finish(err); err != nil {
+		return nil, nil, err
 	}
 	q.Namespaces = p.ns
-	return q, nil
+	return q, p, nil
 }
 
 type qparser struct {
-	toks     []token
-	pos      int
-	ns       *rdf.Namespaces
+	lx lexer
+	// la buffers the tokens read ahead of the cursor: the parser looks at
+	// most one token past the current one.
+	la     [2]token
+	nla    int
+	lexErr error
+	ns     *rdf.Namespaces
+	// lift marks a template parse; pinned lists the lifted parameters
+	// compiled into the template.
+	lift     bool
+	pinned   []int
 	bnodeSeq int
 	aggSeq   int
 	aggs     []*AggExpr // aggregates discovered while parsing
 }
 
-// cur and next clamp at the trailing EOF token: error paths that consume
-// a token they expected to exist (e.g. a GROUP_CONCAT separator cut off
-// mid-clause) must keep reporting EOF instead of running off the slice.
-func (p *qparser) cur() token {
-	if p.pos >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos]
+func newParser(src string, lift bool) *qparser {
+	return &qparser{lx: lexer{src: src}, ns: rdf.StandardNamespaces(), lift: lift}
 }
 
+// peek returns the token i places past the cursor (i ≤ 1). A lexing
+// error ends the stream with EOF and is reported by finish.
+func (p *qparser) peek(i int) token {
+	for p.nla <= i {
+		t, err := p.lx.next()
+		if err != nil && p.lexErr == nil {
+			p.lexErr = err
+		}
+		p.la[p.nla] = t
+		p.nla++
+	}
+	return p.la[i]
+}
+
+// cur and next stop at EOF: error paths that consume a token they
+// expected to exist (e.g. a GROUP_CONCAT separator cut off mid-clause)
+// keep reporting EOF.
+func (p *qparser) cur() token { return p.peek(0) }
+
 func (p *qparser) next() token {
-	t := p.cur()
-	if p.pos < len(p.toks) {
-		p.pos++
+	t := p.peek(0)
+	if t.kind != tokEOF {
+		p.la[0] = p.la[1]
+		p.nla--
 	}
 	return t
 }
 
+// finish settles a parse's error: a lexing error anywhere in the text
+// wins over a syntax error, so after a syntax error the rest of the text
+// is still lexed. The reported error then does not depend on how far the
+// parser read.
+func (p *qparser) finish(err error) error {
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	if err == nil {
+		return nil
+	}
+	for {
+		t, lerr := p.lx.next()
+		if lerr != nil {
+			return lerr
+		}
+		if t.kind == tokEOF {
+			return err
+		}
+	}
+}
+
+// pin returns constant token t's term, compiled into the template: its
+// parameter joins the cache key.
+func (p *qparser) pin(t token) rdf.Term {
+	p.pinned = append(p.pinned, t.param)
+	return p.lx.params[t.param]
+}
+
+// pinPos compiles a parameter reference in a pattern position into the
+// template (path endpoints, CONSTRUCT templates).
+func (p *qparser) pinPos(tv TermOrVar) TermOrVar {
+	if tv.param == 0 {
+		return tv
+	}
+	p.pinned = append(p.pinned, tv.param-1)
+	return T(p.lx.params[tv.param-1])
+}
+
+// constPos is the pattern position of constant token t: a parameter
+// reference in a template, the term otherwise.
+func (p *qparser) constPos(t token) TermOrVar {
+	if p.lift {
+		return TermOrVar{param: t.param + 1}
+	}
+	return T(p.lx.params[t.param])
+}
+
+// constExpr is the expression for constant token t, likewise.
+func (p *qparser) constExpr(t token) Expression {
+	if p.lift {
+		return &paramExpr{index: t.param}
+	}
+	return &ConstExpr{Term: p.lx.params[t.param]}
+}
+
 func (p *qparser) errf(format string, args ...any) error {
 	t := p.cur()
-	return &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	return p.lx.errAt(t.end, fmt.Sprintf(format, args...))
 }
 
 func (p *qparser) isKeyword(kw string) bool {
@@ -65,7 +149,7 @@ func (p *qparser) isKeyword(kw string) bool {
 
 func (p *qparser) acceptKeyword(kw string) bool {
 	if p.isKeyword(kw) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -85,7 +169,7 @@ func (p *qparser) isPunct(s string) bool {
 
 func (p *qparser) acceptPunct(s string) bool {
 	if p.isPunct(s) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -157,19 +241,19 @@ func (p *qparser) parsePrologue() error {
 				// pname token carries "prefix:" or "prefix:local"; the
 				// declaration form must end with a bare colon.
 				if t.kind != tokPName || strings.Count(t.text, ":") != 1 {
-					return &Error{Line: t.line, Col: t.col, Msg: "expected prefix declaration"}
+					return p.lx.errAt(t.end, "expected prefix declaration")
 				}
 			}
 			name := strings.TrimSuffix(t.text, ":")
 			iriTok := p.next()
 			if iriTok.kind != tokIRIRef {
-				return &Error{Line: iriTok.line, Col: iriTok.col, Msg: "expected IRI in PREFIX"}
+				return p.lx.errAt(iriTok.end, "expected IRI in PREFIX")
 			}
 			p.ns.Bind(name, iriTok.text)
 		case p.acceptKeyword("BASE"):
 			iriTok := p.next()
 			if iriTok.kind != tokIRIRef {
-				return &Error{Line: iriTok.line, Col: iriTok.col, Msg: "expected IRI in BASE"}
+				return p.lx.errAt(iriTok.end, "expected IRI in BASE")
 			}
 			p.ns.SetBase(iriTok.text)
 		default:
@@ -226,7 +310,10 @@ func (p *qparser) parseConstructTemplate(q *Query) error {
 		if err != nil {
 			return err
 		}
-		q.Template = append(q.Template, tps...)
+		for _, tp := range tps {
+			tp.S, tp.P, tp.O = p.pinPos(tp.S), p.pinPos(tp.P), p.pinPos(tp.O)
+			q.Template = append(q.Template, tp)
+		}
 		if !p.acceptPunct(".") {
 			break
 		}
@@ -239,7 +326,9 @@ func (p *qparser) parseDescribeTerms(q *Query) error {
 		switch {
 		case p.cur().kind == tokVar:
 			q.DescribeTerms = append(q.DescribeTerms, V(p.next().text))
-		case p.cur().kind == tokIRIRef || p.cur().kind == tokPName:
+		case p.cur().kind == tokIRIRef:
+			q.DescribeTerms = append(q.DescribeTerms, T(p.pin(p.next())))
+		case p.cur().kind == tokPName:
 			t, err := p.parseTermToken(p.next())
 			if err != nil {
 				return err
@@ -330,7 +419,7 @@ func (p *qparser) parseGroupGraphPattern() (*Group, error) {
 		case p.isPunct("{"):
 			flushBGP()
 			// "{ SELECT ..." opens a subquery rather than a nested group.
-			if p.toks[p.pos+1].kind == tokKeyword && p.toks[p.pos+1].text == "SELECT" {
+			if t := p.peek(1); t.kind == tokKeyword && t.text == "SELECT" {
 				sq, err := p.parseSubSelect()
 				if err != nil {
 					return nil, err
@@ -528,7 +617,12 @@ func (p *qparser) parsePredicateObjectList(subj TermOrVar) ([]TriplePattern, err
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, TriplePattern{S: subj, P: pred, O: obj, Path: path})
+			tp := TriplePattern{S: subj, P: pred, O: obj, Path: path}
+			if path != nil {
+				// Path endpoints stay in the template.
+				tp.S, tp.O = p.pinPos(subj), p.pinPos(obj)
+			}
+			out = append(out, tp)
 			if !p.acceptPunct(",") {
 				break
 			}
@@ -618,7 +712,7 @@ func (p *qparser) parsePathPrimary() (*Path, error) {
 		p.next()
 		return &Path{Kind: PathIRI, IRI: rdf.TypeIRI}, nil
 	case p.cur().kind == tokIRIRef:
-		return &Path{Kind: PathIRI, IRI: rdf.NewIRI(p.ns.Resolve(p.next().text))}, nil
+		return &Path{Kind: PathIRI, IRI: p.pin(p.next())}, nil
 	case p.cur().kind == tokPName:
 		t, err := p.parseTermToken(p.next())
 		if err != nil {
@@ -641,6 +735,8 @@ func (p *qparser) parseVarOrTerm() (TermOrVar, error) {
 		p.next()
 		p.bnodeSeq++
 		return V(fmt.Sprintf(" bnode%d", p.bnodeSeq)), nil
+	case tokIRIRef, tokString, tokNumber, tokBool:
+		return p.constPos(p.next()), nil
 	default:
 		term, err := p.parseGraphTerm()
 		if err != nil {
@@ -654,77 +750,32 @@ func (p *qparser) parseVarOrTerm() (TermOrVar, error) {
 func (p *qparser) parseGraphTerm() (rdf.Term, error) {
 	t := p.next()
 	switch t.kind {
-	case tokIRIRef:
-		return rdf.NewIRI(p.ns.Resolve(t.text)), nil
+	case tokIRIRef, tokString, tokNumber, tokBool:
+		return p.pin(t), nil
 	case tokPName:
 		return p.parseTermToken(t)
-	case tokNumber:
-		return numberTerm(t.text), nil
-	case tokBool:
-		return rdf.NewBool(t.text == "true"), nil
-	case tokString:
-		return p.parseLiteralTail(t.text)
 	case tokPunct:
 		if t.text == "-" || t.text == "+" {
 			n := p.next()
 			if n.kind != tokNumber {
-				return rdf.Term{}, &Error{Line: n.line, Col: n.col, Msg: "expected number after sign"}
+				return rdf.Term{}, p.lx.errAt(n.end, "expected number after sign")
 			}
 			if t.text == "-" {
+				p.pin(n)
 				return numberTerm("-" + n.text), nil
 			}
-			return numberTerm(n.text), nil
+			return p.pin(n), nil
 		}
 	}
-	return rdf.Term{}, &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf("expected RDF term, found %q", t.text)}
+	return rdf.Term{}, p.lx.errAt(t.end, fmt.Sprintf("expected RDF term, found %q", t.text))
 }
 
-// parseLiteralTail handles optional @lang / ^^datatype after a string.
-func (p *qparser) parseLiteralTail(lex string) (rdf.Term, error) {
-	switch {
-	case p.cur().kind == tokLangTag:
-		return rdf.NewLangLiteral(lex, p.next().text), nil
-	case p.isPunct("^"):
-		p.next()
-		if err := p.expectPunct("^"); err != nil {
-			return rdf.Term{}, err
-		}
-		dt := p.next()
-		switch dt.kind {
-		case tokIRIRef:
-			return rdf.NewTypedLiteral(lex, p.ns.Resolve(dt.text)), nil
-		case tokPName:
-			t, err := p.parseTermToken(dt)
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			return rdf.NewTypedLiteral(lex, t.Value), nil
-		default:
-			return rdf.Term{}, &Error{Line: dt.line, Col: dt.col, Msg: "expected datatype IRI"}
-		}
-	default:
-		return rdf.NewLiteral(lex), nil
-	}
-}
-
-// parseTermToken resolves a tokPName to an IRI or blank node term.
+// parseTermToken resolves a tokPName to an IRI term, against the text's
+// PREFIX declarations read so far and the standard prefixes.
 func (p *qparser) parseTermToken(t token) (rdf.Term, error) {
-	if strings.HasPrefix(t.text, "_:") {
-		// Blank nodes in queries are scoped variables.
-		return rdf.Term{}, &Error{Line: t.line, Col: t.col,
-			Msg: "labeled blank nodes in queries are not supported; use a variable"}
-	}
-	if t.kind == tokIRIRef {
-		return rdf.NewIRI(p.ns.Resolve(t.text)), nil
-	}
-	if !strings.Contains(t.text, ":") {
-		return rdf.Term{}, &Error{Line: t.line, Col: t.col,
-			Msg: fmt.Sprintf("unexpected bare word %q", t.text)}
-	}
-	iri, ok := p.ns.Expand(t.text)
-	if !ok {
-		return rdf.Term{}, &Error{Line: t.line, Col: t.col,
-			Msg: fmt.Sprintf("unbound prefix in %q", t.text)}
+	iri, err := p.lx.expand(t)
+	if err != nil {
+		return rdf.Term{}, err
 	}
 	return rdf.NewIRI(iri), nil
 }
@@ -791,8 +842,8 @@ having:
 		}
 		for {
 			switch {
-			case p.acceptKeyword("ASC"), p.acceptKeyword("DESC"):
-				desc := p.toks[p.pos-1].text == "DESC"
+			case p.isKeyword("ASC") || p.isKeyword("DESC"):
+				desc := p.next().text == "DESC"
 				if err := p.expectPunct("("); err != nil {
 					return err
 				}
@@ -910,7 +961,7 @@ func (p *qparser) parseRelational() (Expression, error) {
 		}
 		return &InExpr{Expr: left, List: list}, nil
 	}
-	if p.isKeyword("NOT") && p.toks[p.pos+1].kind == tokKeyword && p.toks[p.pos+1].text == "IN" {
+	if t := p.peek(1); p.isKeyword("NOT") && t.kind == tokKeyword && t.text == "IN" {
 		p.next()
 		p.next()
 		list, err := p.parseExprList()
@@ -1037,22 +1088,8 @@ func (p *qparser) parsePrimaryExpression() (Expression, error) {
 	case tokVar:
 		p.next()
 		return &VarExpr{Name: t.text}, nil
-	case tokNumber:
-		p.next()
-		return &ConstExpr{Term: numberTerm(t.text)}, nil
-	case tokBool:
-		p.next()
-		return &ConstExpr{Term: rdf.NewBool(t.text == "true")}, nil
-	case tokString:
-		p.next()
-		lit, err := p.parseLiteralTail(t.text)
-		if err != nil {
-			return nil, err
-		}
-		return &ConstExpr{Term: lit}, nil
-	case tokIRIRef:
-		p.next()
-		return &ConstExpr{Term: rdf.NewIRI(p.ns.Resolve(t.text))}, nil
+	case tokNumber, tokBool, tokString, tokIRIRef:
+		return p.constExpr(p.next()), nil
 	case tokKeyword:
 		switch t.text {
 		case "NOT":
@@ -1079,7 +1116,7 @@ func (p *qparser) parsePrimaryExpression() (Expression, error) {
 			if aggregateNames[upper] {
 				return p.parseAggregate(upper)
 			}
-			if p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "(" {
+			if n := p.peek(1); n.kind == tokPunct && n.text == "(" {
 				return p.parseFunctionCall(upper)
 			}
 			return nil, p.errf("unexpected bare word %q in expression", t.text)
@@ -1146,10 +1183,10 @@ func (p *qparser) parseAggregate(name string) (Expression, error) {
 				return nil, err
 			}
 			s := p.next()
-			if s.kind != tokString {
+			if s.kind != tokString || p.lx.params[s.param] != rdf.NewLiteral(s.text) {
 				return nil, p.errf("SEPARATOR expects a string")
 			}
-			agg.Sep = s.text
+			agg.Sep = p.pin(s).Value
 		}
 	}
 	if err := p.expectPunct(")"); err != nil {

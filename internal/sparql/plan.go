@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"repro/internal/store"
@@ -11,19 +12,30 @@ import (
 // Compiling a BGP — estimating selectivities, picking the greedy join
 // order, encoding each pattern's constant IDs, and segmenting the ordered
 // patterns into fused intersection runs — depends only on the pattern
-// list, the graph version, and which slots are certainly bound on entry.
-// A repeated query (the serve-time steady state, and every per-row
-// re-entry of an OPTIONAL or EXISTS body) therefore skips straight to
-// execution.
+// list, its constants, the graph version, and which slots are certainly
+// bound on entry. A repeated query (the serve-time steady state, and
+// every per-row re-entry of an OPTIONAL or EXISTS body) therefore skips
+// straight to execution.
 //
 // Lifetime rule: a plan lives exactly as long as the graph version it was
-// compiled against. Plans are stored in that graph value's store.Memo,
-// keyed by (BGP identity, bound-slot set); the memo hangs off the graph,
-// so a pinned snapshot view keeps its plans hot for as long as it is
-// pinned and the garbage collector reclaims both together afterwards,
-// while a live graph's plans are dropped at its first lookup after a
-// mutation. Plans are never reused across versions: a fused step embeds
-// intersections of the version's index sets (sharedCand).
+// compiled against. Plans are stored in that graph value's store.Memo;
+// the memo hangs off the graph, so a pinned snapshot view keeps its plans
+// hot for as long as it is pinned and the garbage collector reclaims both
+// together afterwards, while a live graph's plans are dropped at its
+// first lookup after a mutation. Plans are never reused across versions:
+// a fused step embeds intersections of the version's index sets
+// (sharedCand).
+//
+// Keys. A BGP whose constants are all part of the parse tree is keyed by
+// (BGP identity, bound-slot set), and a hit skips compilation outright. A
+// BGP of a cached template (lookupQuery) reads some constants from the
+// execution's parameter vector, so each execution first estimates it —
+// one LookupID per constant, one CountID per pattern — and picks its join
+// order; the plan is keyed by (BGP identity, bound-slot set, that order),
+// and a hit is rebound to this execution's constant IDs (rebind). The
+// same template thus reuses its plans across constants while every
+// execution runs the order its own constants call for, and a constant
+// the graph never interned makes just that execution's BGP empty.
 
 // bgpConstPos marks a pattern position that holds a constant ID.
 const bgpConstPos = -1
@@ -33,6 +45,7 @@ const bgpConstPos = -1
 type bgpSpec struct {
 	ids  [3]store.ID
 	slot [3]int
+	pat  int // the pattern's index in the BGP, for rebind
 }
 
 // planStep is one execution step of a compiled BGP: either a single
@@ -61,12 +74,12 @@ type bgpPlan struct {
 }
 
 // planKey identifies a compiled plan within one graph version's memo: the
-// BGP identity and which slots were certainly bound at entry (the
-// join-order estimates and the fusion segmentation both depend on that
-// set).
+// BGP identity and sig, which encodes the slots certainly bound at entry
+// (the join-order estimates and the fusion segmentation both depend on
+// that set) and, for a template BGP, the join order.
 type planKey struct {
-	bgp   *BGP
-	bound string
+	bgp *BGP
+	sig string
 }
 
 // planCacheMax bounds each graph version's plan memo; on overflow that
@@ -96,41 +109,91 @@ func ResetPlanCache() {
 	planMisses.Store(0)
 }
 
-// boundSig encodes the certainly-bound slot set as a compact cache-key
-// string: two little-endian bytes per bound slot index, collision-free up
-// to 65536 slots (the env builder assigns dense indices, so any real
-// query is far below that; a hypothetical wider one would panic in the
-// append below rather than alias two different bound sets onto one key).
-func boundSig(certain []bool) string {
+// appendBoundSig encodes the certainly-bound slot set: two little-endian
+// bytes per bound slot index, collision-free up to 65536 slots (the env
+// builder assigns dense indices, so any real query is far below that; a
+// hypothetical wider one would panic here rather than alias two
+// different bound sets onto one key).
+func appendBoundSig(buf []byte, certain []bool) []byte {
 	if len(certain) > 1<<16 {
 		panic("sparql: query exceeds 65536 variable slots")
 	}
-	var buf []byte
 	for s, b := range certain {
 		if b {
 			buf = append(buf, byte(s), byte(s>>8))
 		}
 	}
-	return string(buf)
+	return buf
 }
 
-// planBGP returns the compiled plan for bgp given the entry row set,
-// consulting the graph's plan memo unless join reordering is disabled (the
-// A/B knob changes the plan shape and is not part of the key) or the graph
-// mutated mid-query (the version the plan would be filed under is gone).
+// planBGP returns the plan for bgp given the entry row set, consulting
+// the graph's plan memo unless join reordering is disabled (the A/B knob
+// changes the plan shape and is not part of the key) or the graph mutated
+// mid-query (the version the plan would be filed under is gone).
 func (ec *evalContext) planBGP(bgp *BGP, rows []idRow) *bgpPlan {
 	certain := ec.certainSlots(rows)
-	if DisableJoinReorder || ec.g.Version() != ec.gver {
-		return ec.compileBGP(bgp, certain)
+	cacheable := !DisableJoinReorder && ec.g.Version() == ec.gver
+	var buf [64]byte
+	sig := appendBoundSig(buf[:0], certain)
+	var ibuf [8]patInfo
+	if !bgp.hasParams() {
+		if !cacheable {
+			return ec.compileBGP(bgp, certain, ibuf[:0])
+		}
+		key := planKey{bgp: bgp, sig: string(sig)}
+		if p := ec.loadPlan(key); p != nil {
+			return p
+		}
+		return ec.storePlan(key, ec.compileBGP(bgp, certain, ibuf[:0]))
 	}
-	memo := ec.g.Memo(planGen.Load())
-	key := planKey{bgp: bgp, bound: boundSig(certain)}
-	if p, ok := memo.Load(key); ok {
+	// A template BGP: estimate and order for this execution's constants,
+	// once per (BGP, bound set) within the execution.
+	local := planKey{bgp: bgp, sig: string(sig)}
+	if p, ok := ec.boundPlans[local]; ok && cacheable {
+		return p
+	}
+	infos, empty := ec.estimateBGP(bgp.Triples, ibuf[:0])
+	if empty {
+		return &bgpPlan{empty: true}
+	}
+	var obuf [8]int
+	order := orderBGP(infos, certain, obuf[:0])
+	if !cacheable {
+		return ec.segmentBGP(bgp, infos, order, certain)
+	}
+	var kbuf [64]byte
+	key := binary.AppendUvarint(kbuf[:0], uint64(len(sig)))
+	key = append(key, sig...)
+	for _, i := range order {
+		key = binary.AppendUvarint(key, uint64(i))
+	}
+	shared := planKey{bgp: bgp, sig: string(key)}
+	p := ec.loadPlan(shared)
+	if p != nil {
+		p = p.rebind(ec.g, infos)
+	} else {
+		p = ec.storePlan(shared, ec.segmentBGP(bgp, infos, order, certain))
+	}
+	if ec.boundPlans == nil {
+		ec.boundPlans = make(map[planKey]*bgpPlan)
+	}
+	ec.boundPlans[local] = p
+	return p
+}
+
+// loadPlan returns the plan filed under key in the graph's memo, or nil.
+func (ec *evalContext) loadPlan(key planKey) *bgpPlan {
+	if p, ok := ec.g.Memo(planGen.Load()).Load(key); ok {
 		planHits.Add(1)
 		return p.(*bgpPlan)
 	}
 	planMisses.Add(1)
-	p := ec.compileBGP(bgp, certain)
+	return nil
+}
+
+// storePlan files a freshly compiled plan under key and returns it.
+func (ec *evalContext) storePlan(key planKey, p *bgpPlan) *bgpPlan {
+	memo := ec.g.Memo(planGen.Load())
 	if memo.Len() >= planCacheMax {
 		memo.Clear()
 	}
@@ -138,35 +201,35 @@ func (ec *evalContext) planBGP(bgp *BGP, rows []idRow) *bgpPlan {
 	return p
 }
 
-// compileBGP orders the patterns, encodes their constants, and segments
-// the ordered list into plan steps (fusing runs of patterns that share
-// one fresh slot into intersection steps).
-func (ec *evalContext) compileBGP(bgp *BGP, certain []bool) *bgpPlan {
-	order, empty := ec.orderBGP(bgp.Triples, certain)
-	plan := &bgpPlan{empty: empty}
-	if empty {
-		return plan
+// hasParams reports whether a pattern position reads the execution's
+// parameter vector (the BGP belongs to a cached template).
+func (bgp *BGP) hasParams() bool {
+	for _, tp := range bgp.Triples {
+		if tp.S.param|tp.P.param|tp.O.param != 0 {
+			return true
+		}
 	}
-	// Encode every non-path pattern once.
+	return false
+}
+
+// compileBGP estimates, orders and segments bgp; buf is scratch for the
+// estimate.
+func (ec *evalContext) compileBGP(bgp *BGP, certain []bool, buf []patInfo) *bgpPlan {
+	infos, empty := ec.estimateBGP(bgp.Triples, buf)
+	if empty {
+		return &bgpPlan{empty: true}
+	}
+	return ec.segmentBGP(bgp, infos, orderBGP(infos, certain, nil), certain)
+}
+
+// segmentBGP encodes the ordered patterns and segments them into plan
+// steps (fusing runs of patterns that share one fresh slot into
+// intersection steps). Constant IDs come from the estimate.
+func (ec *evalContext) segmentBGP(bgp *BGP, infos []patInfo, order []int, certain []bool) *bgpPlan {
+	plan := &bgpPlan{}
 	specs := make([]bgpSpec, len(order))
 	for i, oi := range order {
-		tp := bgp.Triples[oi]
-		if tp.Path != nil {
-			continue
-		}
-		for j, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
-			if tv.IsVar {
-				specs[i].slot[j] = ec.env.slot(tv.Var)
-				continue
-			}
-			specs[i].slot[j] = bgpConstPos
-			id, ok := ec.g.LookupID(tv.Term)
-			if !ok {
-				plan.empty = true // constant absent: no triple can match
-				return plan
-			}
-			specs[i].ids[j] = id
-		}
+		specs[i] = bgpSpec{ids: infos[oi].ids, slot: infos[oi].slots, pat: oi}
 	}
 	// Segment into steps, tracking which slots become certainly bound as
 	// the pipeline executes (a pattern binds all its slots in every
@@ -216,6 +279,33 @@ func (ec *evalContext) compileBGP(bgp *BGP, certain []bool) *bgpPlan {
 	return plan
 }
 
+// rebind copies a template BGP's cached plan with this execution's
+// constant IDs in every spec and its own row-invariant candidate sets.
+// The steps, the order and the fusion segmentation are the cached ones.
+func (p *bgpPlan) rebind(g *store.Graph, infos []patInfo) *bgpPlan {
+	n := 0
+	for _, st := range p.steps {
+		n += len(st.specs)
+	}
+	out := &bgpPlan{steps: make([]planStep, len(p.steps))}
+	specs := make([]bgpSpec, 0, n)
+	for i, st := range p.steps {
+		if !st.isPath {
+			start := len(specs)
+			for _, spec := range st.specs {
+				spec.ids = infos[spec.pat].ids
+				specs = append(specs, spec)
+			}
+			st.specs = specs[start:len(specs):len(specs)]
+			if st.shared != nil {
+				st.shared, st.sharedCand = fusedSharedSets(g, st.specs, st.freeSlot)
+			}
+		}
+		out.steps[i] = st
+	}
+	return out
+}
+
 // DisableJoinReorder turns off selectivity-based BGP join reordering and
 // evaluates triple patterns in their written order (plans are then always
 // compiled fresh, bypassing the plan cache). The solution set is identical
@@ -223,23 +313,22 @@ func (ec *evalContext) compileBGP(bgp *BGP, certain []bool) *bgpPlan {
 // verify that equivalence.
 var DisableJoinReorder = false
 
-// orderBGP returns indices of the BGP's triple patterns in a greedy join
-// order: repeatedly pick the pattern with the lowest estimated cardinality
-// given the slots bound so far, so selective patterns run first and each
-// join extends as few intermediate rows as possible. The solution multiset
-// of a conjunctive BGP is invariant under join order, so results are
-// identical to the written order. empty reports that some non-path pattern
-// names a constant the graph has never interned (the BGP matches nothing).
-func (ec *evalContext) orderBGP(tps []TriplePattern, certain []bool) (order []int, empty bool) {
-	type patInfo struct {
-		slots     [3]int // slot per position, bgpConstPos when constant
-		baseCount int    // CountID over the constant positions
-		isPath    bool
-	}
-	infos := make([]patInfo, len(tps))
-	for i, tp := range tps {
-		pi := patInfo{isPath: tp.Path != nil}
-		ids := [3]store.ID{store.NoID, store.NoID, store.NoID}
+// patInfo is one pattern's part of a BGP estimate.
+type patInfo struct {
+	slots     [3]int      // slot per position, bgpConstPos when constant
+	ids       [3]store.ID // constant IDs; NoID elsewhere
+	baseCount int         // CountID over the constant positions
+	isPath    bool
+}
+
+// estimateBGP looks every constant of the patterns up once — the IDs
+// compilation encodes — and counts each plain pattern's constant
+// positions. empty reports that some non-path pattern names a constant
+// the graph has never interned (the BGP matches nothing). The estimate
+// is appended to infos.
+func (ec *evalContext) estimateBGP(tps []TriplePattern, infos []patInfo) ([]patInfo, bool) {
+	for _, tp := range tps {
+		pi := patInfo{isPath: tp.Path != nil, ids: [3]store.ID{store.NoID, store.NoID, store.NoID}}
 		absent := false
 		for j, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
 			pi.slots[j] = bgpConstPos
@@ -250,7 +339,7 @@ func (ec *evalContext) orderBGP(tps []TriplePattern, certain []bool) (order []in
 				pi.slots[j] = ec.env.slot(tv.Var)
 				continue
 			}
-			id, ok := ec.g.LookupID(tv.Term)
+			id, ok := ec.g.LookupID(ec.constOf(tv))
 			if !ok {
 				// A constant the graph never interned. For a plain pattern
 				// the whole conjunction is empty; a path endpoint merely
@@ -262,19 +351,28 @@ func (ec *evalContext) orderBGP(tps []TriplePattern, certain []bool) (order []in
 				absent = true
 				continue
 			}
-			ids[j] = id
+			pi.ids[j] = id
 		}
 		if !pi.isPath && !absent {
-			pi.baseCount = ec.g.CountID(ids[0], ids[1], ids[2])
+			pi.baseCount = ec.g.CountID(pi.ids[0], pi.ids[1], pi.ids[2])
 		}
-		infos[i] = pi
+		infos = append(infos, pi)
 	}
-	order = make([]int, 0, len(tps))
-	if len(tps) < 2 || DisableJoinReorder {
-		for i := range tps {
+	return infos, false
+}
+
+// orderBGP returns indices of the BGP's triple patterns in a greedy join
+// order: repeatedly pick the pattern with the lowest estimated cardinality
+// given the slots bound so far, so selective patterns run first and each
+// join extends as few intermediate rows as possible. The solution multiset
+// of a conjunctive BGP is invariant under join order, so results are
+// identical to the written order. The order is appended to order.
+func orderBGP(infos []patInfo, certain []bool, order []int) []int {
+	if len(infos) < 2 || DisableJoinReorder {
+		for i := range infos {
 			order = append(order, i)
 		}
-		return order, false
+		return order
 	}
 	bound := append([]bool(nil), certain...)
 	const pathCost = int(^uint(0) >> 1)
@@ -311,10 +409,10 @@ func (ec *evalContext) orderBGP(tps []TriplePattern, certain []bool) (order []in
 		}
 		return est
 	}
-	used := make([]bool, len(tps))
-	for range tps {
+	used := make([]bool, len(infos))
+	for range infos {
 		best, bestEst := -1, 0
-		for i := range tps {
+		for i := range infos {
 			if used[i] {
 				continue
 			}
@@ -331,7 +429,7 @@ func (ec *evalContext) orderBGP(tps []TriplePattern, certain []bool) (order []in
 			}
 		}
 	}
-	return order, false
+	return order
 }
 
 // fusableSlot reports whether exactly one position of spec holds a slot

@@ -8,6 +8,8 @@ package sparql
 // cache's value on the serve-time steady state of repeated queries).
 
 import (
+	"io"
+	"math/rand"
 	"testing"
 )
 
@@ -76,5 +78,31 @@ func BenchmarkPlanCacheWarm(b *testing.B) {
 	b.StopTimer()
 	if hits, _ := PlanCacheStats(); hits == 0 {
 		b.Fatal("warm benchmark never hit the plan cache")
+	}
+}
+
+// BenchmarkPlanCacheShapes streams distinct texts of the five kbqa_lookup
+// shapes — one template, many constants — into the JSON writer, the way
+// /sparql serves them. No text repeats within a pass of the list, so a
+// text-keyed cache would miss on every one; the shape cache and the plan
+// memo key on the constant-free fingerprint instead.
+func BenchmarkPlanCacheShapes(b *testing.B) {
+	k := newKBQA(1)
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[string]bool)
+	var texts []string
+	for i := 0; len(texts) < 2000; i++ {
+		if q := k.query(rng, i); !seen[q] {
+			seen[q] = true
+			texts = append(texts, q)
+		}
+	}
+	resetShapeCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunStream(k.g, texts[i%len(texts)], NewJSONWriter(io.Discard), StreamOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

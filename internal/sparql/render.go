@@ -18,9 +18,16 @@ import (
 )
 
 // String renders the query as parseable SPARQL source.
+func (q *Query) String() string { return renderer{}.query(q) }
+
+// renderer renders a query; params holds the values of a template's
+// parameter references (nil for a parsed query).
+type renderer struct{ params []rdf.Term }
+
+// query renders q with its parameters bound to r.params.
 //
 //feo:emit
-func (q *Query) String() string {
+func (r renderer) query(q *Query) string {
 	var b strings.Builder
 	switch q.Kind {
 	case KindSelect:
@@ -38,7 +45,7 @@ func (q *Query) String() string {
 					b.WriteByte(' ')
 				}
 				if item.Expr != nil {
-					b.WriteString("(" + renderExpr(item.Expr) + " AS " + renderVar(item.Var) + ")")
+					b.WriteString("(" + r.renderExpr(item.Expr) + " AS " + renderVar(item.Var) + ")")
 				} else {
 					b.WriteString(renderVar(item.Var))
 				}
@@ -49,18 +56,18 @@ func (q *Query) String() string {
 	case KindConstruct:
 		b.WriteString("CONSTRUCT { ")
 		for _, tp := range q.Template {
-			b.WriteString(renderTriple(tp) + " ")
+			b.WriteString(r.renderTriple(tp) + " ")
 		}
 		b.WriteString("}")
 	case KindDescribe:
 		b.WriteString("DESCRIBE")
 		for _, dt := range q.DescribeTerms {
 			b.WriteByte(' ')
-			b.WriteString(renderTermOrVar(dt))
+			b.WriteString(r.renderTermOrVar(dt))
 		}
 	}
 	b.WriteString(" WHERE ")
-	renderGroup(&b, q.Where)
+	r.renderGroup(&b, q.Where)
 	if len(q.GroupBy) > 0 {
 		b.WriteString(" GROUP BY")
 		for _, ge := range q.GroupBy {
@@ -68,23 +75,23 @@ func (q *Query) String() string {
 			if ve, ok := ge.(*VarExpr); ok {
 				b.WriteString(renderVar(ve.Name))
 			} else {
-				b.WriteString("(" + renderExpr(ge) + ")")
+				b.WriteString("(" + r.renderExpr(ge) + ")")
 			}
 		}
 	}
 	if len(q.Having) > 0 {
 		b.WriteString(" HAVING")
 		for _, h := range q.Having {
-			b.WriteString(" (" + renderExpr(h) + ")")
+			b.WriteString(" (" + r.renderExpr(h) + ")")
 		}
 	}
 	if len(q.OrderBy) > 0 {
 		b.WriteString(" ORDER BY")
 		for _, oc := range q.OrderBy {
 			if oc.Descending {
-				b.WriteString(" DESC(" + renderExpr(oc.Expr) + ")")
+				b.WriteString(" DESC(" + r.renderExpr(oc.Expr) + ")")
 			} else {
-				b.WriteString(" ASC(" + renderExpr(oc.Expr) + ")")
+				b.WriteString(" ASC(" + r.renderExpr(oc.Expr) + ")")
 			}
 		}
 	}
@@ -106,95 +113,98 @@ func renderVar(name string) string {
 	return "?" + name
 }
 
-func renderTermOrVar(tv TermOrVar) string {
+func (r renderer) renderTermOrVar(tv TermOrVar) string {
 	if tv.IsVar {
 		return renderVar(tv.Var)
+	}
+	if tv.param > 0 {
+		return r.params[tv.param-1].String()
 	}
 	return tv.Term.String()
 }
 
-func renderTriple(tp TriplePattern) string {
+func (r renderer) renderTriple(tp TriplePattern) string {
 	p := ""
 	if tp.Path != nil {
-		p = renderPath(tp.Path)
+		p = r.renderPath(tp.Path)
 	} else {
-		p = renderTermOrVar(tp.P)
+		p = r.renderTermOrVar(tp.P)
 	}
-	return renderTermOrVar(tp.S) + " " + p + " " + renderTermOrVar(tp.O) + " ."
+	return r.renderTermOrVar(tp.S) + " " + p + " " + r.renderTermOrVar(tp.O) + " ."
 }
 
-func renderPath(p *Path) string {
+func (r renderer) renderPath(p *Path) string {
 	switch p.Kind {
 	case PathIRI:
 		return p.IRI.String()
 	case PathSeq:
-		return "(" + renderPath(p.Kids[0]) + "/" + renderPath(p.Kids[1]) + ")"
+		return "(" + r.renderPath(p.Kids[0]) + "/" + r.renderPath(p.Kids[1]) + ")"
 	case PathAlt:
 		parts := make([]string, len(p.Kids))
 		for i, kid := range p.Kids {
-			parts[i] = renderPath(kid)
+			parts[i] = r.renderPath(kid)
 		}
 		return "(" + strings.Join(parts, "|") + ")"
 	case PathInverse:
-		return "^(" + renderPath(p.Kids[0]) + ")"
+		return "^(" + r.renderPath(p.Kids[0]) + ")"
 	case PathZeroOrMore:
-		return "(" + renderPath(p.Kids[0]) + ")*"
+		return "(" + r.renderPath(p.Kids[0]) + ")*"
 	case PathOneOrMore:
-		return "(" + renderPath(p.Kids[0]) + ")+"
+		return "(" + r.renderPath(p.Kids[0]) + ")+"
 	case PathZeroOrOne:
-		return "(" + renderPath(p.Kids[0]) + ")?"
+		return "(" + r.renderPath(p.Kids[0]) + ")?"
 	}
 	return "<invalid-path>"
 }
 
-func renderGroup(b *strings.Builder, g *Group) {
+func (r renderer) renderGroup(b *strings.Builder, g *Group) {
 	b.WriteString("{ ")
 	if g != nil {
 		for _, p := range g.Patterns {
-			renderPattern(b, p)
+			r.renderPattern(b, p)
 			b.WriteByte(' ')
 		}
 		for _, f := range g.Filters {
 			if ex, ok := f.(*ExistsExpr); ok {
-				b.WriteString("FILTER " + renderExists(ex) + " ")
+				b.WriteString("FILTER " + r.renderExists(ex) + " ")
 				continue
 			}
-			b.WriteString("FILTER (" + renderExpr(f) + ") ")
+			b.WriteString("FILTER (" + r.renderExpr(f) + ") ")
 		}
 	}
 	b.WriteString("}")
 }
 
-func renderPattern(b *strings.Builder, p Pattern) {
+func (r renderer) renderPattern(b *strings.Builder, p Pattern) {
 	switch pat := p.(type) {
 	case *BGP:
 		for i, tp := range pat.Triples {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			b.WriteString(renderTriple(tp))
+			b.WriteString(r.renderTriple(tp))
 		}
 	case *Group:
 		// The parser wraps every UNION in a singleton group (and nested
 		// braces in general); unwrap filterless singletons so rendering is
 		// a fixed point instead of growing a brace level per round trip.
 		if len(pat.Patterns) == 1 && len(pat.Filters) == 0 {
-			renderPattern(b, pat.Patterns[0])
+			r.renderPattern(b, pat.Patterns[0])
 			return
 		}
-		renderGroup(b, pat)
+		r.renderGroup(b, pat)
 	case *Optional:
 		b.WriteString("OPTIONAL ")
-		renderGroup(b, pat.Pattern)
+		r.renderGroup(b, pat.Pattern)
 	case *Union:
-		renderGroup(b, pat.Left)
+		r.renderGroup(b, pat.Left)
 		b.WriteString(" UNION ")
-		renderGroup(b, pat.Right)
+		r.renderGroup(b, pat.Right)
 	case *Minus:
 		b.WriteString("MINUS ")
-		renderGroup(b, pat.Pattern)
+		r.renderGroup(b, pat.Pattern)
 	case *Bind:
-		b.WriteString("BIND(" + renderExpr(pat.Expr) + " AS " + renderVar(pat.Var) + ")")
+		b.WriteString("BIND(" + r.renderExpr(pat.Expr) + " AS " + renderVar(pat.Var) + ")")
 	case *InlineData:
 		b.WriteString("VALUES (")
 		for i, v := range pat.Vars {
@@ -221,47 +231,49 @@ func renderPattern(b *strings.Builder, p Pattern) {
 		b.WriteString("}")
 	case *SubSelect:
 		b.WriteString("{ ")
-		b.WriteString(pat.Query.String())
+		b.WriteString(r.query(pat.Query))
 		b.WriteString(" }")
 	}
 }
 
-func renderExists(e *ExistsExpr) string {
+func (r renderer) renderExists(e *ExistsExpr) string {
 	var b strings.Builder
 	if e.Negated {
 		b.WriteString("NOT ")
 	}
 	b.WriteString("EXISTS ")
-	renderGroup(&b, e.Pattern)
+	r.renderGroup(&b, e.Pattern)
 	return b.String()
 }
 
-func renderExpr(e Expression) string {
+func (r renderer) renderExpr(e Expression) string {
 	switch x := e.(type) {
 	case *VarExpr:
 		return renderVar(x.Name)
 	case *ConstExpr:
 		return x.Term.String()
+	case *paramExpr:
+		return r.params[x.index].String()
 	case *BinaryExpr:
-		return "(" + renderExpr(x.Left) + " " + x.Op + " " + renderExpr(x.Right) + ")"
+		return "(" + r.renderExpr(x.Left) + " " + x.Op + " " + r.renderExpr(x.Right) + ")"
 	case *UnaryExpr:
-		return "(" + x.Op + renderExpr(x.Expr) + ")"
+		return "(" + x.Op + r.renderExpr(x.Expr) + ")"
 	case *FuncExpr:
 		args := make([]string, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = renderExpr(a)
+			args[i] = r.renderExpr(a)
 		}
 		return x.Name + "(" + strings.Join(args, ", ") + ")"
 	case *InExpr:
 		items := make([]string, len(x.List))
 		for i, item := range x.List {
-			items[i] = renderExpr(item)
+			items[i] = r.renderExpr(item)
 		}
 		op := " IN ("
 		if x.Negated {
 			op = " NOT IN ("
 		}
-		return "(" + renderExpr(x.Expr) + op + strings.Join(items, ", ") + "))"
+		return "(" + r.renderExpr(x.Expr) + op + strings.Join(items, ", ") + "))"
 	case *AggExpr:
 		var b strings.Builder
 		b.WriteString(x.Name)
@@ -272,7 +284,7 @@ func renderExpr(e Expression) string {
 		if x.Arg == nil {
 			b.WriteByte('*')
 		} else {
-			b.WriteString(renderExpr(x.Arg))
+			b.WriteString(r.renderExpr(x.Arg))
 		}
 		if x.Name == "GROUP_CONCAT" && x.Sep != " " {
 			b.WriteString("; SEPARATOR=" + rdf.QuoteLiteral(x.Sep))
@@ -280,7 +292,7 @@ func renderExpr(e Expression) string {
 		b.WriteByte(')')
 		return b.String()
 	case *ExistsExpr:
-		return renderExists(x)
+		return r.renderExists(x)
 	}
 	return "<invalid-expr>"
 }

@@ -102,14 +102,14 @@ var errBindingsResult = errors.New("sparql: SELECT/ASK produces bindings, not a 
 // deadline truncates the document instead (see StreamOptions.Deadline).
 var ErrDeadlineExceeded = errors.New("sparql: query deadline exceeded")
 
-// RunStream parses src (memoized, like Run) and streams its result into
-// rw. See ExecuteStream.
+// RunStream parses src (cached by shape, like Run) and streams its
+// result into rw. See ExecuteStream.
 func RunStream(g *store.Graph, src string, rw ResultWriter, opts StreamOptions) (StreamStats, error) {
-	q, err := parseQueryCached(src)
+	pq, err := lookupQuery(src)
 	if err != nil {
 		return StreamStats{}, err
 	}
-	return ExecuteStream(g, q, rw, opts)
+	return pq.stream(g, rw, opts)
 }
 
 // ExecuteStream runs a SELECT or ASK query and feeds each projected row
@@ -128,11 +128,16 @@ func RunStream(g *store.Graph, src string, rw ResultWriter, opts StreamOptions) 
 // byte; after it the deadline — like MaxRows and MaxBytes — ends the
 // stream with a well-formed document carrying a Truncation.
 func ExecuteStream(g *store.Graph, q *Query, rw ResultWriter, opts StreamOptions) (StreamStats, error) {
+	return prepare(q).stream(g, rw, opts)
+}
+
+func (pq prepared) stream(g *store.Graph, rw ResultWriter, opts StreamOptions) (StreamStats, error) {
 	var st StreamStats
+	q := pq.q
 	if q.Kind == KindConstruct || q.Kind == KindDescribe {
 		return st, ErrGraphResult
 	}
-	ec := newEvalContext(g, buildQueryEnv(q))
+	ec := pq.context(g)
 	release, ok := ec.armDeadline(opts.Deadline)
 	if !ok {
 		return st, ErrDeadlineExceeded
@@ -211,14 +216,14 @@ func (ec *evalContext) armDeadline(deadline time.Time) (release func(), ok bool)
 	return func() { timer.Stop() }, true
 }
 
-// RunGraphStream parses src (memoized, like Run) and writes its result
-// graph to w as Turtle. See ExecuteGraphStream.
+// RunGraphStream parses src (cached by shape, like Run) and writes its
+// result graph to w as Turtle. See ExecuteGraphStream.
 func RunGraphStream(g *store.Graph, src string, w io.Writer, opts StreamOptions) (StreamStats, error) {
-	q, err := parseQueryCached(src)
+	pq, err := lookupQuery(src)
 	if err != nil {
 		return StreamStats{}, err
 	}
-	return ExecuteGraphStream(g, q, w, opts)
+	return pq.graphStream(g, w, opts)
 }
 
 // ExecuteGraphStream runs a CONSTRUCT or DESCRIBE query and writes its
@@ -235,10 +240,15 @@ func RunGraphStream(g *store.Graph, src string, w io.Writer, opts StreamOptions)
 // trips ends the document with a "# truncated: <reason>" comment line and
 // is reported in the returned StreamStats.
 func ExecuteGraphStream(g *store.Graph, q *Query, w io.Writer, opts StreamOptions) (StreamStats, error) {
+	return prepare(q).graphStream(g, w, opts)
+}
+
+func (pq prepared) graphStream(g *store.Graph, w io.Writer, opts StreamOptions) (StreamStats, error) {
+	q := pq.q
 	if q.Kind != KindConstruct && q.Kind != KindDescribe {
 		return StreamStats{}, errBindingsResult
 	}
-	ec := newEvalContext(g, buildQueryEnv(q))
+	ec := pq.context(g)
 	release, ok := ec.armDeadline(opts.Deadline)
 	if !ok {
 		return StreamStats{}, ErrDeadlineExceeded

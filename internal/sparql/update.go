@@ -61,11 +61,15 @@ func (r UpdateResult) String() string {
 // ParseUpdate parses a SPARQL 1.1 Update request supporting INSERT DATA,
 // DELETE DATA, DELETE WHERE, DELETE/INSERT ... WHERE, and CLEAR.
 func ParseUpdate(src string) (*Update, error) {
-	toks, err := lex(src)
-	if err != nil {
+	p := newParser(src, false)
+	u, err := p.parseUpdate()
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
-	p := &qparser{toks: toks, ns: rdf.StandardNamespaces()}
+	return u, nil
+}
+
+func (p *qparser) parseUpdate() (*Update, error) {
 	if err := p.parsePrologue(); err != nil {
 		return nil, err
 	}
