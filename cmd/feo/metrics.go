@@ -31,7 +31,7 @@ type serverMetrics struct {
 
 func newServerMetrics(sess *feo.Session) *serverMetrics {
 	m := &serverMetrics{reg: metrics.NewRegistry(), lastChange: time.Now()}
-	m.lastVersion = sess.Snapshot().Version()
+	m.lastVersion = sess.Version()
 	m.reg.GaugeFunc("feo_query_plan_cache_hits",
 		"Cumulative SPARQL plan-cache hits.", func() float64 {
 			hits, _ := feo.QueryPlanCacheStats()
@@ -44,10 +44,7 @@ func newServerMetrics(sess *feo.Session) *serverMetrics {
 		})
 	m.reg.GaugeFunc("feo_snapshot_age_seconds",
 		"Seconds since the published graph version last changed (as observed by this server).",
-		func() float64 {
-			sn := sess.Snapshot()
-			return m.observeVersion(sn.Version()).Seconds()
-		})
+		func() float64 { return m.observeVersion(sess.Version()).Seconds() })
 	m.reg.GaugeFunc("feo_graph_triples",
 		"Triples in the latest published graph version.", func() float64 {
 			return float64(sess.Snapshot().Graph().Len())
@@ -139,7 +136,7 @@ func (s *apiServer) instrument(endpoint string, h http.HandlerFunc) http.Handler
 		} else {
 			s.metrics.requests(endpoint, sr.status).Inc()
 		}
-		s.metrics.observeVersion(s.sess.Snapshot().Version())
+		s.metrics.observeVersion(s.sess.Version())
 	}
 }
 

@@ -53,6 +53,18 @@ type Snapshot struct {
 // remains non-blocking. One consequence: read-your-write is guaranteed
 // only when no OTHER writer is mid-commit at pin time.
 func (s *Session) Snapshot() *Snapshot {
+	sp := s.pin()
+	g := sp.Graph()
+	return &Snapshot{sess: s, snap: sp, g: g, coach: healthcoach.New(g, s.weights)}
+}
+
+// Version returns the graph version Snapshot would pin now, publishing
+// pending commits the same way, without building the read handle.
+func (s *Session) Version() uint64 { return s.pin().Version() }
+
+// pin publishes pending commits if it can take the writer lock without
+// waiting, and returns the latest published store snapshot.
+func (s *Session) pin() *store.Snapshot {
 	if s.dirty.Load() && s.mu.TryLock() {
 		if s.dirty.Load() {
 			s.graph.Publish()
@@ -60,9 +72,7 @@ func (s *Session) Snapshot() *Snapshot {
 		}
 		s.mu.Unlock()
 	}
-	sp := s.graph.Snapshot()
-	g := sp.Graph()
-	return &Snapshot{sess: s, snap: sp, g: g, coach: healthcoach.New(g, s.weights)}
+	return s.graph.Snapshot()
 }
 
 // Version returns the graph mutation version this handle pins.

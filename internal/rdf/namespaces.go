@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -185,16 +186,17 @@ func (ns *Namespaces) IRIFor(prefix string) (string, bool) {
 	return iri, ok
 }
 
-// Clone returns an independent copy of the mapping.
+// Clone returns an independent copy of the mapping. The copy shrinks
+// every IRI to the prefix the original does, also where two prefixes
+// name one namespace.
 func (ns *Namespaces) Clone() *Namespaces {
-	out := NewNamespaces()
 	if ns == nil {
-		return out
+		return NewNamespaces()
 	}
-	//feo:unordered
-	for p, iri := range ns.prefixToIRI {
-		out.Bind(p, iri)
+	return &Namespaces{
+		prefixToIRI: maps.Clone(ns.prefixToIRI),
+		iriToPrefix: maps.Clone(ns.iriToPrefix),
+		base:        ns.base,
+		gen:         ns.gen,
 	}
-	out.base = ns.base
-	return out
 }

@@ -51,9 +51,11 @@
 //
 // Run, RunStream and RunGraphStream cache parses by query shape, not by
 // text. One scan of the text (the lexer is a position cursor shared with
-// the parser) writes its fingerprint: the token stream with every lifted
-// constant replaced by a placeholder of its token kind, while the
-// constants themselves go into a parameter vector. Lifted are IRIREFs,
+// the parser, and reads white space, comments, IRIs, strings, numbers,
+// language tags and names through the term scanners of internal/rdf, the
+// ones the Turtle parser uses) writes its fingerprint: the token stream
+// with every lifted constant replaced by a placeholder of its token kind,
+// while the constants themselves go into a parameter vector. Lifted are IRIREFs,
 // string literals (folded with their language tag or datatype) and
 // numeric and boolean literals. In a triple-pattern position of a plain
 // (path-free) pattern, and as expression constants, they become parameter

@@ -237,6 +237,9 @@ type evalContext struct {
 	// EXISTS bodies re-enter evalGroup once per row, and the variable
 	// collection depends only on the (immutable) pattern tree.
 	groupMemo map[*Group]*groupInfo
+	// existsIDs memoizes quickExists's constant IDs per EXISTS group: a
+	// constant's ID cannot change within an execution.
+	existsIDs map[*Group]existsConsts
 	// stop, when non-nil, is a cooperative cancellation flag (set by
 	// ExecuteStream's deadline timer). The row loops and the push steps
 	// poll it and unwind with partial state, which the caller then
@@ -950,36 +953,65 @@ func (ec *evalContext) quickExists(g *Group, r idRow) (found, ok bool) {
 		return false, false
 	}
 	tp := bgp.Triples[0]
-	ids := [3]store.ID{store.NoID, store.NoID, store.NoID}
+	consts, seen := ec.existsIDs[g]
+	if !seen {
+		consts = ec.existsConstIDs(tp)
+		if ec.existsIDs == nil {
+			ec.existsIDs = make(map[*Group]existsConsts)
+		}
+		ec.existsIDs[g] = consts
+	}
+	if consts.absent {
+		return false, true // a term the graph has never seen: no match
+	}
+	ids := consts.ids
 	freeSlots := [3]int{-1, -1, -1}
 	for i, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
-		if tv.IsVar {
-			s := ec.env.slot(tv.Var)
-			if s >= 0 && r[s] != store.NoID {
-				ids[i] = r[s]
-				continue
-			}
-			// Two unbound occurrences of one variable constrain each
-			// other; leave that shape to the full evaluator.
-			for j := 0; j < i; j++ {
-				if freeSlots[j] == s {
-					return false, false
-				}
-			}
-			freeSlots[i] = s
+		if !tv.IsVar {
 			continue
 		}
-		id, known := ec.g.LookupID(ec.constOf(tv))
-		if !known {
-			return false, true // a term the graph has never seen: no match
+		s := ec.env.slot(tv.Var)
+		if s >= 0 && r[s] != store.NoID {
+			ids[i] = r[s]
+			continue
 		}
-		ids[i] = id
+		// Two unbound occurrences of one variable constrain each other;
+		// leave that shape to the full evaluator.
+		for j := 0; j < i; j++ {
+			if freeSlots[j] == s {
+				return false, false
+			}
+		}
+		freeSlots[i] = s
 	}
 	ec.g.ForEachID(ids[0], ids[1], ids[2], func(_, _, _ store.ID) bool {
 		found = true
 		return false
 	})
 	return found, true
+}
+
+// existsConsts holds the IDs of a pattern's constants (NoID at its
+// variables); absent reports a constant the graph has never interned.
+type existsConsts struct {
+	ids    [3]store.ID
+	absent bool
+}
+
+// existsConstIDs looks tp's constants up in the graph.
+func (ec *evalContext) existsConstIDs(tp TriplePattern) existsConsts {
+	c := existsConsts{ids: [3]store.ID{store.NoID, store.NoID, store.NoID}}
+	for i, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
+		if tv.IsVar {
+			continue
+		}
+		id, known := ec.g.LookupID(ec.constOf(tv))
+		if !known {
+			return existsConsts{absent: true}
+		}
+		c.ids[i] = id
+	}
+	return c
 }
 
 // ---- SELECT finalization: grouping, aggregates, projection, modifiers ----
@@ -1557,21 +1589,13 @@ func (ec *evalContext) describeTriples(q *Query) []store.IDTriple {
 }
 
 // resultGraph builds Result.Graph from graphTriples' output: a fresh graph
-// carrying the standard namespaces plus the query's prefixes.
+// carrying a copy of the query's namespaces (the standard prefixes plus
+// its own), the table graphStream writes with.
 func (ec *evalContext) resultGraph(q *Query, ts []store.IDTriple) *store.Graph {
 	out := store.New()
-	bindPrefixes(out.Namespaces(), q.Namespaces)
+	*out.Namespaces() = *q.Namespaces.Clone()
 	for _, t := range ts {
 		out.Add(ec.termOf(t.S), ec.termOf(t.P), ec.termOf(t.O))
 	}
 	return out
-}
-
-// bindPrefixes binds every prefix of from in ns.
-func bindPrefixes(ns, from *rdf.Namespaces) {
-	for _, p := range from.Prefixes() {
-		if iri, ok := from.IRIFor(p); ok {
-			ns.Bind(p, iri)
-		}
-	}
 }

@@ -37,6 +37,15 @@ var querySeeds = []string{
 	`DESCRIBE <http://e/thing> ?x WHERE { ?x a <http://e/C> }`,
 	`PREFIX ex: <http://e/> SELECT (GROUP_CONCAT(DISTINCT ?n; SEPARATOR=", ") AS ?all) WHERE { ?s ex:name ?n }`,
 	`SELECT ?x WHERE { ?x <http://e/p> ?y . FILTER(?y IN (1, 2, "three")) }`,
+	// Term syntax shared with Turtle: every ECHAR and UCHAR escape, IRI
+	// escapes, the empty prefix, local-name escapes, and '<' as an
+	// operator where no IRIREF can start.
+	`SELECT * WHERE { ?s ?p "a\fb" , "a\bb" , "\U0001F600" }`,
+	`SELECT * WHERE { <http://e/caf\u00E9> ?p <http://e/a\u003Eb> }`,
+	`PREFIX : <http://e/> SELECT * WHERE { :s :a\.b%2F:c ?o . FILTER(?o<?s||?o>=1.e5) }`,
+	// UCHAR values that are not Unicode scalar values are rejected.
+	`SELECT * WHERE { <http://e/\UFFFFFFFF> ?p <http://e/\U80000000> }`,
+	`SELECT * WHERE { ?s ?p "\U00110000\uD800" }`,
 }
 
 func FuzzParseQuery(f *testing.F) {

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"unicode/utf8"
@@ -110,12 +111,21 @@ type lexer struct {
 // errAt reports msg at source offset off: line and column (in bytes)
 // counted from 1.
 func (l *lexer) errAt(off int, msg string) *Error {
-	line := 1 + strings.Count(l.src[:off], "\n")
-	return &Error{Line: line, Col: off - strings.LastIndexByte(l.src[:off], '\n'), Msg: msg}
+	line, col := rdf.LineCol(l.src, off)
+	return &Error{Line: line, Col: col, Msg: msg}
 }
 
 func (l *lexer) errf(format string, args ...any) error {
 	return l.errAt(l.pos, fmt.Sprintf(format, args...))
+}
+
+// scanErr positions an error of the rdf term scanners in the text.
+func (l *lexer) scanErr(err error) error {
+	var se *rdf.SyntaxError
+	if errors.As(err, &se) {
+		return l.errAt(se.Off, se.Msg)
+	}
+	return err
 }
 
 // tok makes a token spanning src[off:l.pos].
@@ -137,12 +147,6 @@ func (l *lexer) peekAt(off int) byte {
 		return 0
 	}
 	return l.src[l.pos+off]
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	return c
 }
 
 // next returns the next token, lifting it when it is a constant. After
@@ -171,7 +175,8 @@ func (l *lexer) next() (token, error) {
 		l.lift(&t, term)
 	case tokNumber:
 		if !l.prevIs(0, tokKeyword, "LIMIT") && !l.prevIs(0, tokKeyword, "OFFSET") {
-			l.lift(&t, numberTerm(t.text))
+			_, dt, _ := rdf.ScanNumber(t.text, 0)
+			l.lift(&t, rdf.NewTypedLiteral(t.text, dt))
 		}
 	case tokBool:
 		l.lift(&t, rdf.NewBool(t.text == "true"))
@@ -269,245 +274,90 @@ func (l *lexer) raw() (token, error) {
 	if l.err != nil {
 		return token{kind: tokEOF, off: l.pos, end: l.pos, param: -1}, nil
 	}
-	for !l.eof() {
-		c := l.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-			continue
-		case c == '#':
-			for !l.eof() && l.peek() != '\n' {
-				l.advance()
-			}
-			continue
-		}
-		t, err := l.scan(c)
-		if err != nil {
-			return l.fail(err)
-		}
-		return t, nil
+	l.pos = rdf.SkipSpace(l.src, l.pos)
+	if l.eof() {
+		return l.tok(tokEOF, "", l.pos), nil
 	}
-	return l.tok(tokEOF, "", l.pos), nil
+	t, err := l.scan(l.src[l.pos])
+	if err != nil {
+		return l.fail(err)
+	}
+	return t, nil
 }
 
 // scan lexes the token starting with c at the cursor.
 func (l *lexer) scan(c byte) (token, error) {
 	off := l.pos
+	if _, _, end := rdf.ScanNumber(l.src, off); end > off {
+		l.pos = end
+		return l.tok(tokNumber, l.src[off:end], off), nil
+	}
 	switch {
 	case c == '?' || c == '$':
 		// '?' not followed by a name char is the zero-or-one path
 		// modifier, not a variable.
-		l.advance()
-		if !isNameChar(l.peek()) {
+		l.pos = rdf.ScanPNChars(l.src, off+1)
+		if l.pos == off+1 {
 			return l.tok(tokPunct, "?", off), nil
 		}
-		start := l.pos
-		for !l.eof() && isNameChar(l.peek()) {
-			l.advance()
-		}
-		return l.tok(tokVar, l.src[start:l.pos], off), nil
+		return l.tok(tokVar, l.src[off+1:l.pos], off), nil
 	case c == '<':
-		// Distinguish IRIRef from comparison operators: an IRIRef has no
-		// whitespace before the closing '>'.
-		if iri, ok := l.tryIRIRef(); ok {
+		iri, end, err := rdf.ScanIRIRef(l.src, off)
+		if err == nil {
+			l.pos = end
 			return l.tok(tokIRIRef, iri, off), nil
 		}
-		l.advance()
+		if end != off {
+			return token{}, l.scanErr(err)
+		}
+		// No IRIREF starts here: '<' is a comparison operator.
+		l.pos++
 		if l.peek() == '=' {
-			l.advance()
+			l.pos++
 			return l.tok(tokPunct, "<=", off), nil
 		}
 		return l.tok(tokPunct, "<", off), nil
 	case c == '"' || c == '\'':
-		s, err := l.lexString()
+		s, end, err := rdf.ScanString(l.src, off)
 		if err != nil {
-			return token{}, err
+			return token{}, l.scanErr(err)
 		}
+		l.pos = end
 		return l.tok(tokString, s, off), nil
 	case c == '@':
-		l.advance()
-		start := l.pos
-		for !l.eof() && (isAlpha(l.peek()) || l.peek() == '-' || isDigit(l.peek())) {
-			l.advance()
+		tag, end, err := rdf.ScanLangTag(l.src, off)
+		if err != nil {
+			return token{}, l.scanErr(err)
 		}
-		if l.pos == start {
-			return token{}, l.errf("empty language tag")
-		}
-		return l.tok(tokLangTag, l.src[start:l.pos], off), nil
-	case isDigit(c) || (c == '.' && isDigit(l.peekAt(1))):
-		return l.lexNumber(), nil
+		l.pos = end
+		return l.tok(tokLangTag, tag, off), nil
 	case c == '+' || c == '-':
 		// Sign is part of a numeric literal only directly before digits;
 		// the parser decides arithmetic from context, so emit punct and
 		// let numbers be unsigned at the lexer level.
-		l.advance()
+		l.pos++
 		return l.tok(tokPunct, string(c), off), nil
 	case c == '[':
-		// ANON blank node "[]" (possibly with inner whitespace) vs '['.
-		l.advance()
-		for !l.eof() && (l.peek() == ' ' || l.peek() == '\t') {
-			l.advance()
-		}
-		if l.peek() == ']' {
-			l.advance()
+		// ANON blank node "[]" (possibly with inner white space) vs '['.
+		if end := rdf.SkipSpace(l.src, off+1); end < len(l.src) && l.src[end] == ']' {
+			l.pos = end + 1
 			return l.tok(tokAnon, "[]", off), nil
 		}
-		l.pos = off + 1
+		l.pos++
 		return l.tok(tokPunct, "[", off), nil
 	case strings.IndexByte("{}().;,*/|^!=>&", c) >= 0:
 		return l.lexPunct(), nil
 	case c == '_' && l.peekAt(1) == ':':
-		l.advance()
-		l.advance()
-		start := l.pos
-		for !l.eof() && isNameChar(l.peek()) {
-			l.advance()
-		}
-		return l.tok(tokPName, "_:"+l.src[start:l.pos], off), nil
-	case isAlpha(c) || c >= utf8.RuneSelf:
-		return l.lexWord(), nil
+		l.pos = rdf.ScanLabel(l.src, off+2)
+		return l.tok(tokPName, l.src[off:l.pos], off), nil
 	}
-	return token{}, l.errf("unexpected character %q", string(c))
-}
-
-// tryIRIRef attempts to scan <...> as an IRI reference; on failure the
-// position is restored and ok=false (so '<' can be an operator).
-func (l *lexer) tryIRIRef() (string, bool) {
-	save := l.pos
-	l.advance() // '<'
-	start := l.pos
-	for !l.eof() {
-		c := l.peek()
-		if c == '>' {
-			iri := l.src[start:l.pos]
-			l.advance()
-			return iri, true
-		}
-		if c == ' ' || c == '\t' || c == '\n' || c == '<' || c == '"' {
-			break
-		}
-		l.advance()
-	}
-	l.pos = save
-	return "", false
-}
-
-func (l *lexer) lexString() (string, error) {
-	quote := l.advance()
-	long := false
-	if l.peek() == quote && l.peekAt(1) == quote {
-		l.advance()
-		l.advance()
-		long = true
-	} else if l.peek() == quote {
-		l.advance()
-		return "", nil
-	}
-	var b strings.Builder
-	for {
-		if l.eof() {
-			return "", l.errf("unterminated string")
-		}
-		c := l.peek()
-		if c == quote {
-			if !long {
-				l.advance()
-				return b.String(), nil
-			}
-			if l.peekAt(1) == quote && l.peekAt(2) == quote {
-				l.advance()
-				l.advance()
-				l.advance()
-				return b.String(), nil
-			}
-			b.WriteByte(l.advance())
-			continue
-		}
-		if c == '\\' {
-			l.advance()
-			if l.eof() {
-				return "", l.errf("unterminated escape")
-			}
-			switch e := l.advance(); e {
-			case 't':
-				b.WriteByte('\t')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case '"', '\'', '\\':
-				b.WriteByte(e)
-			case 'u':
-				r, err := l.readHex(4)
-				if err != nil {
-					return "", err
-				}
-				b.WriteRune(r)
-			default:
-				return "", l.errf("invalid escape \\%c", e)
-			}
-			continue
-		}
-		if !long && (c == '\n' || c == '\r') {
-			return "", l.errf("newline in string")
-		}
-		b.WriteByte(l.advance())
-	}
-}
-
-func (l *lexer) readHex(n int) (rune, error) {
-	var v rune
-	for i := 0; i < n; i++ {
-		if l.eof() {
-			return 0, l.errf("unterminated hex escape")
-		}
-		c := l.advance()
-		v <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			v |= rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			v |= rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			v |= rune(c-'A') + 10
-		default:
-			return 0, l.errf("invalid hex digit")
-		}
-	}
-	return v, nil
-}
-
-func (l *lexer) lexNumber() token {
-	start := l.pos
-	for !l.eof() && isDigit(l.peek()) {
-		l.advance()
-	}
-	if l.peek() == '.' && isDigit(l.peekAt(1)) {
-		l.advance()
-		for !l.eof() && isDigit(l.peek()) {
-			l.advance()
-		}
-	}
-	if l.peek() == 'e' || l.peek() == 'E' {
-		save := l.pos
-		l.advance()
-		if l.peek() == '+' || l.peek() == '-' {
-			l.advance()
-		}
-		if isDigit(l.peek()) {
-			for !l.eof() && isDigit(l.peek()) {
-				l.advance()
-			}
-		} else {
-			l.pos = save
-		}
-	}
-	return l.tok(tokNumber, l.src[start:l.pos], start)
+	return l.lexWord()
 }
 
 func (l *lexer) lexPunct() token {
 	off := l.pos
-	c := l.advance()
+	c := l.src[off]
+	l.pos++
 	text := l.src[off:l.pos]
 	var next byte
 	switch c {
@@ -519,50 +369,48 @@ func (l *lexer) lexPunct() token {
 		next = '|'
 	}
 	if next != 0 && l.peek() == next {
-		l.advance()
+		l.pos++
 		text = l.src[off:l.pos]
 	}
 	return l.tok(tokPunct, text, off)
 }
 
-// lexWord scans a bare word: keyword, boolean, builtin function name, or
-// prefixed name.
-func (l *lexer) lexWord() token {
+// lexWord scans a prefixed name or a bare word: keyword, boolean or
+// builtin function name.
+func (l *lexer) lexWord() (token, error) {
 	start := l.pos
-	for !l.eof() && (isNameChar(l.peek()) || l.peek() >= utf8.RuneSelf) {
-		l.advance()
+	prefix, local, end, err := rdf.ScanPName(l.src, start)
+	if err != nil {
+		return token{}, l.scanErr(err)
+	}
+	if end > start {
+		l.pos = end
+		text := l.src[start:end]
+		if len(prefix)+1+len(local) != len(text) {
+			// The local name had backslash escapes: the token carries it
+			// unescaped, as expand reads it.
+			text = prefix + ":" + local
+		}
+		return l.tok(tokPName, text, start), nil
+	}
+	l.pos = rdf.ScanPNChars(l.src, start)
+	if l.pos == start {
+		return token{}, l.errf("unexpected character %q", string(l.src[start]))
 	}
 	word := l.src[start:l.pos]
-	// prefix:local form (includes empty local "ex:").
-	if l.peek() == ':' {
-		l.advance()
-		for !l.eof() {
-			c := l.peek()
-			if isNameChar(c) || c >= utf8.RuneSelf {
-				l.advance()
-				continue
-			}
-			if c == '.' && (isNameChar(l.peekAt(1)) || l.peekAt(1) >= utf8.RuneSelf) {
-				l.advance()
-				continue
-			}
-			break
-		}
-		return l.tok(tokPName, l.src[start:l.pos], start)
-	}
 	// Boolean literals are matched case-insensitively: the paper's
 	// Listing 1 spells "False".
 	for _, b := range [2]string{"true", "false"} {
 		if asciiFold(word, b) {
-			return l.tok(tokBool, b, start)
+			return l.tok(tokBool, b, start), nil
 		}
 	}
 	if kw, ok := keyword(word); ok {
-		return l.tok(tokKeyword, kw, start)
+		return l.tok(tokKeyword, kw, start), nil
 	}
 	// Builtin function names and anything else: keep verbatim; the parser
 	// resolves them (case-insensitively for functions).
-	return l.tok(tokPName, word, start)
+	return l.tok(tokPName, word, start), nil
 }
 
 // asciiFold reports whether word is lower (all lower-case ASCII) in any
@@ -600,14 +448,6 @@ func keyword(word string) (string, bool) {
 	kw, ok := keywords[string(buf[:len(word)])]
 	return kw, ok
 }
-
-func isAlpha(c byte) bool {
-	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_'
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isNameChar(c byte) bool { return isAlpha(c) || isDigit(c) || c == '-' }
 
 // Fingerprint encoding: every token the key keeps is its kind byte, its
 // text's length as a uvarint and the text; a lifted constant is the one

@@ -761,8 +761,7 @@ func (p *qparser) parseGraphTerm() (rdf.Term, error) {
 				return rdf.Term{}, p.lx.errAt(n.end, "expected number after sign")
 			}
 			if t.text == "-" {
-				p.pin(n)
-				return numberTerm("-" + n.text), nil
+				return rdf.NewTypedLiteral("-"+n.text, p.pin(n).Datatype), nil
 			}
 			return p.pin(n), nil
 		}
@@ -778,16 +777,6 @@ func (p *qparser) parseTermToken(t token) (rdf.Term, error) {
 		return rdf.Term{}, err
 	}
 	return rdf.NewIRI(iri), nil
-}
-
-func numberTerm(text string) rdf.Term {
-	if strings.ContainsAny(text, "eE") {
-		return rdf.NewTypedLiteral(text, rdf.XSDDouble)
-	}
-	if strings.Contains(text, ".") {
-		return rdf.NewTypedLiteral(text, rdf.XSDDecimal)
-	}
-	return rdf.NewTypedLiteral(text, rdf.XSDInteger)
 }
 
 // ---- solution modifiers ----

@@ -146,6 +146,29 @@ SELECT ?p WHERE { ?p a ex:Person . FILTER EXISTS { ?p ex:likes ex:sushi } }`)
 	}
 }
 
+// TestFilterExistsConstants probes one single-pattern EXISTS from every
+// row, with constants the graph holds and one it has never seen; the
+// constants' IDs are looked up once per execution and reused row after row.
+func TestFilterExistsConstants(t *testing.T) {
+	g := testGraph(t, fixture)
+	for _, c := range []struct {
+		filter string
+		want   int
+	}{
+		{`FILTER EXISTS { ?p ex:likes ex:pizza }`, 2},
+		{`FILTER NOT EXISTS { ?p ex:likes ex:pizza }`, 1},
+		{`FILTER EXISTS { ?p ex:likes ex:nothing }`, 0},
+		{`FILTER NOT EXISTS { ?p ex:likes ex:nothing }`, 3},
+		{`FILTER NOT EXISTS { ?p <http://e/unseen> ?x }`, 3},
+		{`FILTER EXISTS { ex:sushi ex:contains ex:rawFish }`, 3},
+	} {
+		q := `PREFIX ex: <http://e/> SELECT ?p WHERE { ?p a ex:Person . ` + c.filter + ` }`
+		if res := run(t, g, q); res.Len() != c.want {
+			t.Errorf("%s: %d rows, want %d", c.filter, res.Len(), c.want)
+		}
+	}
+}
+
 func TestOptional(t *testing.T) {
 	g := testGraph(t, fixture)
 	res := run(t, g, `PREFIX ex: <http://e/>
@@ -725,5 +748,53 @@ SELECT ?p ?x WHERE {
 		if _, leaked := sol["x"]; leaked {
 			t.Error("?x must not escape the subquery projection")
 		}
+	}
+}
+
+// TestScanQueryTerms reads query terms through internal/rdf's scanners,
+// the ones the Turtle parser uses: every ECHAR and UCHAR escape parses and
+// renders to a fixed point, and an IRI spelled with a \u escape in a
+// query names the IRI a document loaded.
+func TestScanQueryTerms(t *testing.T) {
+	for _, src := range []string{
+		`SELECT * WHERE { ?s ?p "a\fb" }`,
+		`SELECT * WHERE { ?s ?p "a\bb" }`,
+		`SELECT * WHERE { ?s ?p "\U0001F600" }`,
+		`SELECT * WHERE { ?s ?p ?o . FILTER(?o<?s||?o>?s) }`,
+		`PREFIX : <http://e/> SELECT * WHERE { :s :p ?o }`,
+		`PREFIX ex: <http://e/> SELECT * WHERE { ?s ex:a\.b%2F:c ?o }`,
+	} {
+		q, err := ParseQuery(src)
+		if err != nil {
+			t.Errorf("ParseQuery(%q): %v", src, err)
+			continue
+		}
+		r1 := q.String()
+		q2, err := ParseQuery(r1)
+		if err != nil || q2.String() != r1 {
+			t.Errorf("%q renders to %q, which is not a fixed point (%v)", src, r1, err)
+		}
+	}
+	for _, src := range []string{
+		`SELECT * WHERE { ?s ?p <http://e/a\u003Eb> }`,
+		`SELECT * WHERE { ?s ?p <http://e/a\u007Bb> }`,
+		`SELECT * WHERE { ?s ?p <http://e/a\b> }`,
+		`PREFIX ex: <http://e/> SELECT * WHERE { ?s ?p ex:a\>b }`,
+		`SELECT * WHERE { ?s ?p "x"@1en }`,
+		`SELECT * WHERE { <http://e/\UFFFFFFFF> ?p ?o }`,
+		`SELECT * WHERE { ?s ?p <http://e/\U80000000> }`,
+		`SELECT * WHERE { ?s ?p "\U00110000" }`,
+	} {
+		if _, err := ParseQuery(src); err == nil {
+			t.Errorf("ParseQuery(%q) accepted", src)
+		}
+	}
+	g := testGraph(t, `<http://e/caf\u00E9> <http://e/p> "a\fb\bc\U0001F600" .`)
+	res := run(t, g, `SELECT ?o WHERE { <http://e/caf\u00E9> <http://e/p> ?o }`)
+	if len(res.Solutions) != 1 || res.Solutions[0]["o"] != rdf.NewLiteral("a\fb\bc😀") {
+		t.Errorf("escaped IRI lookup = %v", res.Solutions)
+	}
+	if !run(t, g, `ASK { <http://e/café> <http://e/p> "a\fb\bc\U0001F600" }`).Boolean {
+		t.Error("the raw IRI and the escaped literal do not match the loaded triple")
 	}
 }

@@ -258,9 +258,9 @@ func (pq prepared) graphStream(g *store.Graph, w io.Writer, opts StreamOptions) 
 	if ec.canceled() {
 		return StreamStats{}, ErrDeadlineExceeded
 	}
-	ns := rdf.StandardNamespaces()
-	bindPrefixes(ns, q.Namespaces)
-	ws, err := turtle.WriteIDs(w, ns, ts, ec.termOf, turtle.Limits{
+	// The template's namespaces are read-only here: WriteIDs only reads
+	// prefixes and shrinks IRIs.
+	ws, err := turtle.WriteIDs(w, q.Namespaces, ts, ec.termOf, turtle.Limits{
 		MaxTriples: opts.MaxRows, MaxBytes: opts.MaxBytes, Expired: ec.canceled,
 	})
 	return StreamStats{Rows: ws.Triples, Truncated: ws.Reason != "", Reason: ws.Reason}, err

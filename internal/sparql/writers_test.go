@@ -137,7 +137,8 @@ func TestWritersReuseBuffers(t *testing.T) {
 // template blank nodes (under ORDER BY, since they are numbered by
 // solution), constants the graph does not hold, a literal subject that
 // yields nothing, a variable the WHERE clause never binds, expression
-// results (extension IDs), duplicates across solutions, and descriptions.
+// results (extension IDs), duplicates across solutions, descriptions, and
+// two prefixes naming one namespace (the later declaration shrinks it).
 var graphStreamQueries = []string{
 	`CONSTRUCT { ?s ?p ?o } WHERE { ?s ?p ?o }`,
 	`CONSTRUCT { ?s ex:tagged [] . ?s ex:seen true } WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`,
@@ -148,6 +149,8 @@ var graphStreamQueries = []string{
 	`CONSTRUCT { ?o ex:object ex:yes } WHERE { ?s ?p ?o }`,
 	`DESCRIBE ex:pizza ex:nobody`,
 	`DESCRIBE ?p WHERE { ?p a ex:Person }`,
+	`PREFIX b: <http://x/> PREFIX a: <http://x/> CONSTRUCT { ?s a:p ?o } WHERE { ?s ?p ?o }`,
+	`PREFIX o: <http://www.w3.org/2002/07/owl#> CONSTRUCT { ?s o:sameAs ?s } WHERE { ?s a ?c }`,
 }
 
 func TestGraphStreamMatchesMaterialized(t *testing.T) {

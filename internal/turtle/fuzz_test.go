@@ -28,6 +28,20 @@ var turtleSeeds = []string{
 	"@prefix : <http://e/> .\n:s :p :o .",
 	"@base <http://base/> .\n<rel> <p> <o> .",
 	"# a comment\n<http://e/s> <http://e/p> \"after comment\" . # trailing",
+	// Term syntax: IRI escapes that decode to excluded characters and a
+	// local-name escape outside PN_LOCAL_ESC are rejected, an exponent
+	// needs digits, and the escapes that read back verbatim round-trip.
+	`<http://e/s> <http://e/p> <http://e/a\u003Eb> .`,
+	"@prefix ex: <http://e/> .\nex:s ex:p ex:a\\>b .",
+	"@prefix ex: <http://e/> .\nex:s ex:p 1e .",
+	"@prefix ex: <http://e/> .\nex:s ex:p ex:a\\.b%2F:c , 1.e5 , <http://e/caf\\u00E9> .",
+	`<http://e/s> <http://e/p> "a\fb\bc\U0001F600"@en-GB .`,
+	// UCHAR values that are not Unicode scalar values are rejected.
+	`<http://e/\UFFFFFFFF> <http://e/p> <http://e/\U80000000> .`,
+	`<http://e/s> <http://e/p> "\U00110000\uD800" .`,
+	// A dotted prefix in predicate position is a prefixed name, not the
+	// keyword 'a'.
+	"@prefix a.b: <http://e/> .\n<http://e/s> a.b:c <http://e/o> .",
 }
 
 func FuzzParseTurtle(f *testing.F) {

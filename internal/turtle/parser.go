@@ -1,15 +1,20 @@
 // Package turtle reads and writes the Turtle and N-Triples concrete RDF
-// syntaxes. The parser covers the Turtle features ontology documents use:
-// prefix and base directives, prefixed names, the 'a' keyword, string
-// (short and long), numeric, and boolean literals, language tags and
-// datatypes, anonymous and labeled blank nodes, property lists,
-// collections, and predicate-object/object list punctuation.
+// syntaxes. The parser keeps the Turtle grammar ontology documents use:
+// prefix and base directives, the 'a' keyword, boolean literals, datatype
+// and language-tag suffixes, anonymous and labeled blank nodes, property
+// lists, collections, and predicate-object/object list punctuation. The
+// terms themselves — IRIs, prefixed names, strings (short and long),
+// numbers, language tags, white space and comments — are read by the
+// scanners of internal/rdf, the ones the SPARQL lexer uses, so a term
+// reads the same way in a document and in a query. Error positions are
+// computed from the byte offset with rdf.LineCol.
 //
 // Every valid N-Triples document is also a valid Turtle document, so the
 // same parser loads both.
 package turtle
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -54,7 +59,7 @@ func ParseInto(g *store.Graph, input string) error {
 		return &ParseError{Line: 1, Col: 1, Msg: "document is not valid UTF-8"}
 	}
 	p := &parser{
-		src: input, line: 1, col: 1, g: g, b: g.Bulk(), ns: g.Namespaces(),
+		src: input, g: g, b: g.Bulk(), ns: g.Namespaces(),
 		bnodePrefix: fmt.Sprintf("d%d", parseSeq.Add(1)),
 	}
 	return p.parseDocument()
@@ -63,8 +68,6 @@ func ParseInto(g *store.Graph, input string) error {
 type parser struct {
 	src         string
 	pos         int
-	line        int
-	col         int
 	g           *store.Graph
 	b           *store.Bulk // bulk writer: repeated subjects/predicates intern once
 	ns          *rdf.Namespaces
@@ -72,8 +75,22 @@ type parser struct {
 	bnodePrefix string
 }
 
+func (p *parser) errAt(off int, msg string) error {
+	line, col := rdf.LineCol(p.src, off)
+	return &ParseError{Line: line, Col: col, Msg: msg}
+}
+
 func (p *parser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
+	return p.errAt(p.pos, fmt.Sprintf(format, args...))
+}
+
+// scanErr positions an error of the rdf term scanners in the document.
+func (p *parser) scanErr(err error) error {
+	var se *rdf.SyntaxError
+	if errors.As(err, &se) {
+		return p.errAt(se.Off, se.Msg)
+	}
+	return err
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
@@ -92,59 +109,15 @@ func (p *parser) peekAt(off int) byte {
 	return p.src[p.pos+off]
 }
 
-func (p *parser) advance() byte {
-	c := p.src[p.pos]
-	p.pos++
-	if c == '\n' {
-		p.line++
-		p.col = 1
-	} else {
-		p.col++
-	}
-	return c
-}
-
-// skipWS skips whitespace and comments.
-func (p *parser) skipWS() {
-	for !p.eof() {
-		c := p.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			p.advance()
-		case c == '#':
-			for !p.eof() && p.peek() != '\n' {
-				p.advance()
-			}
-		default:
-			return
-		}
-	}
-}
+// skipWS skips white space and comments.
+func (p *parser) skipWS() { p.pos = rdf.SkipSpace(p.src, p.pos) }
 
 func (p *parser) expect(c byte) error {
 	if p.eof() || p.peek() != c {
 		return p.errf("expected %q, found %q", string(c), string(p.peek()))
 	}
-	p.advance()
+	p.pos++
 	return nil
-}
-
-func (p *parser) hasKeyword(kw string) bool {
-	if p.pos+len(kw) > len(p.src) {
-		return false
-	}
-	if !strings.EqualFold(p.src[p.pos:p.pos+len(kw)], kw) {
-		return false
-	}
-	// Must be followed by whitespace or delimiter.
-	next := p.peekAt(len(kw))
-	return next == 0 || next == ' ' || next == '\t' || next == '\r' || next == '\n' || next == '<' || next == '#'
-}
-
-func (p *parser) consumeKeyword(kw string) {
-	for i := 0; i < len(kw); i++ {
-		p.advance()
-	}
 }
 
 func (p *parser) parseDocument() error {
@@ -153,77 +126,61 @@ func (p *parser) parseDocument() error {
 		if p.eof() {
 			return nil
 		}
+		var err error
 		switch {
 		case p.peek() == '@':
-			if err := p.parseAtDirective(); err != nil {
-				return err
-			}
-		case p.hasKeyword("PREFIX"):
-			p.consumeKeyword("PREFIX")
-			if err := p.parsePrefixBody(false); err != nil {
-				return err
-			}
-		case p.hasKeyword("BASE"):
-			p.consumeKeyword("BASE")
-			if err := p.parseBaseBody(false); err != nil {
-				return err
-			}
+			err = p.parseAtDirective()
+		case p.isWord("PREFIX", true):
+			err = p.parseDirective("PREFIX", false)
+		case p.isWord("BASE", true):
+			err = p.parseDirective("BASE", false)
 		default:
-			if err := p.parseTriples(); err != nil {
-				return err
-			}
+			err = p.parseTriples()
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
+// parseAtDirective parses the directive at the cursor's '@', a keyword
+// shaped like a language tag.
 func (p *parser) parseAtDirective() error {
-	p.advance() // '@'
-	switch {
-	case strings.HasPrefix(p.src[p.pos:], "prefix"):
-		for i := 0; i < len("prefix"); i++ {
-			p.advance()
-		}
-		return p.parsePrefixBody(true)
-	case strings.HasPrefix(p.src[p.pos:], "base"):
-		for i := 0; i < len("base"); i++ {
-			p.advance()
-		}
-		return p.parseBaseBody(true)
-	default:
-		return p.errf("unknown directive after '@'")
+	p.pos++ // '@'
+	switch kw, _, _ := rdf.ScanLangTag(p.src, p.pos-1); kw {
+	case "prefix", "base":
+		return p.parseDirective(kw, true)
 	}
+	return p.errf("unknown directive after '@'")
 }
 
-func (p *parser) parsePrefixBody(dotted bool) error {
+// parseDirective parses a prefix or base directive after the keyword kw
+// at the cursor; the '@' forms (dotted) end with '.'.
+func (p *parser) parseDirective(kw string, dotted bool) error {
+	p.pos += len(kw)
 	p.skipWS()
-	start := p.pos
-	for !p.eof() && p.peek() != ':' {
-		p.advance()
-	}
-	prefix := strings.TrimSpace(p.src[start:p.pos])
-	if err := p.expect(':'); err != nil {
-		return err
-	}
-	p.skipWS()
-	iri, err := p.parseIRIRef()
-	if err != nil {
-		return err
-	}
-	p.ns.Bind(prefix, iri)
-	if dotted {
+	isPrefix := strings.EqualFold(kw, "prefix")
+	var prefix string
+	if isPrefix {
+		name, local, end, err := rdf.ScanPName(p.src, p.pos)
+		if err != nil {
+			return p.scanErr(err)
+		}
+		if end == p.pos || local != "" {
+			return p.errf("expected prefix name and ':'")
+		}
+		prefix, p.pos = name, end
 		p.skipWS()
-		return p.expect('.')
 	}
-	return nil
-}
-
-func (p *parser) parseBaseBody(dotted bool) error {
-	p.skipWS()
 	iri, err := p.parseIRIRef()
 	if err != nil {
 		return err
 	}
-	p.ns.SetBase(iri)
+	if isPrefix {
+		p.ns.Bind(prefix, iri)
+	} else {
+		p.ns.SetBase(iri)
+	}
 	if dotted {
 		p.skipWS()
 		return p.expect('.')
@@ -243,7 +200,7 @@ func (p *parser) parseTriples() error {
 		}
 		p.skipWS()
 		if p.peek() == '.' {
-			p.advance()
+			p.pos++
 			return nil
 		}
 	} else {
@@ -273,12 +230,12 @@ func (p *parser) parsePredicateObjectList(subj rdf.Term) error {
 		if p.peek() != ';' {
 			return nil
 		}
-		p.advance()
+		p.pos++
 		p.skipWS()
 		// Allow trailing ';' before '.' or ']'.
 		if c := p.peek(); c == '.' || c == ']' || c == ';' {
 			for p.peek() == ';' {
-				p.advance()
+				p.pos++
 				p.skipWS()
 			}
 			return nil
@@ -300,56 +257,34 @@ func (p *parser) parseObjectList(subj, pred rdf.Term) error {
 		if p.peek() != ',' {
 			return nil
 		}
-		p.advance()
+		p.pos++
 	}
 }
 
 func (p *parser) parseSubject() (rdf.Term, error) {
 	p.skipWS()
 	switch c := p.peek(); {
-	case c == '<':
-		iri, err := p.parseIRIRef()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), nil
 	case c == '_' && p.peekAt(1) == ':':
 		return p.parseBlankLabel()
 	case c == '(':
 		return p.parseCollection()
 	default:
-		return p.parsePrefixedName()
+		return p.parseIRI()
 	}
 }
 
 func (p *parser) parsePredicate() (rdf.Term, error) {
 	p.skipWS()
-	if p.peek() == 'a' {
-		next := p.peekAt(1)
-		if next == ' ' || next == '\t' || next == '\r' || next == '\n' || next == '<' || next == '[' || next == '_' || next == '(' || next == '"' {
-			p.advance()
-			return rdf.TypeIRI, nil
-		}
+	if p.isWord("a", false) {
+		p.pos++
+		return rdf.TypeIRI, nil
 	}
-	if p.peek() == '<' {
-		iri, err := p.parseIRIRef()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), nil
-	}
-	return p.parsePrefixedName()
+	return p.parseIRI()
 }
 
 func (p *parser) parseObject() (rdf.Term, error) {
 	p.skipWS()
 	switch c := p.peek(); {
-	case c == '<':
-		iri, err := p.parseIRIRef()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), nil
 	case c == '_' && p.peekAt(1) == ':':
 		return p.parseBlankLabel()
 	case c == '[':
@@ -358,110 +293,52 @@ func (p *parser) parseObject() (rdf.Term, error) {
 		return p.parseCollection()
 	case c == '"' || c == '\'':
 		return p.parseLiteral()
-	case c == '+' || c == '-' || (c >= '0' && c <= '9') || (c == '.' && isDigit(p.peekAt(1))):
+	case c == '+' || c == '-' || c == '.' || ('0' <= c && c <= '9'):
 		return p.parseNumericLiteral()
-	case p.hasBareKeyword("true"):
-		p.consumeKeyword("true")
+	case p.isWord("true", false):
+		p.pos += len("true")
 		return rdf.NewBool(true), nil
-	case p.hasBareKeyword("false"):
-		p.consumeKeyword("false")
+	case p.isWord("false", false):
+		p.pos += len("false")
 		return rdf.NewBool(false), nil
 	default:
-		return p.parsePrefixedName()
+		return p.parseIRI()
 	}
 }
 
-// hasBareKeyword matches a lowercase keyword followed by a non-name char.
-func (p *parser) hasBareKeyword(kw string) bool {
-	if !strings.HasPrefix(p.src[p.pos:], kw) {
-		return false
-	}
-	next := p.peekAt(len(kw))
-	return !isPNChar(rune(next)) && next != ':'
+// isWord reports whether the keyword w starts at the cursor: the name
+// there is exactly w (in any case when fold is set, as for the
+// SPARQL-style directives) and does not go on into a prefixed name.
+func (p *parser) isWord(w string, fold bool) bool {
+	word := p.src[p.pos:rdf.ScanLabel(p.src, p.pos)]
+	return (word == w || fold && strings.EqualFold(word, w)) && p.peekAt(len(w)) != ':'
 }
 
 func (p *parser) parseIRIRef() (string, error) {
-	if err := p.expect('<'); err != nil {
-		return "", err
+	if p.peek() != '<' {
+		return "", p.errf("expected IRI, found %q", string(p.peek()))
 	}
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return "", p.errf("unterminated IRI")
-		}
-		c := p.advance()
-		switch c {
-		case '>':
-			iri := p.ns.Resolve(b.String())
-			if iri == "" {
-				// "<>" with no base in scope: an empty IRI denotes nothing
-				// and would collide with the plain-literal encoding of
-				// datatypes downstream.
-				return "", p.errf("empty IRI reference")
-			}
-			return iri, nil
-		case '\\':
-			if p.eof() {
-				return "", p.errf("unterminated escape in IRI")
-			}
-			e := p.advance()
-			switch e {
-			case 'u':
-				r, err := p.readHex(4)
-				if err != nil {
-					return "", err
-				}
-				b.WriteRune(r)
-			case 'U':
-				r, err := p.readHex(8)
-				if err != nil {
-					return "", err
-				}
-				b.WriteRune(r)
-			default:
-				return "", p.errf("invalid IRI escape \\%c", e)
-			}
-		case ' ', '\n', '\t':
-			return "", p.errf("whitespace in IRI")
-		default:
-			b.WriteByte(c)
-		}
+	raw, end, err := rdf.ScanIRIRef(p.src, p.pos)
+	if err != nil {
+		return "", p.scanErr(err)
 	}
-}
-
-func (p *parser) readHex(n int) (rune, error) {
-	var v rune
-	for i := 0; i < n; i++ {
-		if p.eof() {
-			return 0, p.errf("unterminated hex escape")
-		}
-		c := p.advance()
-		v <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			v |= rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			v |= rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			v |= rune(c-'A') + 10
-		default:
-			return 0, p.errf("invalid hex digit %q", string(c))
-		}
+	p.pos = end
+	// The copy keeps stored terms from aliasing (and so pinning) the
+	// document.
+	iri := p.ns.Resolve(strings.Clone(raw))
+	if iri == "" {
+		// "<>" with no base in scope: an empty IRI denotes nothing and
+		// would collide with the plain-literal encoding of datatypes
+		// downstream.
+		return "", p.errf("empty IRI reference")
 	}
-	return v, nil
+	return iri, nil
 }
 
 func (p *parser) parseBlankLabel() (rdf.Term, error) {
-	p.advance() // '_'
-	p.advance() // ':'
+	p.pos += len("_:")
 	start := p.pos
-	for !p.eof() && (isPNChar(rune(p.peek())) || p.peek() == '.') {
-		// A '.' only stays in the label if followed by another label char.
-		if p.peek() == '.' && !isPNChar(rune(p.peekAt(1))) {
-			break
-		}
-		p.advance()
-	}
+	p.pos = rdf.ScanLabel(p.src, start)
 	if p.pos == start {
 		return rdf.Term{}, p.errf("empty blank node label")
 	}
@@ -474,11 +351,11 @@ func (p *parser) freshBlank() rdf.Term {
 }
 
 func (p *parser) parseBlankNodePropertyList() (rdf.Term, error) {
-	p.advance() // '['
+	p.pos++ // '['
 	node := p.freshBlank()
 	p.skipWS()
 	if p.peek() == ']' {
-		p.advance()
+		p.pos++
 		return node, nil
 	}
 	if err := p.parsePredicateObjectList(node); err != nil {
@@ -492,7 +369,7 @@ func (p *parser) parseBlankNodePropertyList() (rdf.Term, error) {
 }
 
 func (p *parser) parseCollection() (rdf.Term, error) {
-	p.advance() // '('
+	p.pos++ // '('
 	var members []rdf.Term
 	for {
 		p.skipWS()
@@ -500,7 +377,7 @@ func (p *parser) parseCollection() (rdf.Term, error) {
 			return rdf.Term{}, p.errf("unterminated collection")
 		}
 		if p.peek() == ')' {
-			p.advance()
+			p.pos++
 			break
 		}
 		obj, err := p.parseObject()
@@ -527,35 +404,24 @@ func (p *parser) parseCollection() (rdf.Term, error) {
 	return head, nil
 }
 
-func (p *parser) parsePrefixedName() (rdf.Term, error) {
-	start := p.pos
-	for !p.eof() && p.peek() != ':' && isPNChar(rune(p.peek())) {
-		p.advance()
+// parseIRI parses an IRI reference or a prefixed name.
+func (p *parser) parseIRI() (rdf.Term, error) {
+	if p.peek() != '<' {
+		return p.parsePrefixedName()
 	}
-	if p.eof() || p.peek() != ':' {
+	iri, err := p.parseIRIRef()
+	return rdf.NewIRI(iri), err
+}
+
+func (p *parser) parsePrefixedName() (rdf.Term, error) {
+	prefix, local, end, err := rdf.ScanPName(p.src, p.pos)
+	if err != nil {
+		return rdf.Term{}, p.scanErr(err)
+	}
+	if end == p.pos {
 		return rdf.Term{}, p.errf("expected prefixed name")
 	}
-	prefix := p.src[start:p.pos]
-	p.advance() // ':'
-	lstart := p.pos
-	for !p.eof() {
-		c := p.peek()
-		if isPNChar(rune(c)) || c == '%' {
-			p.advance()
-			continue
-		}
-		if c == '.' && isPNChar(rune(p.peekAt(1))) {
-			p.advance()
-			continue
-		}
-		if c == '\\' && p.peekAt(1) != 0 {
-			p.advance()
-			p.advance()
-			continue
-		}
-		break
-	}
-	local := strings.ReplaceAll(p.src[lstart:p.pos], "\\", "")
+	p.pos = end
 	base, ok := p.ns.IRIFor(prefix)
 	if !ok {
 		return rdf.Term{}, p.errf("unbound prefix %q", prefix)
@@ -564,41 +430,25 @@ func (p *parser) parsePrefixedName() (rdf.Term, error) {
 }
 
 func (p *parser) parseLiteral() (rdf.Term, error) {
-	lex, err := p.parseString()
+	raw, end, err := rdf.ScanString(p.src, p.pos)
 	if err != nil {
-		return rdf.Term{}, err
+		return rdf.Term{}, p.scanErr(err)
 	}
+	p.pos = end
+	lex := strings.Clone(raw) // as in parseIRIRef
 	switch {
 	case p.peek() == '@':
-		p.advance()
-		start := p.pos
-		for !p.eof() {
-			c := p.peek()
-			if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '-' {
-				p.advance()
-			} else {
-				break
-			}
+		tag, end, err := rdf.ScanLangTag(p.src, p.pos)
+		if err != nil {
+			return rdf.Term{}, p.scanErr(err)
 		}
-		if p.pos == start {
-			return rdf.Term{}, p.errf("empty language tag")
-		}
-		return rdf.NewLangLiteral(lex, p.src[start:p.pos]), nil
+		p.pos = end
+		return rdf.NewLangLiteral(lex, tag), nil
 	case p.peek() == '^' && p.peekAt(1) == '^':
-		p.advance()
-		p.advance()
-		var dt rdf.Term
-		if p.peek() == '<' {
-			iri, err := p.parseIRIRef()
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			dt = rdf.NewIRI(iri)
-		} else {
-			dt, err = p.parsePrefixedName()
-			if err != nil {
-				return rdf.Term{}, err
-			}
+		p.pos += 2
+		dt, err := p.parseIRI()
+		if err != nil {
+			return rdf.Term{}, err
 		}
 		return rdf.NewTypedLiteral(lex, dt.Value), nil
 	default:
@@ -606,129 +456,15 @@ func (p *parser) parseLiteral() (rdf.Term, error) {
 	}
 }
 
-func (p *parser) parseString() (string, error) {
-	quote := p.advance() // '"' or '\''
-	long := false
-	if p.peek() == quote && p.peekAt(1) == quote {
-		p.advance()
-		p.advance()
-		long = true
-	} else if p.peek() == quote {
-		// Empty short string.
-		p.advance()
-		return "", nil
-	}
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return "", p.errf("unterminated string")
-		}
-		c := p.peek()
-		if c == quote {
-			if !long {
-				p.advance()
-				return b.String(), nil
-			}
-			if p.peekAt(1) == quote && p.peekAt(2) == quote {
-				p.advance()
-				p.advance()
-				p.advance()
-				return b.String(), nil
-			}
-			b.WriteByte(p.advance())
-			continue
-		}
-		if c == '\\' {
-			p.advance()
-			if p.eof() {
-				return "", p.errf("unterminated escape")
-			}
-			e := p.advance()
-			switch e {
-			case 't':
-				b.WriteByte('\t')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 'b':
-				b.WriteByte('\b')
-			case 'f':
-				b.WriteByte('\f')
-			case '"':
-				b.WriteByte('"')
-			case '\'':
-				b.WriteByte('\'')
-			case '\\':
-				b.WriteByte('\\')
-			case 'u':
-				r, err := p.readHex(4)
-				if err != nil {
-					return "", err
-				}
-				b.WriteRune(r)
-			case 'U':
-				r, err := p.readHex(8)
-				if err != nil {
-					return "", err
-				}
-				b.WriteRune(r)
-			default:
-				return "", p.errf("invalid string escape \\%c", e)
-			}
-			continue
-		}
-		if !long && (c == '\n' || c == '\r') {
-			return "", p.errf("newline in short string")
-		}
-		b.WriteByte(p.advance())
-	}
-}
-
 func (p *parser) parseNumericLiteral() (rdf.Term, error) {
 	start := p.pos
-	if p.peek() == '+' || p.peek() == '-' {
-		p.advance()
+	if c := p.peek(); c == '+' || c == '-' {
+		p.pos++
 	}
-	sawDot, sawExp := false, false
-	for !p.eof() {
-		c := p.peek()
-		switch {
-		case isDigit(c):
-			p.advance()
-		case c == '.' && !sawDot && !sawExp && isDigit(p.peekAt(1)):
-			sawDot = true
-			p.advance()
-		case (c == 'e' || c == 'E') && !sawExp:
-			sawExp = true
-			p.advance()
-			if p.peek() == '+' || p.peek() == '-' {
-				p.advance()
-			}
-		default:
-			goto done
-		}
-	}
-done:
-	lex := p.src[start:p.pos]
-	if lex == "" || lex == "+" || lex == "-" {
+	_, dt, end := rdf.ScanNumber(p.src, p.pos)
+	if end == p.pos {
 		return rdf.Term{}, p.errf("malformed numeric literal")
 	}
-	switch {
-	case sawExp:
-		return rdf.NewTypedLiteral(lex, rdf.XSDDouble), nil
-	case sawDot:
-		return rdf.NewTypedLiteral(lex, rdf.XSDDecimal), nil
-	default:
-		return rdf.NewTypedLiteral(lex, rdf.XSDInteger), nil
-	}
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// isPNChar approximates Turtle's PN_CHARS production: ASCII letters, digits,
-// underscore, hyphen, and any non-ASCII rune.
-func isPNChar(r rune) bool {
-	return (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-		(r >= '0' && r <= '9') || r == '_' || r == '-' || r >= utf8.RuneSelf
+	p.pos = end
+	return rdf.NewTypedLiteral(p.src[start:end], dt), nil
 }

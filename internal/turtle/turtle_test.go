@@ -386,3 +386,66 @@ ex:a.b ex:p ex:o .
 		t.Errorf("dotted local name failed: %v", g.Triples())
 	}
 }
+
+// TestScanTurtleTerms pins the term syntax the parser reads through
+// internal/rdf: no IRI holds a character IRIREF excludes, raw or decoded,
+// local names take only the grammar's escapes, and an exponent needs
+// digits.
+func TestScanTurtleTerms(t *testing.T) {
+	const prologue = "@prefix ex: <http://e/> .\n"
+	for _, src := range []string{
+		`<http://e/s> <http://e/p> <http://e/a\u003Eb> .`,
+		`<http://e/s> <http://e/p> <http://e/a\u0020b> .`,
+		`<http://e/s> <http://e/p> <http://e/a{b}> .`,
+		`<http://e/\UFFFFFFFF> <http://e/p> <http://e/o> .`,
+		`<http://e/s> <http://e/p> <http://e/\U80000000> .`,
+		`<http://e/s> <http://e/p> "\uD800" .`,
+		prologue + `ex:s ex:p ex:a\>b .`,
+		prologue + `ex:s ex:p ex:a%zz .`,
+		prologue + `ex:s ex:p 1e .`,
+		prologue + `ex:s ex:p "x"@1a .`,
+		"@prefix e x: <http://e/> .",
+		"@prefix ex:a <http://e/> .",
+		"@prefixex: <http://e/> .",
+	} {
+		if g, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) accepted %v", src, g.Triples())
+		} else if _, ok := err.(*ParseError); !ok {
+			t.Errorf("Parse(%q): error %T, want *ParseError", src, err)
+		}
+	}
+	s, p := rdf.NewIRI("http://e/s"), rdf.NewIRI("http://e/p")
+	for src, want := range map[string]rdf.Term{
+		prologue + `ex:s ex:p <http://e/caf\u00E9> .`: rdf.NewIRI("http://e/café"),
+		prologue + `ex:s ex:p ex:a\.b\,c .`:           rdf.NewIRI("http://e/a.b,c"),
+		prologue + `ex:s ex:p ex:a%2Fb:c .`:           rdf.NewIRI("http://e/a%2Fb:c"),
+		prologue + `ex:s ex:p 1.e5 .`:                 rdf.NewTypedLiteral("1.e5", rdf.XSDDouble),
+		prologue + `ex:s ex:p "a\fb\U0001F600" .`:     rdf.NewLiteral("a\fb😀"),
+		prologue + `ex:s ex:p "x"@en-GB .`:            rdf.NewLangLiteral("x", "en-gb"),
+		prologue + `ex:s ex:p true.`:                  rdf.NewBool(true),
+		"@prefix: <http://e/> .\n:s :p :o .":          rdf.NewIRI("http://e/o"),
+	} {
+		g := mustParse(t, src)
+		if g.Len() != 1 || !g.Has(s, p, want) {
+			t.Errorf("Parse(%q) = %v, want the object %v", src, g.Triples(), want)
+		}
+		var out strings.Builder
+		if err := Write(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		if g2, err := Parse(out.String()); err != nil || !store.Isomorphic(g, g2) {
+			t.Errorf("%q does not round-trip: %v\n%s", src, err, out.String())
+		}
+	}
+	// A dotted prefix reads as a prefixed name, not as the keyword 'a'
+	// (or true/false) followed by a stray '.', as in a query.
+	for _, src := range []string{
+		"@prefix a.b: <http://e/> . <http://e/s> a.b:c <http://e/o> .",
+		"PREFIX true.b: <http://e/> <http://e/s> true.b:c <http://e/o> .",
+	} {
+		g := mustParse(t, src)
+		if !g.Has(s, rdf.NewIRI("http://e/c"), rdf.NewIRI("http://e/o")) {
+			t.Errorf("Parse(%q) = %v, want the predicate <http://e/c>", src, g.Triples())
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"unicode/utf8"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -251,9 +250,8 @@ func appendTerm(dst []byte, t rdf.Term, ns *rdf.Namespaces) []byte {
 			return append(append(rdf.AppendQuoted(dst, t.Value), '@'), t.Lang...)
 		case t.Datatype == "" || t.Datatype == rdf.XSDString:
 			return rdf.AppendQuoted(dst, t.Value)
-		case t.Datatype == rdf.XSDInteger && isIntegerToken(t.Value),
-			t.Datatype == rdf.XSDBoolean && (t.Value == "true" || t.Value == "false"),
-			t.Datatype == rdf.XSDDecimal && isDecimalToken(t.Value):
+		case (t.Datatype == rdf.XSDInteger || t.Datatype == rdf.XSDDecimal) && isNumberToken(t.Value, t.Datatype),
+			t.Datatype == rdf.XSDBoolean && (t.Value == "true" || t.Value == "false"):
 			// Native Turtle token forms — only when the lexical form is a
 			// token the parser will classify back to the same datatype
 			// (an xsd:integer with lexical form "abc" must stay quoted).
@@ -278,43 +276,18 @@ func appendIRI(dst []byte, iri string, ns *rdf.Namespaces) []byte {
 
 func safeQName(q string) bool {
 	i := strings.IndexByte(q, ':')
-	if i < 0 {
-		return false
-	}
-	local := q[i+1:]
-	for _, r := range local {
-		if !((r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9') || r == '_' || r == '-' || r >= utf8.RuneSelf) {
-			return false
-		}
-	}
-	return true
+	return i >= 0 && rdf.ScanPNChars(q, i+1) == len(q)
 }
 
-func isIntegerToken(s string) bool {
-	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-		s = s[1:]
+// isNumberToken reports whether lex, optionally signed, reads back as a
+// number of datatype dt. A decimal without a digit before its '.' stays
+// quoted.
+func isNumberToken(lex, dt string) bool {
+	if lex != "" && (lex[0] == '+' || lex[0] == '-') {
+		lex = lex[1:]
 	}
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-func isDecimalToken(s string) bool {
-	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-		s = s[1:]
-	}
-	dot := strings.IndexByte(s, '.')
-	if dot <= 0 || dot == len(s)-1 {
-		return false
-	}
-	return isIntegerToken(s[:dot]) && isIntegerToken(s[dot+1:])
+	_, got, end := rdf.ScanNumber(lex, 0)
+	return end > 0 && end == len(lex) && got == dt && lex[0] != '.'
 }
 
 // WriteNTriples serializes g in canonical N-Triples: one triple per line,
