@@ -404,7 +404,8 @@ func (s *Session) Recipes() []Term { return s.Snapshot().Recipes() }
 // materialized too. Empty commits append nothing and leave the
 // published snapshot untouched. A log failure poisons the durable store
 // and is returned so the caller never acknowledges an unlogged mutation
-// (the state is still committed — it is real, merely not durable).
+// (the state is still committed — it is real, merely not durable). A
+// panic in op is recovered and handled as op's error.
 func (s *Session) commitWrite(op func(tx *store.Txn) error) error {
 	var c *durable.Compaction
 	defer func() {
@@ -422,10 +423,8 @@ func (s *Session) commitWrite(op func(tx *store.Txn) error) error {
 	if s.durable != nil {
 		mark = s.reasoner.JournalLen()
 	}
-	s.live.Lock()
 	tx := s.graph.Begin()
-	opErr := op(tx)
-	s.live.Unlock()
+	opErr := s.runOp(op, tx)
 
 	var logErr error
 	if s.durable != nil {
@@ -463,6 +462,20 @@ func (s *Session) commitWrite(op func(tx *store.Txn) error) error {
 		c, _ = s.beginCompact() // a failure is counted
 	}
 	return opErr
+}
+
+// runOp runs op holding the live lock. A panic in op becomes its error,
+// so the commit still logs, commits and closes tx, and the writer stays
+// usable.
+func (s *Session) runOp(op func(tx *store.Txn) error, tx *store.Txn) (err error) {
+	s.live.Lock()
+	defer s.live.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("feo: write panicked: %v", r)
+		}
+	}()
+	return op(tx)
 }
 
 // beginCompact pins a compaction under mu, compacting held: publish, rotate

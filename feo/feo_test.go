@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/store"
 )
 
 func TestSessionCQData(t *testing.T) {
@@ -269,6 +272,61 @@ func TestSessionPrefixesSurviveWALRecovery(t *testing.T) {
 				t.Fatalf("recovered serialization differs:\n got %.400s\nwant %.400s", got, want)
 			}
 		})
+	}
+}
+
+// TestPanickingWriteKeepsWriterUsable runs a write whose op adds a
+// triple and then panics. The panic comes back as the op's error, and the
+// commit is logged and closed like a failed op: the next write and a read
+// of live state both return, and a durable session recovers the triple.
+func TestPanickingWriteKeepsWriterUsable(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Data: DataNone, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, pred, obj := IRI("http://e/s"), IRI("http://e/p"), IRI("http://e/o")
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("commitWrite panicked: %v", r)
+			}
+		}()
+		err = s.commitWrite(func(*store.Txn) error {
+			s.graph.Add(sub, pred, obj)
+			panic("op failed mid-write")
+		})
+	}()
+	if err == nil || !strings.Contains(err.Error(), "op failed mid-write") {
+		t.Errorf("commitWrite error = %v, want the panic", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		err := s.LoadTurtle("<http://e/a> <http://e/p> <http://e/b> .")
+		s.ReasonerInferred()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("LoadTurtle after the panic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the writer is wedged after a panicking op")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for _, q := range []string{`ASK { <http://e/s> <http://e/p> <http://e/o> }`, `ASK { <http://e/a> <http://e/p> <http://e/b> }`} {
+		res, err := s2.Query(q)
+		if err != nil || !res.Boolean {
+			t.Errorf("reopened session: %s = %v, %v", q, res, err)
+		}
 	}
 }
 

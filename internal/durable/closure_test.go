@@ -95,11 +95,7 @@ func TestDerivationTraceFootprint(t *testing.T) {
 	live := reasoner.New(reasoner.Options{TraceDerivations: true})
 	live.Materialize(g)
 	section := appendClosure(nil, live.ClosureState())
-	var snap bytes.Buffer
-	if err := g.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := store.ReadSnapshot(&snap)
+	g2, err := store.ReadSnapshot(g.AppendSnapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/rdf"
@@ -9,92 +8,32 @@ import (
 	"repro/internal/store"
 )
 
-// Byte-level encoding shared by the WAL record payloads and the snapshot
-// file's closure section. Strings are uvarint-length-prefixed; terms are a
-// kind byte plus their strings (literals add datatype and lang); triples
-// are three terms.
-
-type encoder struct {
-	buf []byte
-}
-
-func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *encoder) str(s string)     { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *encoder) term(t rdf.Term) {
-	e.byte(byte(t.Kind))
-	e.str(t.Value)
-	if t.Kind == rdf.KindLiteral {
-		e.str(t.Datatype)
-		e.str(t.Lang)
-	}
-}
-func (e *encoder) triple(t rdf.Triple) {
-	e.term(t.S)
-	e.term(t.P)
-	e.term(t.O)
-}
+// WAL record payloads and the snapshot file's closure section are built
+// on the byte encoding of package rdf (uvarints, strings, terms, triples
+// and prefix tables; see its package comment). The decoder adds what only
+// this package needs: rule-name interning and the closure section's term
+// references.
 
 type decoder struct {
-	buf []byte
-	err error
+	*rdf.Decoder
 	// rules interns derivation rule names: a trace names a few dozen
 	// rules hundreds of thousands of times.
 	rules map[string]string
 }
 
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
+func newDecoder(buf []byte) *decoder { return &decoder{Decoder: rdf.NewDecoder(buf)} }
 
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// err returns the first decode failure, marked as this package's.
+func (d *decoder) err() error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("durable: %w", err)
 	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("durable: truncated uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
+	return nil
 }
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.fail("durable: truncated byte")
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-// raw reads a length-prefixed byte string without copying it.
-func (d *decoder) raw() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.fail("durable: string length %d exceeds remaining %d bytes", n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-func (d *decoder) str() string { return string(d.raw()) }
 
 // rule reads a rule name, allocating each distinct name once per decoder.
 func (d *decoder) rule() string {
-	b := d.raw()
+	b := d.Bytes()
 	if s, ok := d.rules[string(b)]; ok {
 		return s
 	}
@@ -104,40 +43,6 @@ func (d *decoder) rule() string {
 	}
 	d.rules[s] = s
 	return s
-}
-
-func (d *decoder) term() rdf.Term {
-	kind := rdf.TermKind(d.byte())
-	t := rdf.Term{Kind: kind}
-	switch kind {
-	case rdf.KindIRI, rdf.KindBlank:
-		t.Value = d.str()
-	case rdf.KindLiteral:
-		t.Value = d.str()
-		t.Datatype = d.str()
-		t.Lang = d.str()
-	default:
-		d.fail("durable: invalid term kind %d", kind)
-	}
-	return t
-}
-
-func (d *decoder) triple() rdf.Triple {
-	return rdf.Triple{S: d.term(), P: d.term(), O: d.term()}
-}
-
-// count reads a collection length bounded by what remains in the buffer
-// (every element costs at least one byte), so corrupt counts fail instead
-// of allocating unbounded slices.
-func (d *decoder) count(perElem int, what string) int {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(len(d.buf)/perElem) {
-		d.fail("durable: %s count %d exceeds remaining payload", what, v)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(v)
 }
 
 // ---- record payload ----
@@ -150,9 +55,15 @@ const (
 	recFlagPrefixes = 1 << 1
 )
 
-// appendRecord encodes rec as a WAL record payload.
+// appendRecord encodes rec as a WAL record payload:
+//
+//	flags uvarint(EndVersion) uvarint(TotalInferred)
+//	uvarint(n) n × { op kind (0 add, 1 remove) triple }
+//	derivations [prefixes, when flags has recFlagPrefixes]
+//
+//	derivations  uvarint(n) n × { triple str(rule) uvarint(k) k × triple }
 func appendRecord(buf []byte, rec Record) []byte {
-	e := &encoder{buf: buf}
+	e := &rdf.Encoder{Buf: buf}
 	var flags byte
 	if rec.Cleared {
 		flags |= recFlagCleared
@@ -160,108 +71,87 @@ func appendRecord(buf []byte, rec Record) []byte {
 	if rec.Namespaces != nil {
 		flags |= recFlagPrefixes
 	}
-	e.byte(flags)
-	e.uvarint(rec.EndVersion)
-	e.uvarint(uint64(rec.TotalInferred))
-	e.uvarint(uint64(len(rec.Ops)))
+	e.Byte(flags)
+	e.Uvarint(rec.EndVersion)
+	e.Uvarint(uint64(rec.TotalInferred))
+	e.Uvarint(uint64(len(rec.Ops)))
 	for _, op := range rec.Ops {
 		var kind byte
 		if op.Remove {
 			kind = 1
 		}
-		e.byte(kind)
-		e.triple(op.T)
+		e.Byte(kind)
+		e.Triple(op.T)
 	}
-	appendDerivations(e, rec.Derivations)
-	if rec.Namespaces != nil {
-		prefixes := rec.Namespaces.Prefixes() // sorted
-		e.uvarint(uint64(len(prefixes)))
-		for _, p := range prefixes {
-			iri, _ := rec.Namespaces.IRIFor(p)
-			e.str(p)
-			e.str(iri)
+	e.Uvarint(uint64(len(rec.Derivations)))
+	for _, dv := range rec.Derivations {
+		e.Triple(dv.Conclusion)
+		e.Str(dv.Rule)
+		e.Uvarint(uint64(len(dv.Premises)))
+		for _, p := range dv.Premises {
+			e.Triple(p)
 		}
-		e.str(rec.Namespaces.Base())
 	}
-	return e.buf
+	if rec.Namespaces != nil {
+		e.Namespaces(rec.Namespaces)
+	}
+	return e.Buf
 }
 
 func parseRecord(payload []byte) (Record, error) {
-	d := &decoder{buf: payload}
+	d := newDecoder(payload)
 	var rec Record
-	flags := d.byte()
+	flags := d.Byte()
 	if flags&^(recFlagCleared|recFlagPrefixes) != 0 {
-		d.fail("durable: unknown record flags %#x", flags)
+		d.Fail("unknown record flags %#x", flags)
 	}
 	rec.Cleared = flags&recFlagCleared != 0
-	rec.EndVersion = d.uvarint()
-	rec.TotalInferred = int(d.uvarint())
-	nOps := d.count(4, "op")
-	if d.err == nil && nOps > 0 {
+	rec.EndVersion = d.Uvarint()
+	rec.TotalInferred = int(d.Uvarint())
+	if nOps := d.Count(4, "op"); nOps > 0 {
 		rec.Ops = make([]store.TermOp, nOps)
 		for i := range rec.Ops {
-			kind := d.byte()
-			if d.err == nil && kind > 1 {
-				d.fail("durable: unknown op kind %d", kind)
+			kind := d.Byte()
+			if kind > 1 {
+				d.Fail("unknown op kind %d", kind)
 			}
-			rec.Ops[i] = store.TermOp{Remove: kind == 1, T: d.triple()}
+			rec.Ops[i] = store.TermOp{Remove: kind == 1, T: d.Triple()}
 		}
 	}
 	rec.Derivations = parseDerivations(d)
 	if flags&recFlagPrefixes != 0 {
 		rec.Namespaces = rdf.NewNamespaces()
-		n := d.count(2, "prefix")
-		for i := 0; i < n && d.err == nil; i++ {
-			prefix, iri := d.str(), d.str()
-			rec.Namespaces.Bind(prefix, iri)
-		}
-		rec.Namespaces.SetBase(d.str())
+		d.Namespaces(rec.Namespaces)
 	}
-	if d.err == nil && len(d.buf) != 0 {
-		d.fail("durable: %d trailing bytes after record", len(d.buf))
+	if rest := len(d.Rest()); rest != 0 {
+		d.Fail("%d trailing bytes after record", rest)
 	}
-	return rec, d.err
-}
-
-// ---- closure / derivations ----
-
-func appendDerivations(e *encoder, ds []reasoner.TracedDerivation) {
-	e.uvarint(uint64(len(ds)))
-	for _, d := range ds {
-		e.triple(d.Conclusion)
-		e.str(d.Rule)
-		e.uvarint(uint64(len(d.Premises)))
-		for _, p := range d.Premises {
-			e.triple(p)
-		}
-	}
+	return rec, d.err()
 }
 
 func parseDerivations(d *decoder) []reasoner.TracedDerivation {
-	n := d.count(4, "derivation")
-	if d.err != nil || n == 0 {
+	n := d.Count(4, "derivation")
+	if n == 0 {
 		return nil
 	}
 	out := make([]reasoner.TracedDerivation, n)
 	for i := range out {
-		out[i].Conclusion = d.triple()
+		out[i].Conclusion = d.Triple()
 		out[i].Rule = d.rule()
-		nPrem := d.count(4, "premise")
-		if d.err != nil {
-			return nil
-		}
-		if nPrem > 0 {
+		if nPrem := d.Count(4, "premise"); nPrem > 0 {
 			out[i].Premises = make([]rdf.Triple, nPrem)
 			for j := range out[i].Premises {
-				out[i].Premises[j] = d.triple()
+				out[i].Premises[j] = d.Triple()
 			}
 		}
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	return out
 }
+
+// ---- closure section ----
 
 // The snapshot file's closure section is written straight from the
 // reasoner's ID-space trace, in the dictionary the snapshot's graph section
@@ -274,35 +164,35 @@ func parseDerivations(d *decoder) []reasoner.TracedDerivation {
 // order, and premises keep their recorded order. Neither side touches a
 // term: the encoder copies IDs, the decoder range-checks them into chunked
 // IDTriple arenas, and rule names are interned. (WAL records keep the
-// self-describing term encoding above: their ops introduce terms the
-// snapshot dictionary has never seen.) The reader also accepts a ref of 0
-// followed by an inline term, which older encoders wrote for a term
-// missing from the dictionary; it interns that term.
+// self-describing term encoding: their ops introduce terms the snapshot
+// dictionary has never seen.) The reader also accepts a ref of 0 followed
+// by an inline term, which older encoders wrote for a term missing from
+// the dictionary; it interns that term.
 
-func (e *encoder) idTriple(t store.IDTriple) {
-	e.uvarint(uint64(t.S) + 1)
-	e.uvarint(uint64(t.P) + 1)
-	e.uvarint(uint64(t.O) + 1)
+func appendIDTriple(e *rdf.Encoder, t store.IDTriple) {
+	e.Uvarint(uint64(t.S) + 1)
+	e.Uvarint(uint64(t.P) + 1)
+	e.Uvarint(uint64(t.O) + 1)
 }
 
 func (d *decoder) idRef(g *store.Graph) store.ID {
-	v := d.uvarint()
-	if d.err != nil {
+	v := d.Uvarint()
+	if d.Err() != nil {
 		return store.NoID
 	}
 	if v == 0 {
-		t := d.term()
-		if d.err != nil {
+		t := d.Term()
+		if d.Err() != nil {
 			return store.NoID
 		}
 		id := g.InternTerm(t)
 		if id == store.NoID {
-			d.fail("durable: invalid inline term %v", t)
+			d.Fail("invalid inline term %v", t)
 		}
 		return id
 	}
 	if n := g.Dict().Len(); v > uint64(n) {
-		d.fail("durable: term reference %d out of dictionary range %d", v-1, n)
+		d.Fail("term reference %d out of dictionary range %d", v-1, n)
 		return store.NoID
 	}
 	return store.ID(v - 1)
@@ -314,27 +204,26 @@ func (d *decoder) idTriple(g *store.Graph) store.IDTriple {
 
 //feo:idspace
 func appendClosure(buf []byte, st reasoner.ClosureState) []byte {
-	e := &encoder{buf: buf}
-	e.uvarint(uint64(st.TotalInferred))
-	e.uvarint(uint64(len(st.Derivations)))
+	e := &rdf.Encoder{Buf: buf}
+	e.Uvarint(uint64(st.TotalInferred))
+	e.Uvarint(uint64(len(st.Derivations)))
 	for _, dv := range st.Derivations {
-		e.idTriple(dv.Conclusion)
-		e.str(dv.Rule)
-		e.uvarint(uint64(len(dv.Premises)))
+		appendIDTriple(e, dv.Conclusion)
+		e.Str(dv.Rule)
+		e.Uvarint(uint64(len(dv.Premises)))
 		for _, p := range dv.Premises {
-			e.idTriple(p)
+			appendIDTriple(e, p)
 		}
 	}
-	return e.buf
+	return e.Buf
 }
 
 //feo:idspace
 func parseClosure(payload []byte, g *store.Graph) (reasoner.ClosureState, []byte, error) {
-	d := &decoder{buf: payload}
+	d := newDecoder(payload)
 	var st reasoner.ClosureState
-	st.TotalInferred = int(d.uvarint())
-	n := d.count(4, "derivation")
-	if d.err == nil && n > 0 {
+	st.TotalInferred = int(d.Uvarint())
+	if n := d.Count(4, "derivation"); n > 0 {
 		// Premises are carved out of chunked arenas instead of one
 		// slice per derivation: a large closure has tens of thousands
 		// of tiny premise lists, and boot latency is dominated by
@@ -346,8 +235,8 @@ func parseClosure(payload []byte, g *store.Graph) (reasoner.ClosureState, []byte
 		for i := range st.Derivations {
 			st.Derivations[i].Conclusion = d.idTriple(g)
 			st.Derivations[i].Rule = d.rule()
-			nPrem := d.count(3, "premise")
-			if d.err != nil {
+			nPrem := d.Count(3, "premise")
+			if d.Err() != nil {
 				break
 			}
 			if nPrem == 0 {
@@ -363,8 +252,8 @@ func parseClosure(payload []byte, g *store.Graph) (reasoner.ClosureState, []byte
 			st.Derivations[i].Premises = arena[start:len(arena):len(arena)]
 		}
 	}
-	if d.err != nil {
-		return reasoner.ClosureState{}, nil, d.err
+	if err := d.err(); err != nil {
+		return reasoner.ClosureState{}, nil, err
 	}
-	return st, d.buf, nil
+	return st, d.Rest(), nil
 }

@@ -45,6 +45,11 @@
 // cost is O(bytes), and the restored closure state lets the next write
 // keep using the incremental materialization path.
 //
+// Payloads (appendRecord), the WAL header, the snapshot file's header and
+// its closure section (appendClosure) spell uvarints, strings, terms,
+// triples and prefix tables in the byte encoding of package rdf; its
+// package comment is the one statement of it.
+//
 // # Acknowledgement and fsync policy
 //
 // A commit is acknowledged when the session's mutating call (Explain,

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -247,9 +246,9 @@ func replayWAL(data []byte, gen uint64, g *store.Graph, boot *Boot) int64 {
 	if !ok {
 		return 0
 	}
-	d := &decoder{buf: payload}
-	hdrGen, base := d.uvarint(), d.uvarint()
-	if d.err != nil || len(d.buf) != 0 || hdrGen != gen || base != g.Version() {
+	d := rdf.NewDecoder(payload)
+	hdrGen, base := d.Uvarint(), d.Uvarint()
+	if d.Err() != nil || len(d.Rest()) != 0 || hdrGen != gen || base != g.Version() {
 		return 0
 	}
 	for {
@@ -350,17 +349,16 @@ func applyRecord(g *store.Graph, closure *reasoner.ClosureState, rec Record) {
 // graph version its first record builds on) and returns the open append
 // handle and its size. On error the file is removed.
 func createWAL(path string, gen, baseVersion uint64) (walFile, int64, error) {
-	e := &encoder{buf: []byte(walMagic)}
-	hdr := &encoder{}
-	hdr.uvarint(gen)
-	hdr.uvarint(baseVersion)
-	e.buf = appendFrame(e.buf, hdr.buf)
+	hdr := &rdf.Encoder{}
+	hdr.Uvarint(gen)
+	hdr.Uvarint(baseVersion)
+	buf := appendFrame([]byte(walMagic), hdr.Buf)
 
 	f, err := newFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return nil, 0, err
 	}
-	if _, err := f.Write(e.buf); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, 0, err
@@ -370,7 +368,7 @@ func createWAL(path string, gen, baseVersion uint64) (walFile, int64, error) {
 		os.Remove(path)
 		return nil, 0, err
 	}
-	return f, int64(len(e.buf)), nil
+	return f, int64(len(buf)), nil
 }
 
 // Append frames rec, writes it to the WAL, and applies the sync policy.
@@ -629,23 +627,20 @@ func (st *Store) startSyncer() {
 //
 //feo:wal-sync
 func writeSnapshot(path string, gen uint64, g *store.Graph, closure reasoner.ClosureState) error {
-	var graph bytes.Buffer
-	if err := g.WriteSnapshot(&graph); err != nil {
-		return err
-	}
-	hdr := &encoder{buf: []byte(snapMagic)}
-	hdr.uvarint(gen)
-	hdr.uvarint(uint64(graph.Len()))
+	graph := g.AppendSnapshot(nil)
+	hdr := &rdf.Encoder{Buf: []byte(snapMagic)}
+	hdr.Uvarint(gen)
+	hdr.Uvarint(uint64(len(graph)))
 	tail := appendClosure(nil, closure)
-	sum := crc32.Checksum(hdr.buf, castagnoli)
-	sum = crc32.Update(sum, castagnoli, graph.Bytes())
+	sum := crc32.Checksum(hdr.Buf, castagnoli)
+	sum = crc32.Update(sum, castagnoli, graph)
 	tail = binary.LittleEndian.AppendUint32(tail, crc32.Update(sum, castagnoli, tail))
 
 	f, err := newFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return err
 	}
-	for _, b := range [][]byte{hdr.buf, graph.Bytes(), tail} {
+	for _, b := range [][]byte{hdr.Buf, graph, tail} {
 		if _, err = f.Write(b); err != nil {
 			break
 		}
@@ -682,17 +677,18 @@ func readSnapshotFile(path string) (uint64, *store.Graph, reasoner.ClosureState,
 	if crc32.Checksum(body, castagnoli) != sum {
 		return 0, nil, closure, fmt.Errorf("durable: snapshot %s failed its checksum", path)
 	}
-	d := &decoder{buf: body[len(snapMagic):]}
-	gen := d.uvarint()
-	glen := d.uvarint()
-	if d.err != nil || glen > uint64(len(d.buf)) {
+	d := rdf.NewDecoder(body[len(snapMagic):])
+	gen := d.Uvarint()
+	glen := d.Uvarint()
+	sections := d.Rest()
+	if d.Err() != nil || glen > uint64(len(sections)) {
 		return 0, nil, closure, fmt.Errorf("durable: corrupt snapshot header in %s", path)
 	}
-	g, err := store.ReadSnapshot(bytes.NewReader(d.buf[:glen]))
+	g, err := store.ReadSnapshot(sections[:glen])
 	if err != nil {
 		return 0, nil, closure, err
 	}
-	closure, rest, err := parseClosure(d.buf[glen:], g)
+	closure, rest, err := parseClosure(sections[glen:], g)
 	if err != nil {
 		return 0, nil, closure, err
 	}

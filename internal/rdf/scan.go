@@ -282,10 +282,18 @@ func isPNChar(c byte) bool {
 	return isAlnum(c) || c == '_' || c == '-' || c >= utf8.RuneSelf
 }
 
-// ScanPNChars returns the end of the PN_CHARS run at src[i:]: a variable
-// name or a bare keyword.
+// ScanPNChars returns the end of the PN_CHARS run at src[i:].
 func ScanPNChars(src string, i int) int {
 	for i < len(src) && isPNChar(src[i]) {
+		i++
+	}
+	return i
+}
+
+// ScanVarName returns the end of the VARNAME at src[i:]: a PN_CHARS run
+// without '-', which SPARQL reads as minus after a variable.
+func ScanVarName(src string, i int) int {
+	for i < len(src) && src[i] != '-' && isPNChar(src[i]) {
 		i++
 	}
 	return i

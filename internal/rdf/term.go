@@ -6,6 +6,25 @@
 // foundation of the FEO reproduction: every other subsystem (Turtle parsing,
 // the triple store, the OWL RL reasoner, the SPARQL evaluator, and the
 // explanation engine) exchanges data as rdf.Term and rdf.Triple values.
+//
+// # Binary encoding
+//
+// The graph snapshot, its closure section and the write-ahead log records
+// (internal/store, internal/durable) spell terms and prefix tables in one
+// byte encoding, written by Encoder and read by Decoder:
+//
+//	uvarint   encoding/binary's unsigned varint (1–10 bytes)
+//	str       uvarint(len) then len bytes
+//	term      kind byte (1 IRI, 2 blank node, 3 literal), str(value),
+//	          and for a literal str(datatype) str(lang)
+//	triple    term term term
+//	prefixes  uvarint(n), n × { str(prefix) str(iri) } in prefix order,
+//	          then str(base)
+//
+// A count precedes every collection, and the decoder rejects a count the
+// bytes left cannot hold (Decoder.Count), so a corrupt length fails
+// before it sizes an allocation. Formats built on these primitives say
+// how their sections are laid out; they do not restate the primitives.
 package rdf
 
 import (

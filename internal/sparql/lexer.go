@@ -296,7 +296,7 @@ func (l *lexer) scan(c byte) (token, error) {
 	case c == '?' || c == '$':
 		// '?' not followed by a name char is the zero-or-one path
 		// modifier, not a variable.
-		l.pos = rdf.ScanPNChars(l.src, off+1)
+		l.pos = rdf.ScanVarName(l.src, off+1)
 		if l.pos == off+1 {
 			return l.tok(tokPunct, "?", off), nil
 		}

@@ -236,15 +236,12 @@ func (p *qparser) parsePrologue() error {
 	for {
 		switch {
 		case p.acceptKeyword("PREFIX"):
+			// Only a PNAME_NS declares: a name whose one ':' ends it.
 			t := p.next()
-			if t.kind != tokPName || !strings.HasSuffix(t.text, ":") {
-				// pname token carries "prefix:" or "prefix:local"; the
-				// declaration form must end with a bare colon.
-				if t.kind != tokPName || strings.Count(t.text, ":") != 1 {
-					return p.lx.errAt(t.end, "expected prefix declaration")
-				}
+			name, local, ok := strings.Cut(t.text, ":")
+			if t.kind != tokPName || !ok || local != "" {
+				return p.lx.errAt(t.end, "expected prefix declaration")
 			}
-			name := strings.TrimSuffix(t.text, ":")
 			iriTok := p.next()
 			if iriTok.kind != tokIRIRef {
 				return p.lx.errAt(iriTok.end, "expected IRI in PREFIX")

@@ -557,6 +557,7 @@ func TestParseErrors(t *testing.T) {
 		{"trailing", `SELECT ?x WHERE { ?x ?p ?o } garbage:x`},
 		{"count star sum", `SELECT (SUM(*) AS ?n) WHERE { ?x ?p ?o }`},
 		{"missing as", `SELECT (COUNT(?x) ?n) WHERE { ?x ?p ?o }`},
+		{"prefixed name declared", `PREFIX ex:foo <http://e/> SELECT ?x WHERE { ?x ?p ?o }`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -796,5 +797,10 @@ func TestScanQueryTerms(t *testing.T) {
 	}
 	if !run(t, g, `ASK { <http://e/café> <http://e/p> "a\fb\bc\U0001F600" }`).Boolean {
 		t.Error("the raw IRI and the escaped literal do not match the loaded triple")
+	}
+	// A variable name ends before '-': "?a-1" is ?a minus 1.
+	res = run(t, g, `SELECT ?x WHERE { BIND(5 AS ?a) BIND(?a-1 AS ?x) }`)
+	if len(res.Solutions) != 1 || res.Solutions[0]["x"] != rdf.NewTypedLiteral("4", rdf.XSDInteger) {
+		t.Errorf("?a-1 = %v, want 4", res.Solutions)
 	}
 }

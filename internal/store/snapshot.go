@@ -1,19 +1,17 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/rdf"
 )
 
 // Binary graph snapshots.
 //
-// WriteSnapshot serializes a Graph — term dictionary, namespaces, mutation
+// AppendSnapshot serializes a Graph — term dictionary, namespaces, mutation
 // version, and all three permutation indexes with their roaring containers —
 // into a compact binary form that ReadSnapshot loads back in time
 // proportional to the file size: the dictionary streams in ID order (one
@@ -24,6 +22,22 @@ import (
 // tokenizing, IRI resolution, per-triple index maintenance, and container
 // growth/conversion churn.
 //
+// Uvarints, strings, terms and the prefix table use the byte encoding of
+// package rdf (rdf.Encoder, rdf.Decoder). The layout:
+//
+//	uvarint(format version) uvarint(graph version)
+//	uvarint(n) n × term                         dictionary, in ID order
+//	prefixes                                    the namespace table
+//	index index index                           SPO, POS, OSP
+//
+//	index      uvarint(levels), levels × { uvarint(a) uvarint(k) k × { uvarint(b) set } }
+//	set        uvarint(c), c × { uvarint(key) container }
+//	container  0 uvarint(n) n × uint16 LE       sorted array, 1 ≤ n ≤ arrMaxLen
+//	         | 1 bitmapWords × uint64 LE        bitmap, more than arrMaxLen members
+//
+// The writer emits outer keys, inner keys, container keys and array
+// values in ascending order.
+//
 // The format is versioned (snapshotFormatVersion) and deterministic: index
 // levels are written in sorted ID order, so the same graph always produces
 // byte-identical output — which is what lets the durability layer checksum
@@ -31,57 +45,62 @@ import (
 //
 // The snapshot carries no integrity trailer of its own; the durability
 // layer (internal/durable) frames it with a checksum. ReadSnapshot still
-// validates structure — kind bytes, ID bounds against the dictionary, and
-// set cardinalities — so a corrupt stream fails loudly instead of building
-// an inconsistent graph.
+// validates structure — kind bytes, ID bounds against the dictionary, key
+// order, container forms and thresholds, set cardinalities and trailing
+// bytes — so a corrupt snapshot fails loudly instead of building an
+// inconsistent graph.
 
 // snapshotFormatVersion identifies the snapshot encoding. Bump on any
 // incompatible layout change; ReadSnapshot rejects versions it predates.
 const snapshotFormatVersion = 1
 
-// WriteSnapshot writes the graph in the binary snapshot format. Calling it
-// on a frozen snapshot view is safe concurrently with the live writer
-// (that is how a compaction serializes off the write lock): the view's
-// COW storage is immutable and the dictionary is truncated to the
-// publish-time prefix, so the output is deterministic.
+// AppendSnapshot appends the graph in the binary snapshot format to buf
+// and returns the extended buffer. Calling it on a frozen snapshot view
+// is safe concurrently with the live writer (that is how a compaction
+// serializes off the write lock): the view's COW storage is immutable and
+// the dictionary is truncated to the publish-time prefix, so the output
+// is deterministic.
 //
 //feo:frozen-safe
 //feo:emit
-func (g *Graph) WriteSnapshot(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	e := &snapEncoder{w: bw}
-	e.uvarint(snapshotFormatVersion)
-	e.uvarint(g.version)
-	e.writeDict(g.dict, g.dictCap())
-	e.writeNamespaces(g.ns)
-	e.writeIndex(&g.spo)
-	e.writeIndex(&g.pos)
-	e.writeIndex(&g.osp)
-	if e.err != nil {
-		return e.err
+func (g *Graph) AppendSnapshot(buf []byte) []byte {
+	e := &rdf.Encoder{Buf: buf}
+	e.Uvarint(snapshotFormatVersion)
+	e.Uvarint(g.version)
+	terms := g.dict.snapshotTerms()[:g.dictCap()]
+	e.Uvarint(uint64(len(terms)))
+	for _, t := range terms {
+		reserve(e, len(t.Value)+len(t.Datatype)+len(t.Lang)+4*binary.MaxVarintLen64)
+		e.Term(t)
 	}
-	return bw.Flush()
+	e.Namespaces(g.ns)
+	appendIndex(e, &g.spo)
+	appendIndex(e, &g.pos)
+	appendIndex(e, &g.osp)
+	return e.Buf
 }
 
-// readSnapshotInto decodes a snapshot stream into a freshly constructed
-// (still empty) graph.
+// readSnapshotInto decodes a snapshot into a freshly constructed (still
+// empty) graph.
 //
 //feo:mutates
-func (g *Graph) readSnapshotInto(r io.Reader) error {
-	d := &snapDecoder{r: bufio.NewReader(r)}
-	ver := d.uvarint()
-	if d.err == nil && ver != snapshotFormatVersion {
+func (g *Graph) readSnapshotInto(data []byte) error {
+	d := rdf.NewDecoder(data)
+	if ver := d.Uvarint(); d.Err() == nil && ver != snapshotFormatVersion {
 		return fmt.Errorf("store: unsupported snapshot format version %d", ver)
 	}
-	g.version = d.uvarint()
-	d.readDict(g.dict)
-	d.readNamespaces(g.ns)
+	g.version = d.Uvarint()
+	readDict(d, g.dict)
+	d.Namespaces(g.ns)
 	nTerms := uint64(g.dict.Len())
-	d.readIndex(&g.spo, nTerms)
-	d.readIndex(&g.pos, nTerms)
-	d.readIndex(&g.osp, nTerms)
-	if d.err != nil {
-		return d.err
+	readIndex(d, &g.spo, nTerms)
+	readIndex(d, &g.pos, nTerms)
+	readIndex(d, &g.osp, nTerms)
+	if rest := len(d.Rest()); rest != 0 {
+		d.Fail("%d trailing bytes", rest)
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("store: corrupt snapshot: %w", err)
 	}
 	// Derive the per-position counts and the triple total from the loaded
 	// index levels; they are redundant with the indexes, so the snapshot
@@ -118,14 +137,15 @@ func deriveCounts(ix *index, cnt *counts, nTerms int) int {
 	return total
 }
 
-// ReadSnapshot reads a graph previously written by WriteSnapshot. The
-// returned graph is fully indexed and ready for reads and further mutation;
-// its Version matches the snapshotted graph's.
+// ReadSnapshot reads a graph previously written by AppendSnapshot; data
+// must hold exactly one snapshot. The returned graph is fully indexed and
+// ready for reads and further mutation; its Version matches the
+// snapshotted graph's. It keeps no reference to data.
 //
 //feo:fresh
-func ReadSnapshot(r io.Reader) (*Graph, error) {
+func ReadSnapshot(data []byte) (*Graph, error) {
 	g := New()
-	if err := g.readSnapshotInto(r); err != nil {
+	if err := g.readSnapshotInto(data); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -147,244 +167,125 @@ func (g *Graph) ForceVersion(v uint64) {
 
 // ---- encoder ----
 
-type snapEncoder struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
+// maxContainerBytes bounds the encoding of one container: its key, its
+// form byte, and a bitmap or a full array with its length.
+const maxContainerBytes = 2*binary.MaxVarintLen64 + 1 + 8*bitmapWords
 
-func (e *snapEncoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
-
-func (e *snapEncoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
+// reserve makes room for n more bytes, doubling e's buffer from 4 KiB
+// when it runs short. A large snapshot then leaves about its own size in
+// outgrown buffers; append's 1.25× steps would leave about four times
+// it, and a compaction's peak RSS shows the difference.
+func reserve(e *rdf.Encoder, n int) {
+	if cap(e.Buf)-len(e.Buf) < n {
+		buf := make([]byte, len(e.Buf), max(2*cap(e.Buf), len(e.Buf)+n, 4<<10))
+		copy(buf, e.Buf)
+		e.Buf = buf
 	}
 }
 
-func (e *snapEncoder) term(t rdf.Term) {
-	if e.err != nil {
-		return
-	}
-	e.err = e.w.WriteByte(byte(t.Kind))
-	e.str(t.Value)
-	if t.Kind == rdf.KindLiteral {
-		e.str(t.Datatype)
-		e.str(t.Lang)
-	}
-}
-
-func (e *snapEncoder) writeDict(d *TermDict, n int) {
-	terms := d.snapshotTerms()[:n]
-	e.uvarint(uint64(len(terms)))
-	for _, t := range terms {
-		e.term(t)
-	}
-}
-
-func (e *snapEncoder) writeNamespaces(ns *rdf.Namespaces) {
-	prefixes := ns.Prefixes() // sorted
-	e.uvarint(uint64(len(prefixes)))
-	for _, p := range prefixes {
-		iri, _ := ns.IRIFor(p)
-		e.str(p)
-		e.str(iri)
-	}
-	e.str(ns.Base())
-}
-
-func (e *snapEncoder) writeIndex(idx *index) {
+func appendIndex(e *rdf.Encoder, idx *index) {
 	// The outer level iterates in ascending ID order by construction, so
 	// the byte layout matches the sorted-map encoding this replaced.
-	e.uvarint(uint64(idx.levels()))
+	e.Uvarint(uint64(idx.levels()))
+	var inner []ID
 	for ai, l := range idx.s {
 		if l == nil {
 			continue
 		}
-		inner := make([]ID, 0, len(l.m))
+		inner = inner[:0]
 		for b := range l.m {
 			inner = append(inner, b)
 		}
-		sort.Slice(inner, func(i, j int) bool { return inner[i] < inner[j] })
-		e.uvarint(uint64(ai))
-		e.uvarint(uint64(len(inner)))
+		slices.Sort(inner)
+		e.Uvarint(uint64(ai))
+		e.Uvarint(uint64(len(inner)))
 		for _, b := range inner {
-			e.uvarint(uint64(b))
-			e.writeSet(l.m[b])
+			set := l.m[b]
+			reserve(e, (len(set.cs)+1)*maxContainerBytes)
+			e.Uvarint(uint64(b))
+			appendSet(e, set)
 		}
 	}
 }
 
-func (e *snapEncoder) writeSet(s *IDSet) {
-	e.uvarint(uint64(len(s.cs)))
+func appendSet(e *rdf.Encoder, s *IDSet) {
+	e.Uvarint(uint64(len(s.cs)))
 	for i := range s.cs {
 		c := &s.cs[i]
-		e.uvarint(uint64(s.keys[i]))
+		e.Uvarint(uint64(s.keys[i]))
 		if c.bmp != nil {
-			if e.err == nil {
-				e.err = e.w.WriteByte(1)
-			}
-			var word [8]byte
+			e.Byte(1)
 			for _, w := range c.bmp {
-				binary.LittleEndian.PutUint64(word[:], w)
-				if e.err == nil {
-					_, e.err = e.w.Write(word[:])
-				}
+				e.Buf = binary.LittleEndian.AppendUint64(e.Buf, w)
 			}
 			continue
 		}
-		if e.err == nil {
-			e.err = e.w.WriteByte(0)
-		}
-		e.uvarint(uint64(len(c.arr)))
-		var b [2]byte
+		e.Byte(0)
+		e.Uvarint(uint64(len(c.arr)))
 		for _, v := range c.arr {
-			binary.LittleEndian.PutUint16(b[:], v)
-			if e.err == nil {
-				_, e.err = e.w.Write(b[:])
-			}
+			e.Buf = binary.LittleEndian.AppendUint16(e.Buf, v)
 		}
 	}
 }
 
 // ---- decoder ----
 
-type snapDecoder struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (d *snapDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("store: corrupt snapshot: "+format, args...)
-	}
-}
-
-func (d *snapDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("store: corrupt snapshot: %w", err)
-	}
-	return v
-}
-
-// length reads a collection length and bounds it against max so a corrupt
-// count fails fast instead of allocating gigabytes.
-func (d *snapDecoder) length(max uint64, what string) int {
-	v := d.uvarint()
-	if d.err == nil && v > max {
-		d.fail("%s count %d exceeds bound %d", what, v, max)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(v)
-}
-
-const maxSnapshotStr = 64 << 20 // no single term string exceeds 64 MiB
-
-func (d *snapDecoder) str() string {
-	n := d.length(maxSnapshotStr, "string length")
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.fail("%v", err)
-		return ""
-	}
-	return string(b)
-}
-
-func (d *snapDecoder) term() rdf.Term {
-	kind, err := d.r.ReadByte()
-	if err != nil {
-		d.fail("%v", err)
-		return rdf.Term{}
-	}
-	t := rdf.Term{Kind: rdf.TermKind(kind)}
-	switch t.Kind {
-	case rdf.KindIRI, rdf.KindBlank:
-		t.Value = d.str()
-	case rdf.KindLiteral:
-		t.Value = d.str()
-		t.Datatype = d.str()
-		t.Lang = d.str()
-	default:
-		d.fail("invalid term kind %d", kind)
-	}
-	return t
-}
-
-func (d *snapDecoder) readDict(dict *TermDict) {
-	n := d.length(1<<32, "term")
-	if d.err == nil {
+func readDict(d *rdf.Decoder, dict *TermDict) {
+	n := d.Count(2, "term") // kind byte + value length
+	if d.Err() == nil {
 		dict.grow(n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		t := d.term()
-		if d.err != nil {
+	for i := 0; i < n; i++ {
+		t := d.Term()
+		if d.Err() != nil {
 			return
 		}
 		if id := dict.Intern(t); id != ID(i) {
-			d.fail("duplicate term at ID %d", i)
+			d.Fail("duplicate term at ID %d", i)
 			return
 		}
-	}
-}
-
-func (d *snapDecoder) readNamespaces(ns *rdf.Namespaces) {
-	n := d.length(1<<20, "namespace")
-	for i := 0; i < n && d.err == nil; i++ {
-		prefix := d.str()
-		iri := d.str()
-		if d.err == nil {
-			ns.Bind(prefix, iri)
-		}
-	}
-	if base := d.str(); d.err == nil && base != "" {
-		ns.SetBase(base)
 	}
 }
 
 //feo:mutates
-func (d *snapDecoder) readIndex(idx *index, nTerms uint64) {
+func readIndex(d *rdf.Decoder, idx *index, nTerms uint64) {
 	checkID := func(v uint64) ID {
-		if d.err == nil && v >= nTerms {
-			d.fail("index ID %d out of dictionary range %d", v, nTerms)
+		if v >= nTerms {
+			d.Fail("index ID %d out of dictionary range %d", v, nTerms)
 		}
 		return ID(v)
 	}
 	idx.s = make([]*lvl2, nTerms)
-	nOuter := d.length(nTerms, "outer key")
-	for i := 0; i < nOuter && d.err == nil; i++ {
-		a := checkID(d.uvarint())
-		nInner := d.length(nTerms, "inner key")
+	// An outer level is at least a key and an inner count; an inner entry
+	// at least a key, a container count, a container key and a form byte.
+	// More keys than terms cannot pass the range, duplicate and order checks.
+	nOuter := d.Count(2, "outer key")
+	for i := 0; i < nOuter && d.Err() == nil; i++ {
+		a := checkID(d.Uvarint())
+		nInner := d.Count(4, "inner key")
 		m1 := make(map[ID]*IDSet, nInner)
-		for j := 0; j < nInner && d.err == nil; j++ {
-			b := checkID(d.uvarint())
-			set := d.readSet(nTerms)
-			if d.err != nil {
+		var prev ID
+		for j := 0; j < nInner && d.Err() == nil; j++ {
+			// Ascending inner keys rule out a repeated one, which would
+			// replace a set that the other two indexes still count.
+			b := checkID(d.Uvarint())
+			if j > 0 && b <= prev {
+				d.Fail("inner keys out of order at index level %d (%d after %d)", a, b, prev)
+			}
+			prev = b
+			set := readSet(d, nTerms)
+			if d.Err() != nil {
 				return
 			}
 			if set.Len() == 0 {
-				d.fail("empty set at index level (%d,%d)", a, b)
+				d.Fail("empty set at index level (%d,%d)", a, b)
 				return
 			}
 			m1[b] = set
 		}
-		if d.err == nil {
+		if d.Err() == nil {
 			if idx.s[a] != nil {
-				d.fail("duplicate outer key %d", a)
+				d.Fail("duplicate outer key %d", a)
 				return
 			}
 			idx.s[a] = &lvl2{m: m1}
@@ -392,90 +293,73 @@ func (d *snapDecoder) readIndex(idx *index, nTerms uint64) {
 	}
 }
 
-func (d *snapDecoder) readSet(nTerms uint64) *IDSet {
+func readSet(d *rdf.Decoder, nTerms uint64) *IDSet {
 	s := NewIDSet()
-	nc := d.length(1<<16, "container")
+	// A container is at least a key, a form byte, a length and one value.
+	nc := d.Count(4, "container")
 	s.keys = make([]uint16, 0, nc)
 	s.cs = make([]container, 0, nc)
 	prevKey := -1
-	for i := 0; i < nc && d.err == nil; i++ {
-		key := d.length(1<<16-1, "container key")
-		if d.err != nil {
+	for i := 0; i < nc; i++ {
+		key := d.Uvarint()
+		if key > 1<<16-1 {
+			d.Fail("container key %d exceeds bound %d", key, 1<<16-1)
+		} else if int(key) <= prevKey {
+			d.Fail("container keys out of order (%d after %d)", key, prevKey)
+		}
+		form := d.Byte()
+		if d.Err() != nil {
 			return s
 		}
-		if key <= prevKey {
-			d.fail("container keys out of order (%d after %d)", key, prevKey)
-			return s
-		}
-		prevKey = key
-		form, err := d.r.ReadByte()
-		if err != nil {
-			d.fail("%v", err)
-			return s
-		}
+		prevKey = int(key)
 		var c container
+		maxLow := -1 // the container's largest member
 		switch form {
 		case 0: // sorted array
-			n := d.length(arrMaxLen, "array container")
-			if d.err != nil {
+			n := d.Count(2, "array container")
+			if n == 0 || n > arrMaxLen {
+				d.Fail("array container of %d members outside 1..%d", n, arrMaxLen)
 				return s
 			}
-			if n == 0 {
-				d.fail("empty array container")
+			buf := d.Next(2 * n)
+			if d.Err() != nil {
 				return s
 			}
 			c.arr = make([]uint16, n)
-			buf := make([]byte, 2*n)
-			if _, err := io.ReadFull(d.r, buf); err != nil {
-				d.fail("%v", err)
-				return s
-			}
-			prev := -1
 			for k := range c.arr {
 				v := binary.LittleEndian.Uint16(buf[2*k:])
-				if int(v) <= prev {
-					d.fail("array container values out of order")
+				if int(v) <= maxLow {
+					d.Fail("array container values out of order")
 					return s
 				}
-				prev = int(v)
+				maxLow = int(v)
 				c.arr[k] = v
 			}
 			c.n = n
 		case 1: // bitmap
-			c.bmp = new([bitmapWords]uint64)
-			buf := make([]byte, 8*bitmapWords)
-			if _, err := io.ReadFull(d.r, buf); err != nil {
-				d.fail("%v", err)
+			buf := d.Next(8 * bitmapWords)
+			if d.Err() != nil {
 				return s
 			}
+			c.bmp = new([bitmapWords]uint64)
 			for w := range c.bmp {
 				word := binary.LittleEndian.Uint64(buf[8*w:])
 				c.bmp[w] = word
 				c.n += bits.OnesCount64(word)
+				if word != 0 {
+					maxLow = w<<6 + 63 - bits.LeadingZeros64(word)
+				}
 			}
 			if c.n <= arrMaxLen {
-				d.fail("bitmap container below array threshold (%d members)", c.n)
+				d.Fail("bitmap container below array threshold (%d members)", c.n)
 				return s
 			}
 		default:
-			d.fail("unknown container form %d", form)
+			d.Fail("unknown container form %d", form)
 			return s
 		}
-		// Bound the container's largest member against the dictionary.
-		base := uint64(key) << containerBits
-		var maxLow uint16
-		if c.bmp != nil {
-			for w := bitmapWords - 1; w >= 0; w-- {
-				if c.bmp[w] != 0 {
-					maxLow = uint16(w<<6 + 63 - bits.LeadingZeros64(c.bmp[w]))
-					break
-				}
-			}
-		} else {
-			maxLow = c.arr[len(c.arr)-1]
-		}
-		if base+uint64(maxLow) >= nTerms {
-			d.fail("set member %d out of dictionary range %d", base+uint64(maxLow), nTerms)
+		if top := key<<containerBits + uint64(maxLow); top >= nTerms {
+			d.Fail("set member %d out of dictionary range %d", top, nTerms)
 			return s
 		}
 		s.keys = append(s.keys, uint16(key))

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // container forms: a dense predicate column with >arrMaxLen subjects (bitmap
 // containers in POS) plus sparse random triples (array containers), mixed
 // term kinds, namespaces, and some removals so version > triple count.
-func randomGraph(t *testing.T, rng *rand.Rand) *Graph {
+func randomGraph(t testing.TB, rng *rand.Rand) *Graph {
 	t.Helper()
 	g := New()
 	g.Namespaces().Bind("ex", "http://e/")
@@ -50,13 +51,9 @@ func randomGraph(t *testing.T, rng *rand.Rand) *Graph {
 	return g
 }
 
-func snapshotBytes(t *testing.T, g *Graph) []byte {
+func snapshotBytes(t testing.TB, g *Graph) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	return buf.Bytes()
+	return g.AppendSnapshot(nil)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -65,7 +62,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		g := randomGraph(t, rng)
 		data := snapshotBytes(t, g)
 
-		got, err := ReadSnapshot(bytes.NewReader(data))
+		got, err := ReadSnapshot(data)
 		if err != nil {
 			t.Fatalf("seed %d: ReadSnapshot: %v", seed, err)
 		}
@@ -112,7 +109,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 func TestSnapshotEmptyGraph(t *testing.T) {
 	g := New()
-	got, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, g)))
+	got, err := ReadSnapshot(snapshotBytes(t, g))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
@@ -132,7 +129,7 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 
 	for i := 0; i < 200; i++ {
 		cut := rng.Intn(len(data))
-		if _, err := ReadSnapshot(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadSnapshot(data[:cut]); err == nil {
 			// A truncation that still parses means trailing data was
 			// redundant — impossible with three cross-checked indexes
 			// unless the cut is at EOF.
@@ -142,11 +139,144 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mut := append([]byte(nil), data...)
 		mut[rng.Intn(len(mut))] ^= 1 << rng.Intn(8)
-		got, err := ReadSnapshot(bytes.NewReader(mut))
+		got, err := ReadSnapshot(mut)
 		if err == nil && got == nil {
 			t.Fatal("nil graph with nil error")
 		}
 	}
+}
+
+// TestSnapshotRejectsEachDamage hand-encodes a snapshot of the triple
+// (0 1 2) and breaks one structural rule per case; ReadSnapshot must
+// accept the intact form and reject every broken one.
+func TestSnapshotRejectsEachDamage(t *testing.T) {
+	type container struct {
+		key  uint64
+		form byte
+		vals []uint16 // array members, or the set bits of a bitmap
+	}
+	type entry struct {
+		b  uint64
+		cs []container
+	}
+	type level struct {
+		a     uint64
+		inner []entry
+	}
+	lv := func(a, b uint64, cs ...container) level { return level{a, []entry{{b, cs}}} }
+	arr := func(vals ...uint16) container { return container{0, 0, vals} }
+	encode := func(version uint64, dict []rdf.Term, kind byte, idx [3][]level, trailing bool) []byte {
+		e := &rdf.Encoder{}
+		e.Uvarint(version)
+		e.Uvarint(1)
+		e.Uvarint(uint64(len(dict)))
+		for i, term := range dict {
+			if i == 0 && kind != 0 {
+				term.Kind = rdf.TermKind(kind)
+			}
+			e.Term(term)
+		}
+		e.Namespaces(nil)
+		for _, levels := range idx {
+			e.Uvarint(uint64(len(levels)))
+			for _, l := range levels {
+				e.Uvarint(l.a)
+				e.Uvarint(uint64(len(l.inner)))
+				for _, in := range l.inner {
+					e.Uvarint(in.b)
+					e.Uvarint(uint64(len(in.cs)))
+					for _, c := range in.cs {
+						e.Uvarint(c.key)
+						e.Byte(c.form)
+						if c.form == 1 {
+							var words [bitmapWords]uint64
+							for _, v := range c.vals {
+								words[v/64] |= 1 << (v % 64)
+							}
+							for _, w := range words {
+								e.Buf = binary.LittleEndian.AppendUint64(e.Buf, w)
+							}
+							continue
+						}
+						e.Uvarint(uint64(len(c.vals)))
+						for _, v := range c.vals {
+							e.Buf = binary.LittleEndian.AppendUint16(e.Buf, v)
+						}
+					}
+				}
+			}
+		}
+		if trailing {
+			e.Byte(0)
+		}
+		return e.Buf
+	}
+	dict := []rdf.Term{iri("s"), iri("p"), iri("o")}
+	intact := [3][]level{{lv(0, 1, arr(2))}, {lv(1, 2, arr(0))}, {lv(2, 0, arr(1))}}
+	g, err := ReadSnapshot(encode(snapshotFormatVersion, dict, 0, intact, false))
+	if err != nil || g.Len() != 1 || !g.Has(iri("s"), iri("p"), iri("o")) {
+		t.Fatalf("intact snapshot: %v", err)
+	}
+	// spo replaces the SPO index.
+	spo := func(levels ...level) []byte {
+		idx := intact
+		idx[0] = levels
+		return encode(snapshotFormatVersion, dict, 0, idx, false)
+	}
+	dense := make([]uint16, arrMaxLen+1)
+	for i := range dense {
+		dense[i] = uint16(i)
+	}
+	for name, data := range map[string][]byte{
+		"format version":      encode(snapshotFormatVersion+1, dict, 0, intact, false),
+		"term kind":           encode(snapshotFormatVersion, dict, 4, intact, false),
+		"duplicate term":      encode(snapshotFormatVersion, []rdf.Term{iri("s"), iri("p"), iri("s")}, 0, intact, false),
+		"outer ID range":      spo(lv(3, 1, arr(2))),
+		"inner ID range":      spo(lv(0, 3, arr(2))),
+		"member ID range":     spo(lv(0, 1, arr(3))),
+		"duplicate outer key": spo(lv(0, 1, arr(2)), lv(0, 2, arr(1))),
+		"duplicate inner key": spo(level{0, []entry{{1, []container{arr(2)}}, {1, []container{arr(0)}}}}),
+		"container key order": spo(lv(0, 1, arr(2), arr(1))),
+		"container key bound": spo(lv(0, 1, container{1 << 16, 0, []uint16{2}})),
+		"array value order":   spo(lv(0, 1, arr(2, 1))),
+		"empty array":         spo(lv(0, 1, arr())),
+		"dense array":         spo(lv(0, 1, arr(dense...))),
+		"sparse bitmap":       spo(lv(0, 1, container{0, 1, []uint16{2}})),
+		"container form":      spo(lv(0, 1, container{0, 2, []uint16{2}})),
+		"empty set":           spo(lv(0, 1)),
+		"cardinality":         spo(),
+		"trailing bytes":      encode(snapshotFormatVersion, dict, 0, intact, true),
+	} {
+		if _, err := ReadSnapshot(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot feeds arbitrary bytes to ReadSnapshot: it never
+// panics, and a graph it accepts re-encodes to a snapshot that decodes to
+// an equal graph at the same version.
+func FuzzDecodeSnapshot(f *testing.F) {
+	small := New()
+	small.Add(iri("s"), iri("p"), rdf.NewLangLiteral("text", "en"))
+	small.Add(rdf.NewBlank("b0"), iri("p"), rdf.NewTypedLiteral("7", rdf.XSDInteger))
+	small.Remove(iri("s"), iri("p"), rdf.NewLangLiteral("text", "en"))
+	f.Add(snapshotBytes(f, New()))
+	f.Add(snapshotBytes(f, small))
+	f.Add(snapshotBytes(f, randomGraph(f, rand.New(rand.NewSource(0)))))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadSnapshot(data)
+		if err != nil {
+			return
+		}
+		again, err := ReadSnapshot(g.AppendSnapshot(nil))
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if !again.Equal(g) || again.Version() != g.Version() {
+			t.Fatalf("re-encoded snapshot decodes to a different graph (version %d, want %d)", again.Version(), g.Version())
+		}
+	})
 }
 
 func TestForceVersionMonotonic(t *testing.T) {
