@@ -8,8 +8,9 @@
 //
 // The storage and query substrate is dictionary-encoded: internal/store
 // interns every distinct RDF term into a dense uint32 ID (store.TermDict)
-// and keeps its SPO/POS/OSP permutation indexes as two nested map levels
-// whose innermost level is a roaring-style bitmap set (store.IDSet,
+// and keeps two permutation indexes, SPO and POS, as two nested levels
+// (a bound object with a free predicate is answered from them; see the
+// internal/store package doc) whose innermost level is a roaring-style bitmap set (store.IDSet,
 // internal/store/bitset.go) — 16-bit-keyed containers, sorted-array when
 // sparse and 1024-word bitmap when dense. Terms are encoded once, on
 // write; reads decode lazily, only for the positions a caller receives,

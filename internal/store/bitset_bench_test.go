@@ -137,3 +137,51 @@ func BenchmarkStoreMatchDenseIntersect(b *testing.B) {
 		}
 	}
 }
+
+// predicateGraph holds 20 000 triples over 999 subjects, preds predicates
+// and 1 000 objects: triple i is (s[i%999], p[i%preds], o[i%1000]). It
+// returns the graph and the triples' IDs, so every probe matches.
+func predicateGraph(preds int) (*Graph, []IDTriple) {
+	g := New()
+	ts := make([]IDTriple, 0, 20_000)
+	for i := 0; i < 20_000; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://bench/s%d", i%999))
+		p := rdf.NewIRI(fmt.Sprintf("http://bench/p%d", i%preds))
+		o := rdf.NewIRI(fmt.Sprintf("http://bench/o%d", i%1000))
+		g.Add(s, p, o)
+		sID, _ := g.LookupID(s)
+		pID, _ := g.LookupID(p)
+		oID, _ := g.LookupID(o)
+		ts = append(ts, IDTriple{sID, pID, oID})
+	}
+	return g, ts
+}
+
+// BenchmarkObjectPattern times the two object-bound shapes without a
+// bound predicate, (?, ?, o) and (s, ?, o), on a fixed-size graph whose
+// predicate count grows from 10 to 10 000. Each op probes the next
+// triple's object (or subject and object) and visits every match.
+func BenchmarkObjectPattern(b *testing.B) {
+	for _, preds := range []int{10, 100, 1_000, 10_000} {
+		g, ts := predicateGraph(preds)
+		for _, shape := range []string{"??o", "s?o"} {
+			b.Run(fmt.Sprintf("%s/preds=%d", shape, preds), func(b *testing.B) {
+				b.ReportAllocs()
+				n := 0
+				for i := 0; i < b.N; i++ {
+					t := ts[i%len(ts)]
+					if shape == "??o" {
+						t.S = NoID
+					}
+					g.ForEachID(t.S, NoID, t.O, func(_, _, _ ID) bool {
+						n++
+						return true
+					})
+				}
+				if n < b.N {
+					b.Fatalf("%d matches in %d probes", n, b.N)
+				}
+			})
+		}
+	}
+}

@@ -218,7 +218,7 @@ type Stats struct {
 //feo:frozen-safe
 //feo:unordered
 func (g *Graph) Statistics() Stats {
-	st := Stats{Triples: g.n, Subjects: g.spo.levels(), Predicates: g.pos.levels(), Objects: g.osp.levels()}
+	st := Stats{Triples: g.n, Subjects: g.spo.levels(), Predicates: g.pos.levels(), Objects: g.objN.nonZero()}
 	classes := make(map[rdf.Term]struct{})
 	instances := make(map[rdf.Term]struct{})
 	blanks := make(map[rdf.Term]struct{})

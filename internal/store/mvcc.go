@@ -75,7 +75,6 @@ func (g *Graph) publish() *Snapshot {
 		dict:    g.dict,
 		spo:     g.spo,
 		pos:     g.pos,
-		osp:     g.osp,
 		subjN:   g.subjN,
 		predN:   g.predN,
 		objN:    g.objN,

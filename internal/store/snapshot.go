@@ -12,7 +12,7 @@ import (
 // Binary graph snapshots.
 //
 // AppendSnapshot serializes a Graph — term dictionary, namespaces, mutation
-// version, and all three permutation indexes with their roaring containers —
+// version, and both permutation indexes with their roaring containers —
 // into a compact binary form that ReadSnapshot loads back in time
 // proportional to the file size: the dictionary streams in ID order (one
 // hash per term, exactly like the original interning), the indexes
@@ -28,7 +28,7 @@ import (
 //	uvarint(format version) uvarint(graph version)
 //	uvarint(n) n × term                         dictionary, in ID order
 //	prefixes                                    the namespace table
-//	index index index                           SPO, POS, OSP
+//	index index                                 SPO, POS
 //
 //	index      uvarint(levels), levels × { uvarint(a) uvarint(k) k × { uvarint(b) set } }
 //	set        uvarint(c), c × { uvarint(key) container }
@@ -37,6 +37,10 @@ import (
 //
 // The writer emits outer keys, inner keys, container keys and array
 // values in ascending order.
+//
+// Format 1 wrote a third index, OSP, after POS. ReadSnapshot still loads
+// such a file: the OSP section gets the same structural checks as the
+// other two, its cardinality must match, and it is then discarded.
 //
 // The format is versioned (snapshotFormatVersion) and deterministic: index
 // levels are written in sorted ID order, so the same graph always produces
@@ -51,8 +55,9 @@ import (
 // inconsistent graph.
 
 // snapshotFormatVersion identifies the snapshot encoding. Bump on any
-// incompatible layout change; ReadSnapshot rejects versions it predates.
-const snapshotFormatVersion = 1
+// incompatible layout change; ReadSnapshot reads this version and format 1
+// and rejects any other.
+const snapshotFormatVersion = 2
 
 // AppendSnapshot appends the graph in the binary snapshot format to buf
 // and returns the extended buffer. Calling it on a frozen snapshot view
@@ -76,7 +81,6 @@ func (g *Graph) AppendSnapshot(buf []byte) []byte {
 	e.Namespaces(g.ns)
 	appendIndex(e, &g.spo)
 	appendIndex(e, &g.pos)
-	appendIndex(e, &g.osp)
 	return e.Buf
 }
 
@@ -86,55 +90,35 @@ func (g *Graph) AppendSnapshot(buf []byte) []byte {
 //feo:mutates
 func (g *Graph) readSnapshotInto(data []byte) error {
 	d := rdf.NewDecoder(data)
-	if ver := d.Uvarint(); d.Err() == nil && ver != snapshotFormatVersion {
+	ver := d.Uvarint()
+	if d.Err() == nil && ver != snapshotFormatVersion && ver != 1 {
 		return fmt.Errorf("store: unsupported snapshot format version %d", ver)
 	}
 	g.version = d.Uvarint()
 	readDict(d, g.dict)
 	d.Namespaces(g.ns)
+	// The per-position counts and the triple total are redundant with the
+	// indexes, so the snapshot does not store them: readIndex sums them.
 	nTerms := uint64(g.dict.Len())
-	readIndex(d, &g.spo, nTerms)
-	readIndex(d, &g.pos, nTerms)
-	readIndex(d, &g.osp, nTerms)
+	g.subjN.v = make([]int32, nTerms)
+	g.predN.v = make([]int32, nTerms)
+	g.objN.v = make([]int32, nTerms)
+	g.n = readIndex(d, &g.spo, nTerms, &g.subjN, nil)
+	if n := readIndex(d, &g.pos, nTerms, &g.predN, &g.objN); d.Err() == nil && n != g.n {
+		d.Fail("index cardinalities disagree (spo=%d pos=%d)", g.n, n)
+	}
+	if ver == 1 { // format 1's OSP section: validated, then dropped
+		if n := readIndex(d, &index{}, nTerms, nil, nil); d.Err() == nil && n != g.n {
+			d.Fail("index cardinalities disagree (spo=%d osp=%d)", g.n, n)
+		}
+	}
 	if rest := len(d.Rest()); rest != 0 {
 		d.Fail("%d trailing bytes", rest)
 	}
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("store: corrupt snapshot: %w", err)
 	}
-	// Derive the per-position counts and the triple total from the loaded
-	// index levels; they are redundant with the indexes, so the snapshot
-	// does not store them.
-	n := deriveCounts(&g.spo, &g.subjN, int(nTerms))
-	g.n = n
-	nPOS := deriveCounts(&g.pos, &g.predN, int(nTerms))
-	nOSP := deriveCounts(&g.osp, &g.objN, int(nTerms))
-	if nPOS != n || nOSP != n {
-		return fmt.Errorf("store: snapshot index cardinalities disagree (spo=%d pos=%d osp=%d)", n, nPOS, nOSP)
-	}
 	return nil
-}
-
-// deriveCounts fills one per-position counter vector from a loaded index
-// and returns the total cardinality.
-//
-//feo:mutates
-func deriveCounts(ix *index, cnt *counts, nTerms int) int {
-	cnt.v = make([]int32, nTerms)
-	total := 0
-	for ai, l := range ix.s {
-		if l == nil {
-			continue
-		}
-		c := 0
-		//feo:unordered // summation; order-insensitive
-		for _, set := range l.m {
-			c += set.Len()
-		}
-		cnt.v[ai] = int32(c)
-		total += c
-	}
-	return total
 }
 
 // ReadSnapshot reads a graph previously written by AppendSnapshot; data
@@ -247,8 +231,13 @@ func readDict(d *rdf.Decoder, dict *TermDict) {
 	}
 }
 
+// readIndex decodes one index section into idx and returns its triple
+// count. It adds the triples under each leading ID to lead and those
+// under each second-position ID to inner (POS's middle level counts the
+// objects); either may be nil.
+//
 //feo:mutates
-func readIndex(d *rdf.Decoder, idx *index, nTerms uint64) {
+func readIndex(d *rdf.Decoder, idx *index, nTerms uint64, lead, inner *counts) (total int) {
 	checkID := func(v uint64) ID {
 		if v >= nTerms {
 			d.Fail("index ID %d out of dictionary range %d", v, nTerms)
@@ -277,11 +266,19 @@ func readIndex(d *rdf.Decoder, idx *index, nTerms uint64) {
 			if d.Err() != nil {
 				return
 			}
-			if set.Len() == 0 {
+			k := set.Len()
+			if k == 0 {
 				d.Fail("empty set at index level (%d,%d)", a, b)
 				return
 			}
 			m1[b] = set
+			total += k
+			if lead != nil {
+				lead.v[a] += int32(k)
+			}
+			if inner != nil {
+				inner.v[b] += int32(k)
+			}
 		}
 		if d.Err() == nil {
 			if idx.s[a] != nil {
@@ -291,6 +288,12 @@ func readIndex(d *rdf.Decoder, idx *index, nTerms uint64) {
 			idx.s[a] = &lvl2{m: m1}
 		}
 	}
+	// Trim the outer level to its last key: (?, ?, o) walks POS's outer
+	// level, whose keys are the few predicates among all the terms.
+	for len(idx.s) > 0 && idx.s[len(idx.s)-1] == nil {
+		idx.s = idx.s[:len(idx.s)-1]
+	}
+	return total
 }
 
 func readSet(d *rdf.Decoder, nTerms uint64) *IDSet {
