@@ -611,14 +611,16 @@ func (s *Session) RecommendGroup(users []Term, limit int) []Recommendation {
 }
 
 // Update applies a SPARQL 1.1 Update request (INSERT DATA, DELETE DATA,
-// DELETE WHERE, DELETE/INSERT WHERE, CLEAR) and re-materializes when
-// triples were added — incrementally for addition-only requests, with the
-// historical full re-run when the request also deleted.
+// DELETE WHERE, DELETE/INSERT WHERE, CLEAR) and re-materializes whenever
+// it added or removed a triple — incrementally for addition-only requests,
+// with a full re-run when the request deleted, so the served graph is
+// closed after every Update.
 //
 // Deletions remove only the named triples: consequences previously
 // inferred from them are NOT retracted (forward-chaining materialization
 // is monotonic, the same behavior as re-exporting from Pellet without
-// reclassifying). Inferences whose recorded derivation lost a premise to
+// reclassifying), and a deleted triple that is still derivable comes back
+// with the re-run. Inferences whose recorded derivation lost a premise to
 // the deletion are detected and returned in UpdateResult.StaleInferred so
 // callers are never silently served stale proofs; to fully retract,
 // rebuild the session from the edited source data.
@@ -641,7 +643,7 @@ func (s *Session) Update(req string) (sparql.UpdateResult, error) {
 			}
 			res.StaleInferred = s.reasoner.StaleDerivations(removed)
 		}
-		if res.Inserted > 0 {
+		if res.Inserted > 0 || res.Deleted > 0 {
 			s.engine.Rematerialize()
 		}
 		return nil

@@ -457,6 +457,30 @@ INSERT DATA {
 	}
 }
 
+// TestUpdateDeleteKeepsClosure: a deletes-only Update re-materializes, so
+// deleting an inferred triple whose premise is still asserted does not
+// leave the served graph unclosed: the triple is derived again.
+func TestUpdateDeleteKeepsClosure(t *testing.T) {
+	s := NewSession(Options{Data: DataNone})
+	if _, err := s.Update(`INSERT DATA { feo:MangoSalad feo:hasIngredient feo:Mango . }`); err != nil {
+		t.Fatal(err)
+	}
+	const ask = `ASK { feo:Mango feo:isIngredientOf feo:MangoSalad }`
+	if res, err := s.Query(ask); err != nil || !res.Boolean {
+		t.Fatalf("insert did not infer the inverse triple (err %v)", err)
+	}
+	res, err := s.Update(`DELETE DATA { feo:Mango feo:isIngredientOf feo:MangoSalad . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deleted != 1 || res.Inserted != 0 {
+		t.Fatalf("deleted=%d inserted=%d, want 1/0", res.Deleted, res.Inserted)
+	}
+	if res, err := s.Query(ask); err != nil || !res.Boolean {
+		t.Errorf("after a deletes-only update the graph is not closed: %s is false (err %v)", ask, err)
+	}
+}
+
 // TestSessionPartialLoadClosure: a load that fails part-way still commits
 // the triples that landed before the syntax error, so it must also close
 // them. Otherwise readers see an asserted fact without its consequences

@@ -289,7 +289,9 @@ func (e *Engine) questionType(q rdf.Term) (ExplanationType, bool) {
 // additions (the serve-time common case: question assertions, INSERT DATA,
 // document loads), the reasoner extends the closure incrementally in
 // O(|delta closure|) from the capture's ID-space op stream; removals,
-// Clear, or mutations that bypassed capture fall back to a full re-run.
+// OWL class-expression triples (intersections, unions, restrictions,
+// property chains, list cells), Clear, or mutations that bypassed capture
+// fall back to a full re-run.
 // Callers that mutate the graph directly may invoke it themselves; Explain
 // and feo.Session call it automatically, including after a load that
 // failed part-way, so whatever landed is closed before it is published.

@@ -22,7 +22,9 @@ import (
 // property characteristics, and OWL expressions arriving piecemeal —
 // including rdf:first/rdf:rest list cells split across steps) and checks
 // all three after every step against a from-scratch Materialize of the
-// asserted-only mirror graph.
+// asserted-only mirror graph. A step whose closure gains a structural
+// triple (an expression or list cell, asserted or inferred) must run full;
+// every other step must take the delta path.
 //
 // The schedule is addition-only by design: removals are documented to fall
 // back to a full monotonic re-run (covered by TestDeltaFallsBackOnRemoval),
@@ -178,6 +180,29 @@ func validateStrings(g *store.Graph) []string {
 	return out
 }
 
+// structuralPreds are the predicates whose triples feed the expression
+// table; a run that adds one runs full.
+var structuralPreds = map[rdf.Term]bool{
+	rdf.NewIRI(rdf.OWLIntersectionOf):     true,
+	rdf.NewIRI(rdf.OWLUnionOf):            true,
+	rdf.NewIRI(rdf.OWLOnProperty):         true,
+	rdf.NewIRI(rdf.OWLSomeValuesFrom):     true,
+	rdf.NewIRI(rdf.OWLAllValuesFrom):      true,
+	rdf.NewIRI(rdf.OWLHasValue):           true,
+	rdf.NewIRI(rdf.OWLPropertyChainAxiom): true,
+	rdf.FirstIRI:                          true,
+	rdf.RestIRI:                           true,
+}
+
+// structuralCount counts g's triples whose predicate is structural.
+func structuralCount(g *store.Graph) int {
+	n := 0
+	for p := range structuralPreds {
+		n += g.Count(store.Wildcard, p, store.Wildcard)
+	}
+	return n
+}
+
 func stringSlicesEqual(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -232,18 +257,21 @@ func TestIncrementalFullEquivalenceRandomized(t *testing.T) {
 				pendingQueue = pendingQueue[k:]
 
 				cs := gInc.StartCapture()
-				addedAny := false
+				structuralBefore := structuralCount(gInc)
 				for _, tp := range chunk {
 					if gInc.Has(tp.S, tp.P, tp.O) {
 						continue // keep asserted/inferred split unambiguous
 					}
 					gInc.AddTriple(tp)
 					gBase.AddTriple(tp)
-					addedAny = true
 				}
 				st := rInc.MaterializeChanges(gInc, cs)
-				if addedAny && !st.Delta {
+				structural := structuralCount(gInc) > structuralBefore
+				if !structural && !st.Delta {
 					t.Fatalf("step %d: addition-only change set did not take the delta path", step)
+				}
+				if structural && st.Delta {
+					t.Fatalf("step %d: a step that added a structural triple took the delta path", step)
 				}
 
 				// Reference: from-scratch closure of the asserted mirror.
@@ -348,8 +376,9 @@ ex:x a ex:A .
 }
 
 // TestDeltaExpressionArrivesLate: a restriction definition (including its
-// equivalence link) arriving as a delta must classify pre-existing
-// instance data, and vice versa.
+// equivalence link) arriving after a completed run must classify
+// pre-existing instance data. Its structural triples make the change set
+// run full.
 func TestDeltaExpressionArrivesLate(t *testing.T) {
 	g, err := turtle.Parse(prelude + `
 ex:autumn a ex:Season .
@@ -367,8 +396,8 @@ ex:squash ex:availableIn ex:autumn .
 		tr(rest, rdf.NewIRI(rdf.OWLOnProperty), iri("availableIn")),
 		tr(rest, rdf.NewIRI(rdf.OWLSomeValuesFrom), iri("Season")),
 	})
-	if !st.Delta {
-		t.Fatal("expected the incremental path")
+	if st.Delta {
+		t.Fatal("a change set with structural triples must take the full path")
 	}
 	if !g.IsA(iri("squash"), iri("SeasonalFood")) {
 		t.Error("delta-loaded restriction must classify existing instances")
@@ -402,6 +431,85 @@ ex:x a ex:A , ex:B .
 	})
 	if !g.IsA(iri("x"), iri("Both")) {
 		t.Error("completed list must classify existing instances")
+	}
+}
+
+// TestDeltaInferredStructuralReseeds: a structural triple that is only
+// inferred — owl:onProperty through a sub-property of it, or restriction
+// triples copied across owl:sameAs — must still reach the expression
+// table. Each document is closed by a full run and by a delta run whose
+// change set holds no structural triple, and both must equal the naive
+// reference, which rebuilds the table every round. The delta run escalates
+// to a full pass and says so. In both documents ex:x is a ex:D only
+// through the inferred expression.
+func TestDeltaInferredStructuralReseeds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		base string     // asserted before the first run
+		late rdf.Triple // asserted in the delta
+	}{
+		{
+			name: "subPropertyOf owl:onProperty",
+			base: `
+ex:onProp2 rdfs:subPropertyOf owl:onProperty .
+ex:R owl:someValuesFrom ex:C .
+ex:D owl:equivalentClass ex:R .
+ex:x ex:p ex:y .
+ex:y a ex:C .
+`,
+			late: tr(iri("R"), iri("onProp2"), iri("p")),
+		},
+		{
+			name: "sameAs between restriction nodes",
+			base: `
+ex:R1 owl:onProperty ex:p .
+ex:R2 owl:hasValue ex:v .
+ex:D owl:equivalentClass ex:R2 .
+ex:x ex:p ex:v .
+`,
+			late: tr(iri("R1"), rdf.SameAsIRI, iri("R2")),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parse := func() *store.Graph {
+				g, err := turtle.Parse(prelude + tc.base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			ref := parse()
+			ref.AddTriple(tc.late)
+			full := ref.Clone()
+			New(Options{Naive: true}).Materialize(ref)
+			if !ref.IsA(iri("x"), iri("D")) {
+				t.Fatal("naive reference lacks ex:x a ex:D")
+			}
+			check := func(mode string, g *store.Graph) {
+				t.Helper()
+				if !g.Equal(ref) {
+					onlyG, onlyRef := diff(g, ref)
+					t.Fatalf("%s run diverges from the naive reference\n%s only: %v\nreference only: %v",
+						mode, mode, onlyG, onlyRef)
+				}
+			}
+
+			New(Options{TraceDerivations: true}).Materialize(full)
+			check("full", full)
+
+			g := parse()
+			r := New(Options{TraceDerivations: true})
+			r.Materialize(g)
+			st := materializeAdded(r, g, []rdf.Triple{tc.late})
+			if st.Delta {
+				t.Error("a delta that infers a structural triple must report the full pass")
+			}
+			check("delta", g)
+			if st.Asserted+st.TotalInferred != g.Len() {
+				t.Errorf("stats: asserted=%d + total-inferred=%d, want %d triples",
+					st.Asserted, st.TotalInferred, g.Len())
+			}
+		})
 	}
 }
 

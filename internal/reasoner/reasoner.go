@@ -12,9 +12,12 @@ import (
 // Options configures a materialization run.
 type Options struct {
 	// Naive selects full re-evaluation each round instead of delta-driven
-	// semi-naive evaluation. Kept for the ablation benchmark; results are
-	// identical, only slower. A naive Reasoner never takes the incremental
-	// path: MaterializeChanges falls back to full runs.
+	// semi-naive evaluation: every round rebuilds the expression table and
+	// applies every rule to every triple. It is the reference the
+	// semi-naive engine is tested against and the ablation benchmark's
+	// baseline; results are identical, only slower. A naive Reasoner never
+	// takes the incremental path: MaterializeChanges falls back to full
+	// runs.
 	Naive bool
 	// MaxRounds bounds naive evaluation rounds (and acts as a safety valve
 	// for semi-naive). Zero means the default of 1000.
@@ -54,7 +57,9 @@ type Stats struct {
 	// its runs on the current graph, cumulative.
 	TotalInferred int
 	// Delta reports whether the run took the incremental path (seeded by a
-	// mutation delta) instead of re-running over the whole graph.
+	// mutation delta) instead of re-running over the whole graph. A delta
+	// run that inferred a structural triple went on over the whole graph
+	// and reports false.
 	Delta       bool
 	Rounds      int // triples processed (semi-naive) or naive rounds
 	RuleFirings map[string]int
@@ -129,9 +134,9 @@ func internVocab(g *store.Graph) vocab {
 }
 
 // structuralIDs returns the set of predicate IDs whose triples feed the
-// expression table (see schema.go), as a bitmap probed once per processed
-// triple. A delta or inference touching one of them triggers an incremental
-// expression-table update, never a whole-graph rebuild.
+// expression table (see schema.go), as a bitmap probed once per delta op
+// and per inference. A delta holding one of them runs full; an inference
+// of one marks the table stale, and saturate rebuilds it.
 func (v vocab) structuralIDs() *store.IDSet {
 	s := store.NewIDSet()
 	for _, id := range []store.ID{
@@ -151,19 +156,21 @@ func (v vocab) structuralIDs() *store.IDSet {
 // derivation map — across calls on the same graph. After a completed run,
 // MaterializeChanges extends the closure with only the consequences of
 // newly added triples: the semi-naive queue is seeded with the delta
-// instead of the whole graph, and the expression table is patched
-// entry-by-entry for structural triples (owl:intersectionOf, owl:unionOf,
-// restrictions, property chains, and their rdf:first/rdf:rest lists) in
-// the delta. The write-side cost is O(|delta closure|), not O(|graph|).
+// instead of the whole graph. The write-side cost is O(|delta closure|),
+// not O(|graph|).
 //
 // The incremental path silently falls back to a full run whenever its
 // preconditions fail: a different or never-materialized graph, a mutation
 // the change set did not record (version mismatch), Graph.Clear, a naive
-// Reasoner, or any removal in the change set. Removals fall back because
+// Reasoner, any removal in the change set, or any structural triple
+// (owl:intersectionOf, owl:unionOf, restrictions, property chains, and
+// their rdf:first/rdf:rest lists) in it. Removals fall back because
 // materialization is monotonic — consequences of removed triples are NOT
-// retracted (see StaleDerivations for detecting proofs that lost support);
-// re-running the full closure after a removal reproduces exactly the
-// historical "re-materialize everything" behavior.
+// retracted (see StaleDerivations for detecting proofs that lost support),
+// and a removed triple that is still derivable comes back. Structural
+// triples fall back because the expression table is only built whole; a
+// delta run that infers one escalates to a full pass the same way and
+// reports Stats.Delta = false.
 type Reasoner struct {
 	opts Options
 	g    *store.Graph
@@ -188,10 +195,9 @@ type Reasoner struct {
 	// rules interns rule names; derivation.rule indexes it.
 	rules   []string
 	ruleIDs map[string]uint32
-	// pendingExpr queues structural triples (delta input or fresh
-	// inferences) whose expression-table entries need patching; drained
-	// before each queue pop so rule joins always see a current table.
-	pendingExpr []iTriple
+	// exprStale reports that the run inferred a structural triple the
+	// expression table does not reflect yet (see saturate).
+	exprStale bool
 	// totalInferred accumulates inferred-triple counts across runs on the
 	// same graph; it backs the Stats.Asserted/TotalInferred split.
 	totalInferred int
@@ -233,13 +239,12 @@ func (r *Reasoner) Materialize(g *store.Graph) Stats {
 	start := time.Now()
 	r.bind(g)
 	r.beginRun(false)
-	r.expr = buildExprTable(g, r.v)
-	r.pendingExpr = nil
 	if r.opts.Naive {
 		r.runNaive()
 	} else {
+		r.expr = buildExprTable(g, r.v)
 		r.queue = r.snapshot()
-		r.drain()
+		r.saturate()
 	}
 	return r.finishRun(start)
 }
@@ -249,8 +254,9 @@ func (r *Reasoner) Materialize(g *store.Graph) Stats {
 // change set proves the only mutations since the last run were additions,
 // the closure is extended incrementally, seeded straight from the
 // capture's ID-space op stream (IDOps, nothing decoded); any removal, a
-// Clear, a version gap, or a foreign/never-materialized graph falls back
-// to a full Materialize. A nil change set always runs full.
+// structural triple, a Clear, a version gap, or a foreign or
+// never-materialized graph falls back to a full Materialize. A nil change
+// set always runs full.
 //
 //feo:unordered
 func (r *Reasoner) MaterializeChanges(g *store.Graph, cs *store.ChangeSet) Stats {
@@ -262,7 +268,7 @@ func (r *Reasoner) MaterializeChanges(g *store.Graph, cs *store.ChangeSet) Stats
 	ops := cs.IDOps()
 	seed := make([]iTriple, len(ops))
 	for i, op := range ops {
-		if op.Remove {
+		if op.Remove || r.structIDs.Contains(op.T.P) {
 			return r.Materialize(g)
 		}
 		seed[i] = iTriple{op.T.S, op.T.P, op.T.O}
@@ -275,19 +281,13 @@ func (r *Reasoner) canDelta(g *store.Graph) bool {
 	return r.prepared && r.g == g && !r.opts.Naive
 }
 
-// runDelta seeds the semi-naive queue with just the delta and drains it.
-// Structural triples in the seed patch the expression table before any rule
-// fires.
+// runDelta seeds the semi-naive queue with just the delta and saturates
+// it.
 func (r *Reasoner) runDelta(seed []iTriple) Stats {
 	start := time.Now()
 	r.beginRun(true)
 	r.queue = append(r.queue[:0], seed...)
-	for _, t := range seed {
-		if r.structIDs.Contains(t.P) {
-			r.pendingExpr = append(r.pendingExpr, t)
-		}
-	}
-	r.drain()
+	r.saturate()
 	return r.finishRun(start)
 }
 
@@ -552,21 +552,29 @@ func compareTriples(a, b rdf.Triple) int {
 	return rdf.Compare(a.O, b.O)
 }
 
+// saturate drains the queue, then, while the expression table is stale,
+// rebuilds it from the graph, re-queues every triple and drains again, so
+// every rule has joined against the table of the final graph. A delta run
+// that rebuilds has become a full one and reports so.
+func (r *Reasoner) saturate() {
+	for {
+		r.drain()
+		if !r.exprStale {
+			return
+		}
+		r.exprStale = false
+		r.stats.Delta = false
+		r.expr = buildExprTable(r.g, r.v)
+		r.queue = r.snapshot()
+	}
+}
+
 // drain processes the semi-naive queue to fixpoint: each popped triple is
 // matched against every rule position it could fill, joining the other
-// premises against the current graph. Pending expression-table patches are
-// applied (and their instance re-scans enqueued) before each pop, so rules
-// never join against a stale table.
+// premises against the current graph and expression table.
 func (r *Reasoner) drain() {
 	processed := 0
-	for {
-		if len(r.pendingExpr) > 0 {
-			r.applyExprUpdates()
-			continue
-		}
-		if len(r.queue) == 0 {
-			break
-		}
+	for len(r.queue) > 0 {
 		t := r.queue[len(r.queue)-1]
 		r.queue = r.queue[:len(r.queue)-1]
 		r.applyDelta(t)
@@ -578,17 +586,6 @@ func (r *Reasoner) drain() {
 	r.stats.Rounds += processed
 }
 
-// applyExprUpdates drains the pending structural triples into incremental
-// expression-table patches. Patching may activate expressions (re-scanning
-// affected instances), which enqueues further work.
-func (r *Reasoner) applyExprUpdates() {
-	pend := r.pendingExpr
-	r.pendingExpr = nil
-	for _, t := range pend {
-		r.updateExpr(t)
-	}
-}
-
 // runNaive repeatedly applies every rule to every triple until a full round
 // adds nothing. Kept for the A1 ablation benchmark and as the blessed
 // reference implementation: it rebuilds the expression table from the whole
@@ -598,13 +595,11 @@ func (r *Reasoner) runNaive() {
 		r.stats.Rounds = round + 1
 		before := r.g.Len()
 		r.expr = buildExprTable(r.g, r.v)
-		r.pendingExpr = nil
 		for _, t := range r.snapshot() {
 			r.applyDelta(t)
 		}
 		// Inferred structural triples join the table at the next round's
 		// rebuild; the fixpoint round runs with a complete table.
-		r.pendingExpr = nil
 		if r.g.Len() == before {
 			return
 		}
@@ -627,6 +622,7 @@ func (r *Reasoner) infer(rule string, s, p, o store.ID, premises ...iTriple) {
 	r.stats.RuleFirings[rule]++
 	if !r.opts.Naive {
 		r.queue = append(r.queue, t)
+		r.exprStale = r.exprStale || r.structIDs.Contains(p)
 	}
 	if r.opts.TraceDerivations {
 		off := len(r.premises)
@@ -637,8 +633,5 @@ func (r *Reasoner) infer(rule string, s, p, o store.ID, premises ...iTriple) {
 		if r.journaling {
 			r.journal = append(r.journal, t)
 		}
-	}
-	if !r.opts.Naive && r.structIDs.Contains(p) {
-		r.pendingExpr = append(r.pendingExpr, t)
 	}
 }

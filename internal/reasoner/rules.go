@@ -341,8 +341,8 @@ func (r *Reasoner) onAssertion(t iTriple) {
 	}
 	// prp-spo2: property chains. Any triple whose predicate appears in a
 	// chain may complete an instantiation of that chain.
-	for _, ci := range r.expr.chainsByStep[p] {
-		r.applyChain(r.expr.chains[ci], t)
+	for _, c := range r.expr.chainsByStep[p] {
+		r.applyChain(c, t)
 	}
 	// eq-rep: replicate through sameAs aliases of x and y.
 	if p != r.v.same {

@@ -119,7 +119,6 @@ func compareIDTriples(a, b store.IDTriple) int {
 func (r *Reasoner) RestoreClosure(g *store.Graph, st ClosureState) {
 	r.bind(g)
 	r.expr = buildExprTable(g, r.v)
-	r.pendingExpr = nil
 	r.queue = nil
 	r.totalInferred = st.TotalInferred
 	if r.opts.TraceDerivations {
