@@ -2,6 +2,7 @@ package durable
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rdf"
 	"repro/internal/reasoner"
@@ -10,39 +11,16 @@ import (
 
 // WAL record payloads and the snapshot file's closure section are built
 // on the byte encoding of package rdf (uvarints, strings, terms, triples
-// and prefix tables; see its package comment). The decoder adds what only
-// this package needs: rule-name interning and the closure section's term
-// references.
+// and prefix tables; see its package comment). The closure decoder adds
+// what only this package needs: the section's term references and
+// rule-name interning.
 
-type decoder struct {
-	*rdf.Decoder
-	// rules interns derivation rule names: a trace names a few dozen
-	// rules hundreds of thousands of times.
-	rules map[string]string
-}
-
-func newDecoder(buf []byte) *decoder { return &decoder{Decoder: rdf.NewDecoder(buf)} }
-
-// err returns the first decode failure, marked as this package's.
-func (d *decoder) err() error {
+// decodeErr returns d's first decode failure, marked as this package's.
+func decodeErr(d *rdf.Decoder) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
 	return nil
-}
-
-// rule reads a rule name, allocating each distinct name once per decoder.
-func (d *decoder) rule() string {
-	b := d.Bytes()
-	if s, ok := d.rules[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if d.rules == nil {
-		d.rules = make(map[string]string)
-	}
-	d.rules[s] = s
-	return s
 }
 
 // ---- record payload ----
@@ -99,7 +77,7 @@ func appendRecord(buf []byte, rec Record) []byte {
 }
 
 func parseRecord(payload []byte) (Record, error) {
-	d := newDecoder(payload)
+	d := rdf.NewDecoder(payload)
 	var rec Record
 	flags := d.Byte()
 	if flags&^(recFlagCleared|recFlagPrefixes) != 0 {
@@ -126,10 +104,10 @@ func parseRecord(payload []byte) (Record, error) {
 	if rest := len(d.Rest()); rest != 0 {
 		d.Fail("%d trailing bytes after record", rest)
 	}
-	return rec, d.err()
+	return rec, decodeErr(d)
 }
 
-func parseDerivations(d *decoder) []reasoner.TracedDerivation {
+func parseDerivations(d *rdf.Decoder) []reasoner.TracedDerivation {
 	n := d.Count(4, "derivation")
 	if n == 0 {
 		return nil
@@ -137,7 +115,7 @@ func parseDerivations(d *decoder) []reasoner.TracedDerivation {
 	out := make([]reasoner.TracedDerivation, n)
 	for i := range out {
 		out[i].Conclusion = d.Triple()
-		out[i].Rule = d.rule()
+		out[i].Rule = d.Str()
 		if nPrem := d.Count(4, "premise"); nPrem > 0 {
 			out[i].Premises = make([]rdf.Triple, nPrem)
 			for j := range out[i].Premises {
@@ -162,12 +140,16 @@ func parseDerivations(d *decoder) []reasoner.TracedDerivation {
 //
 // where a term ref is uvarint(id+1), entries are in ascending conclusion ID
 // order, and premises keep their recorded order. Neither side touches a
-// term: the encoder copies IDs, the decoder range-checks them into chunked
-// IDTriple arenas, and rule names are interned. (WAL records keep the
-// self-describing term encoding: their ops introduce terms the snapshot
-// dictionary has never seen.) The reader also accepts a ref of 0 followed
-// by an inline term, which older encoders wrote for a term missing from
-// the dictionary; it interns that term.
+// term: the encoder copies IDs, and the decoder range-checks them straight
+// into the reasoner's trace form — one entries slice, one premise arena
+// allocated at its exact size, rule names interned to indexes — which
+// RestoreClosure adopts as its sorted run. An entry whose conclusion does
+// not sort after the last one goes to ClosureState.Later instead, so any
+// order still decodes with a later entry for a conclusion winning. (WAL
+// records keep the self-describing term encoding: their ops introduce
+// terms the snapshot dictionary has never seen.) The reader also accepts
+// a ref of 0 followed by an inline term, which older encoders wrote for a
+// term missing from the dictionary; it interns that term.
 
 func appendIDTriple(e *rdf.Encoder, t store.IDTriple) {
 	e.Uvarint(uint64(t.S) + 1)
@@ -175,7 +157,34 @@ func appendIDTriple(e *rdf.Encoder, t store.IDTriple) {
 	e.Uvarint(uint64(t.O) + 1)
 }
 
-func (d *decoder) idRef(g *store.Graph) store.ID {
+//feo:idspace
+func appendClosure(buf []byte, st reasoner.ClosureState) []byte {
+	e := &rdf.Encoder{Buf: buf}
+	e.Uvarint(uint64(st.TotalInferred))
+	e.Uvarint(uint64(len(st.Run) + len(st.Later)))
+	for _, ds := range [2][]reasoner.IDDerivation{st.Run, st.Later} {
+		for _, dv := range ds {
+			appendIDTriple(e, dv.Conclusion)
+			e.Str(st.Rules[dv.Rule])
+			e.Uvarint(uint64(dv.N))
+			for _, p := range st.PremisesOf(dv) {
+				appendIDTriple(e, p)
+			}
+		}
+	}
+	return e.Buf
+}
+
+// closureDecoder reads the closure section against g's dictionary.
+type closureDecoder struct {
+	*rdf.Decoder
+	g *store.Graph
+	// terms is g's dictionary size, the bound of a term ref; only an
+	// inline term changes it.
+	terms uint64
+}
+
+func (d *closureDecoder) idRef() store.ID {
 	v := d.Uvarint()
 	if d.Err() != nil {
 		return store.NoID
@@ -185,74 +194,76 @@ func (d *decoder) idRef(g *store.Graph) store.ID {
 		if d.Err() != nil {
 			return store.NoID
 		}
-		id := g.InternTerm(t)
+		id := d.g.InternTerm(t)
 		if id == store.NoID {
 			d.Fail("invalid inline term %v", t)
 		}
+		d.terms = uint64(d.g.Dict().Len())
 		return id
 	}
-	if n := g.Dict().Len(); v > uint64(n) {
-		d.Fail("term reference %d out of dictionary range %d", v-1, n)
+	if v > d.terms {
+		d.Fail("term reference %d out of dictionary range %d", v-1, d.terms)
 		return store.NoID
 	}
 	return store.ID(v - 1)
 }
 
-func (d *decoder) idTriple(g *store.Graph) store.IDTriple {
-	return store.IDTriple{S: d.idRef(g), P: d.idRef(g), O: d.idRef(g)}
+func (d *closureDecoder) idTriple() store.IDTriple {
+	return store.IDTriple{S: d.idRef(), P: d.idRef(), O: d.idRef()}
 }
 
-//feo:idspace
-func appendClosure(buf []byte, st reasoner.ClosureState) []byte {
-	e := &rdf.Encoder{Buf: buf}
-	e.Uvarint(uint64(st.TotalInferred))
-	e.Uvarint(uint64(len(st.Derivations)))
-	for _, dv := range st.Derivations {
-		appendIDTriple(e, dv.Conclusion)
-		e.Str(dv.Rule)
-		e.Uvarint(uint64(len(dv.Premises)))
-		for _, p := range dv.Premises {
-			appendIDTriple(e, p)
-		}
+// rule reads a rule name and returns its index in rules, appending the
+// name when it is new. A trace names a few dozen rules hundreds of
+// thousands of times, so the previous entry's rule is tried first and
+// each distinct name is allocated once.
+func (d *closureDecoder) rule(rules *[]string, last uint32) uint32 {
+	name := d.Bytes()
+	if int(last) < len(*rules) && (*rules)[last] == string(name) {
+		return last
 	}
-	return e.Buf
+	i := slices.Index(*rules, string(name))
+	if i < 0 {
+		i = len(*rules)
+		*rules = append(*rules, string(name))
+	}
+	return uint32(i)
 }
 
 //feo:idspace
 func parseClosure(payload []byte, g *store.Graph) (reasoner.ClosureState, []byte, error) {
-	d := newDecoder(payload)
+	d := &closureDecoder{Decoder: rdf.NewDecoder(payload), g: g, terms: uint64(g.Dict().Len())}
 	var st reasoner.ClosureState
 	st.TotalInferred = int(d.Uvarint())
 	if n := d.Count(4, "derivation"); n > 0 {
-		// Premises are carved out of chunked arenas instead of one
-		// slice per derivation: a large closure has tens of thousands
-		// of tiny premise lists, and boot latency is dominated by
-		// allocation pressure. Sealed-capacity subslices keep later
-		// appends from aliasing earlier lists.
-		const arenaChunk = 1 << 13
-		var arena []store.IDTriple
-		st.Derivations = make([]reasoner.IDDerivation, n)
-		for i := range st.Derivations {
-			st.Derivations[i].Conclusion = d.idTriple(g)
-			st.Derivations[i].Rule = d.rule()
-			nPrem := d.Count(3, "premise")
+		st.Run = make([]reasoner.IDDerivation, 0, n)
+		// Premises are decoded into fixed-size chunks and concatenated
+		// once into an arena of the decoded total: a growing slice would
+		// copy several times and over-allocate, and the arena lives as
+		// long as the trace.
+		var full [][]store.IDTriple
+		var chunk []store.IDTriple
+		var rule uint32
+		off := 0
+		for range n {
+			concl := d.idTriple()
+			rule = d.rule(&st.Rules, rule)
+			k := d.Count(3, "premise")
 			if d.Err() != nil {
 				break
 			}
-			if nPrem == 0 {
-				continue
+			for range k {
+				if len(chunk) == cap(chunk) {
+					full = append(full, chunk)
+					chunk = make([]store.IDTriple, 0, 1<<13)
+				}
+				chunk = append(chunk, d.idTriple())
 			}
-			if cap(arena)-len(arena) < nPrem {
-				arena = make([]store.IDTriple, 0, max(arenaChunk, nPrem))
-			}
-			start := len(arena)
-			for j := 0; j < nPrem; j++ {
-				arena = append(arena, d.idTriple(g))
-			}
-			st.Derivations[i].Premises = arena[start:len(arena):len(arena)]
+			st.Append(concl, rule, off, k)
+			off += k
 		}
+		st.Premises = slices.Concat(append(full, chunk)...)
 	}
-	if err := d.err(); err != nil {
+	if err := decodeErr(d.Decoder); err != nil {
 		return reasoner.ClosureState{}, nil, err
 	}
 	return st, d.Rest(), nil

@@ -321,8 +321,8 @@ func TestRecoveryParentDataDir(t *testing.T) {
 		t.Fatalf("recovered %d triples at version %d, want %d at %d",
 			boot.Graph.Len(), boot.Graph.Version(), want.Len(), want.Version())
 	}
-	if boot.Closure.TotalInferred != 4 || len(boot.Closure.Derivations) != 2 {
-		t.Fatalf("closure: %d inferred, %d derivations", boot.Closure.TotalInferred, len(boot.Closure.Derivations))
+	if boot.Closure.TotalInferred != 4 || len(boot.Closure.Run)+len(boot.Closure.Later) != 2 {
+		t.Fatalf("closure: %d inferred, %d derivations", boot.Closure.TotalInferred, len(boot.Closure.Run)+len(boot.Closure.Later))
 	}
 	rec := testRecord(5, want.Version()+1)
 	if err := st.Append(rec); err != nil {

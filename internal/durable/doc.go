@@ -42,8 +42,16 @@
 // inferred count, the derivation-trace delta the commit produced, and —
 // only when the commit changed it — the graph's whole prefix table. Because the stream
 // is verbatim, replay applies it with no rule evaluation at all — boot
-// cost is O(bytes), and the restored closure state lets the next write
-// keep using the incremental materialization path.
+// cost is O(bytes) — and the restored closure state lets the next write
+// keep using the incremental materialization path. The snapshot's closure
+// section decodes straight into the reasoner's trace form
+// (reasoner.ClosureState): fixed-size entries in ascending conclusion
+// order, one premise arena of the decoded size, rule names interned to
+// indexes. Replay adds each record's derivations in log order; one whose
+// conclusion sorts before the last entry goes to ClosureState.Later, so
+// a later derivation of a conclusion still wins, and a Clear record drops
+// the trace so far. RestoreClosure adopts the entries and the arena as
+// the reasoner's sorted run, copying no premise and hashing only Later.
 //
 // Payloads (appendRecord), the WAL header, the snapshot file's header and
 // its closure section (appendClosure) spell uvarints, strings, terms,

@@ -298,11 +298,12 @@ func appendFrame(buf, payload []byte) []byte {
 // stream already contains every inferred triple the original commit added.
 // The record's derivations are then mapped into the graph's dictionary
 // (the ops have interned their terms; a premise term they did not mention
-// is interned here), so the accumulator stays in ID space.
+// is interned here) and added to the accumulator in order, so it stays in
+// ID space and a later derivation of a conclusion wins.
 func applyRecord(g *store.Graph, closure *reasoner.ClosureState, rec Record) {
 	if rec.Cleared {
 		g.Clear()
-		closure.Derivations = nil
+		*closure = reasoner.ClosureState{}
 	}
 	for _, op := range rec.Ops {
 		if op.Remove {
@@ -321,27 +322,16 @@ func applyRecord(g *store.Graph, closure *reasoner.ClosureState, rec Record) {
 		ns.SetBase(rec.Namespaces.Base())
 	}
 	closure.TotalInferred = rec.TotalInferred
-	if len(rec.Derivations) == 0 {
-		return
-	}
 	intern := func(t rdf.Triple) store.IDTriple {
 		return store.IDTriple{S: g.InternTerm(t.S), P: g.InternTerm(t.P), O: g.InternTerm(t.O)}
 	}
-	n := 0
+	var premises []store.IDTriple
 	for _, dv := range rec.Derivations {
-		n += len(dv.Premises)
-	}
-	arena := make([]store.IDTriple, 0, n)
-	for _, dv := range rec.Derivations {
-		start := len(arena)
+		premises = premises[:0]
 		for _, p := range dv.Premises {
-			arena = append(arena, intern(p))
+			premises = append(premises, intern(p))
 		}
-		closure.Derivations = append(closure.Derivations, reasoner.IDDerivation{
-			Conclusion: intern(dv.Conclusion),
-			Rule:       dv.Rule,
-			Premises:   arena[start:len(arena):len(arena)],
-		})
+		closure.Add(intern(dv.Conclusion), dv.Rule, premises)
 	}
 }
 

@@ -246,7 +246,7 @@ func TestFreshDirSeedAppendReopen(t *testing.T) {
 	if boot.Graph.Version() != live.Version() {
 		t.Fatalf("replayed version %d, want %d", boot.Graph.Version(), live.Version())
 	}
-	if boot.Closure.TotalInferred != 3 || len(boot.Closure.Derivations) != 3 {
+	if boot.Closure.TotalInferred != 3 || len(boot.Closure.Run)+len(boot.Closure.Later) != 3 {
 		t.Fatalf("closure = %+v", boot.Closure)
 	}
 	// Double Close is safe.
@@ -624,7 +624,7 @@ func TestClearInWAL(t *testing.T) {
 	if boot.Graph.Has(tTriple(0).S, tTriple(0).P, tTriple(0).O) {
 		t.Fatal("pre-Clear triple survived replay")
 	}
-	if len(boot.Closure.Derivations) != 0 {
+	if len(boot.Closure.Run)+len(boot.Closure.Later) != 0 {
 		t.Fatal("Clear record should wipe accumulated derivations")
 	}
 }

@@ -2,6 +2,7 @@ package reasoner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -27,7 +28,9 @@ type Options struct {
 	// explanations. The trace is held in dictionary IDs with no pointers:
 	// one map entry (a 12-byte ID triple keying a 12-byte record) per
 	// inferred triple plus 12 bytes per premise in a shared arena — about
-	// 70 B per derivation, none of which the GC has to scan.
+	// 70 B per derivation, none of which the GC has to scan. A trace
+	// restored from a snapshot is a sorted run instead: 24 B per entry
+	// plus its premises, and nothing hashed (see RestoreClosure).
 	TraceDerivations bool
 	// IncludeReflexive additionally materializes the reflexive
 	// rdfs:subClassOf/subPropertyOf triples of OWL RL rule scm-cls/scm-op.
@@ -182,10 +185,14 @@ type Reasoner struct {
 	expr      *exprTable
 	queue     []iTriple
 	stats     Stats
-	// derivations maps each inferred triple to its first derivation. It
-	// persists across runs so proofs over old and new inferences keep
-	// working after incremental updates. Keys and premises are IDs of
-	// dict; a dictionary swap drops the whole trace (see bind).
+	// The derivation trace maps each inferred triple to its first
+	// derivation. It persists across runs so proofs over old and new
+	// inferences keep working after incremental updates, and it has two
+	// parts: run, the read-only sorted run RestoreClosure installed, and
+	// derivations, every derivation recorded since, which shadows run
+	// for the same conclusion. Conclusions and premises are IDs of dict;
+	// a dictionary swap drops the whole trace (see bind).
+	run         []IDDerivation
 	derivations map[iTriple]derivation
 	// premises is the append-only arena every derivation's premise list
 	// lives in. It is never rewritten in place: ClosureState hands out
@@ -330,10 +337,12 @@ func (r *Reasoner) beginRun(delta bool) {
 	}
 }
 
-// resetTrace starts an empty derivation trace sized for n entries, in a
-// fresh premise arena (the old one may still be aliased by an exported
-// ClosureState). Journal entries recorded so far become unreachable.
+// resetTrace starts an empty derivation trace whose map is sized for n
+// entries, in a fresh premise arena (the old one may still be aliased by
+// an exported ClosureState). Journal entries recorded so far become
+// unreachable.
 func (r *Reasoner) resetTrace(n int) {
+	r.run = nil
 	r.derivations = make(map[iTriple]derivation, n)
 	r.premises = nil
 	r.journalFloor = len(r.journal)
@@ -347,13 +356,22 @@ func (r *Reasoner) traceValid() bool {
 	return r.g != nil && r.dict == r.g.Dict()
 }
 
-// derivationOf returns the recorded derivation of t, if the trace is valid.
+// derivationOf returns the recorded derivation of t, if the trace is
+// valid: from the map when it holds t, else by binary search of the run.
 func (r *Reasoner) derivationOf(t iTriple) (derivation, bool) {
 	if !r.traceValid() {
 		return derivation{}, false
 	}
-	d, ok := r.derivations[t]
-	return d, ok
+	if d, ok := r.derivations[t]; ok {
+		return d, true
+	}
+	i, ok := slices.BinarySearchFunc(r.run, store.IDTriple(t), func(e IDDerivation, t store.IDTriple) int {
+		return compareIDTriples(e.Conclusion, t)
+	})
+	if !ok {
+		return derivation{}, false
+	}
+	return r.run[i].entry(), true
 }
 
 // record stores the derivation of concl whose premises were just appended
@@ -495,7 +513,7 @@ func (r *Reasoner) Proof(t rdf.Triple) []ProofStep {
 // derivation is recorded, so a conclusion reported stale may still hold via
 // an alternative derivation the trace never saw. Empty when tracing is off.
 func (r *Reasoner) StaleDerivations(removed []rdf.Triple) []rdf.Triple {
-	if len(removed) == 0 || len(r.derivations) == 0 || !r.traceValid() {
+	if len(removed) == 0 || len(r.run)+len(r.derivations) == 0 || !r.traceValid() {
 		return nil
 	}
 	gone := make(map[iTriple]bool, len(removed))
@@ -508,13 +526,22 @@ func (r *Reasoner) StaleDerivations(removed []rdf.Triple) []rdf.Triple {
 	if len(gone) == 0 {
 		return nil
 	}
-	// One pass over the trace builds a premise→conclusions index; a
-	// worklist then walks only the affected cone, so the cost is
-	// O(|trace| + |cone|) rather than one full rescan per dependency level.
+	// One pass over the trace (the map, then the run entries it does not
+	// shadow) builds a premise→conclusions index; a worklist then walks
+	// only the affected cone, so the cost is O(|trace| + |cone|) rather
+	// than one full rescan per dependency level.
 	rev := make(map[iTriple][]iTriple)
-	for concl, d := range r.derivations {
+	index := func(concl iTriple, d derivation) {
 		for _, p := range r.premisesOf(d) {
 			rev[iTriple(p)] = append(rev[iTriple(p)], concl)
+		}
+	}
+	for concl, d := range r.derivations {
+		index(concl, d)
+	}
+	for _, e := range r.run {
+		if _, shadowed := r.derivations[iTriple(e.Conclusion)]; !shadowed {
+			index(iTriple(e.Conclusion), e.entry())
 		}
 	}
 	stale := make(map[iTriple]bool)

@@ -49,7 +49,7 @@ func TestClosureStateRoundTrip(t *testing.T) {
 	// proof chains (a-t-c via transitivity, x type C3 via domain+subclass).
 	// The exported conclusions are IDs of g's dictionary; decode them
 	// through g.
-	for _, d := range r1.ClosureState().Derivations {
+	for _, d := range r1.ClosureState().Run {
 		concl := rdf.Triple{S: g.TermOf(d.Conclusion.S), P: g.TermOf(d.Conclusion.P), O: g.TermOf(d.Conclusion.O)}
 		p1 := r1.Proof(concl)
 		p2 := r2.Proof(concl)
@@ -96,14 +96,14 @@ func TestClosureStateDeterministic(t *testing.T) {
 	r := New(Options{TraceDerivations: true})
 	r.Materialize(g)
 	a, b := r.ClosureState(), r.ClosureState()
-	if len(a.Derivations) != len(b.Derivations) {
+	if len(a.Run) != len(b.Run) {
 		t.Fatal("export length unstable")
 	}
-	for i := range a.Derivations {
-		if a.Derivations[i].Conclusion != b.Derivations[i].Conclusion {
+	for i := range a.Run {
+		if a.Run[i].Conclusion != b.Run[i].Conclusion {
 			t.Fatalf("export order unstable at %d", i)
 		}
-		if i > 0 && compareIDTriples(a.Derivations[i-1].Conclusion, a.Derivations[i].Conclusion) >= 0 {
+		if i > 0 && compareIDTriples(a.Run[i-1].Conclusion, a.Run[i].Conclusion) >= 0 {
 			t.Fatalf("export not in ascending ID-triple order at %d", i)
 		}
 	}
@@ -181,8 +181,8 @@ func TestDerivationJournalAcrossDictionarySwap(t *testing.T) {
 			t.Fatalf("JournalSince(%d) after Clear = %d entries, want none", m, len(got))
 		}
 	}
-	if st := r.ClosureState(); len(st.Derivations) != 0 {
-		t.Fatalf("ClosureState after Clear exports %d stale derivations", len(st.Derivations))
+	if st := r.ClosureState(); len(st.Run)+len(st.Later) != 0 {
+		t.Fatalf("ClosureState after Clear exports %d stale derivations", len(st.Run)+len(st.Later))
 	}
 
 	// Refill with the same statements: every old conclusion is derived
