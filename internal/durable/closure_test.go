@@ -329,7 +329,7 @@ func TestClosureTraceEquivalence(t *testing.T) {
 // may panic, and an accepted section must survive restore → ClosureState
 // → appendClosure → parseClosure as the same trace.
 func FuzzDecodeClosure(f *testing.F) {
-	for _, seed := range [][]byte{wireSection, wireInlineSection, wireOutOfRange} {
+	for _, seed := range [][]byte{wireSection, wireInlineSection, wireOutOfRange, wireRefPastDict, wireOverlongRef} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, section []byte) {

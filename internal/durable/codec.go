@@ -150,6 +150,11 @@ func parseDerivations(d *rdf.Decoder) []reasoner.TracedDerivation {
 // terms the snapshot dictionary has never seen.) The reader also accepts
 // a ref of 0 followed by an inline term, which older encoders wrote for a
 // term missing from the dictionary; it interns that term.
+//
+// The range check needs only the dictionary's size, which the graph
+// section's header states, so the snapshot reader decodes this section
+// while the graph section is still decoding; only an inline term waits
+// for the graph.
 
 func appendIDTriple(e *rdf.Encoder, t store.IDTriple) {
 	e.Uvarint(uint64(t.S) + 1)
@@ -175,13 +180,14 @@ func appendClosure(buf []byte, st reasoner.ClosureState) []byte {
 	return e.Buf
 }
 
-// closureDecoder reads the closure section against g's dictionary.
+// closureDecoder reads the closure section. A term ref is bounded by
+// terms, the dictionary size of the graph that graph returns once that
+// graph has decoded (or its decode's error). Only an inline term needs
+// the graph, and it moves the bound.
 type closureDecoder struct {
 	*rdf.Decoder
-	g *store.Graph
-	// terms is g's dictionary size, the bound of a term ref; only an
-	// inline term changes it.
 	terms uint64
+	graph func() (*store.Graph, error)
 }
 
 func (d *closureDecoder) idRef() store.ID {
@@ -190,15 +196,20 @@ func (d *closureDecoder) idRef() store.ID {
 		return store.NoID
 	}
 	if v == 0 {
+		g, err := d.graph()
+		if err != nil {
+			d.Fail("%w", err)
+			return store.NoID
+		}
 		t := d.Term()
 		if d.Err() != nil {
 			return store.NoID
 		}
-		id := d.g.InternTerm(t)
+		id := g.InternTerm(t)
 		if id == store.NoID {
 			d.Fail("invalid inline term %v", t)
 		}
-		d.terms = uint64(d.g.Dict().Len())
+		d.terms = uint64(g.Dict().Len())
 		return id
 	}
 	if v > d.terms {
@@ -208,8 +219,38 @@ func (d *closureDecoder) idRef() store.ID {
 	return store.ID(v - 1)
 }
 
+// uvarintAt decodes a one- or two-byte uvarint at b[i:] and returns it
+// with the index after it, or j < 0 for anything else: a longer, overlong
+// or truncated one. Nearly all of a section's uvarints are this short.
+func uvarintAt(b []byte, i int) (v uint64, j int) {
+	if i < len(b) && b[i] < 0x80 {
+		return uint64(b[i]), i + 1
+	}
+	if i+1 < len(b) && b[i+1] < 0x80 {
+		return uint64(b[i]&0x7f) | uint64(b[i+1])<<7, i + 2
+	}
+	return 0, -1
+}
+
+// idTriple reads three term refs, the decoder's hot path: a one- or
+// two-byte ref to a dictionary ID is decoded in place at a local index,
+// and any other ref (longer, 0 — which wraps past every bound — or out of
+// range) goes through idRef. After a failure the reads return garbage
+// and consume nothing; the caller checks Err once per entry.
 func (d *closureDecoder) idTriple() store.IDTriple {
-	return store.IDTriple{S: d.idRef(), P: d.idRef(), O: d.idRef()}
+	b, i := d.Rest(), 0
+	var ids [3]store.ID
+	for k := range ids {
+		if v, j := uvarintAt(b, i); j >= 0 && v-1 < d.terms {
+			ids[k], i = store.ID(v-1), j
+			continue
+		}
+		d.Next(i)
+		ids[k] = d.idRef()
+		b, i = d.Rest(), 0
+	}
+	d.Next(i)
+	return store.IDTriple{S: ids[0], P: ids[1], O: ids[2]}
 }
 
 // rule reads a rule name and returns its index in rules, appending the
@@ -229,9 +270,23 @@ func (d *closureDecoder) rule(rules *[]string, last uint32) uint32 {
 	return uint32(i)
 }
 
+// parseClosure decodes a closure section against g's dictionary, which
+// an inline term extends, and returns the bytes after it: decodeClosure
+// over a graph that is already decoded.
+//
 //feo:idspace
 func parseClosure(payload []byte, g *store.Graph) (reasoner.ClosureState, []byte, error) {
-	d := &closureDecoder{Decoder: rdf.NewDecoder(payload), g: g, terms: uint64(g.Dict().Len())}
+	return decodeClosure(payload, uint64(g.Dict().Len()), func() (*store.Graph, error) { return g, nil })
+}
+
+// decodeClosure decodes a closure section whose term refs are bounded by
+// terms, the dictionary size of the graph graph returns, and returns the
+// bytes after it. Only an inline term calls graph, so the snapshot reader
+// runs it while the graph section is still decoding.
+//
+//feo:idspace
+func decodeClosure(payload []byte, terms uint64, graph func() (*store.Graph, error)) (reasoner.ClosureState, []byte, error) {
+	d := &closureDecoder{Decoder: rdf.NewDecoder(payload), terms: terms, graph: graph}
 	var st reasoner.ClosureState
 	st.TotalInferred = int(d.Uvarint())
 	if n := d.Count(4, "derivation"); n > 0 {

@@ -43,7 +43,13 @@
 // only when the commit changed it — the graph's whole prefix table. Because the stream
 // is verbatim, replay applies it with no rule evaluation at all — boot
 // cost is O(bytes) — and the restored closure state lets the next write
-// keep using the incremental materialization path. The snapshot's closure
+// keep using the incremental materialization path. Boot decodes the
+// snapshot file's two sections concurrently: the graph section in a
+// goroutine of its own, the closure section in the caller, in one pass
+// whose term refs are bounded by the term count in the graph section's
+// header. An inline term (a ref of 0, which older encoders wrote) waits
+// for the graph, into whose dictionary it is interned; when both sections
+// are corrupt, the graph section's error is the one returned. The closure
 // section decodes straight into the reasoner's trace form
 // (reasoner.ClosureState): fixed-size entries in ascending conclusion
 // order, one premise arena of the decoded size, rule names interned to

@@ -650,7 +650,8 @@ func writeSnapshot(path string, gen uint64, g *store.Graph, closure reasoner.Clo
 // readSnapshotFile loads dir/snapshot.bin. A missing file returns a nil
 // graph and no error (fresh directory); a corrupt file returns an error —
 // the snapshot is the recovery root, so silently booting empty would
-// discard acknowledged state.
+// discard acknowledged state. After the file's checksum and header, its
+// two sections decode concurrently (decodeSections).
 func readSnapshotFile(path string) (uint64, *store.Graph, reasoner.ClosureState, error) {
 	var closure reasoner.ClosureState
 	data, err := os.ReadFile(path)
@@ -674,11 +675,7 @@ func readSnapshotFile(path string) (uint64, *store.Graph, reasoner.ClosureState,
 	if d.Err() != nil || glen > uint64(len(sections)) {
 		return 0, nil, closure, fmt.Errorf("durable: corrupt snapshot header in %s", path)
 	}
-	g, err := store.ReadSnapshot(sections[:glen])
-	if err != nil {
-		return 0, nil, closure, err
-	}
-	closure, rest, err := parseClosure(sections[glen:], g)
+	g, closure, rest, err := decodeSections(sections[:glen], sections[glen:])
 	if err != nil {
 		return 0, nil, closure, err
 	}
@@ -686,6 +683,40 @@ func readSnapshotFile(path string) (uint64, *store.Graph, reasoner.ClosureState,
 		return 0, nil, closure, fmt.Errorf("durable: %d trailing bytes in snapshot %s", len(rest), path)
 	}
 	return gen, g, closure, nil
+}
+
+// decodeSections decodes a snapshot file's graph section in its own
+// goroutine while the calling goroutine decodes the closure section, and
+// returns the bytes after the closure. The closure's term refs are bounded
+// by the dictionary count in the graph section's header (store's layout:
+// format version, graph version, term count); a section valid against
+// that header decodes to the same state as against the decoded graph,
+// whose dictionary holds exactly that many terms. An inline ref waits for
+// the graph. The graph section's error wins over the closure's, and the
+// goroutine is joined before decodeSections returns.
+func decodeSections(graph, closure []byte) (*store.Graph, reasoner.ClosureState, []byte, error) {
+	var g *store.Graph
+	var gerr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g, gerr = store.ReadSnapshot(graph)
+	}()
+	wait := func() (*store.Graph, error) {
+		<-done
+		return g, gerr
+	}
+	hdr := rdf.NewDecoder(graph)
+	hdr.Uvarint() // format version
+	hdr.Uvarint() // graph version
+	st, rest, err := decodeClosure(closure, hdr.Uvarint(), wait)
+	if _, gerr := wait(); gerr != nil {
+		return nil, reasoner.ClosureState{}, nil, gerr
+	}
+	if err != nil {
+		return nil, reasoner.ClosureState{}, nil, err
+	}
+	return g, st, rest, nil
 }
 
 // syncDir fsyncs a directory so renames and creates within it are durable.
