@@ -383,6 +383,14 @@ func BenchmarkSPARQL_Operators(b *testing.B) {
 		{"filter", `SELECT ?r WHERE { ?r food:calories ?c . FILTER(?c > 400) }`},
 		{"not-exists", `SELECT ?r WHERE { ?r a food:Recipe . FILTER NOT EXISTS { ?r feo:compatibleWithDiet ?d } }`},
 		{"optional", `SELECT ?r ?d WHERE { ?r a food:Recipe . OPTIONAL { ?r feo:compatibleWithDiet ?d } }`},
+		// The counterfactual generator's shape: a constant BIND, a BGP, an
+		// OPTIONAL.
+		{"bind-optional", `SELECT ?r ?d WHERE { BIND(food:Recipe AS ?c) . ?r a ?c . OPTIONAL { ?r feo:compatibleWithDiet ?d } }`},
+		// coach_dialogue's second follow-up: a three-way UNION after a BGP,
+		// then an OPTIONAL.
+		{"union-optional", `SELECT ?r ?p ?s WHERE { ?r a food:Recipe . ` +
+			`{ ?r feo:hasIngredient ?p } UNION { ?r feo:compatibleWithDiet ?p } UNION { ?r food:calories ?p } . ` +
+			`OPTIONAL { ?p feo:availableIn ?s } }`},
 		{"path-plus", `SELECT ?c WHERE { ?r a food:Recipe . ?r (feo:hasIngredient|feo:availableIn)+ ?c } LIMIT 500`},
 		{"aggregate", `SELECT ?i (COUNT(?r) AS ?n) WHERE { ?r feo:hasIngredient ?i } GROUP BY ?i`},
 		{"order-limit", `SELECT ?r ?c WHERE { ?r food:calories ?c } ORDER BY DESC(?c) LIMIT 10`},

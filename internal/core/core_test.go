@@ -591,3 +591,44 @@ func TestEngineRematerializeDelta(t *testing.T) {
 		t.Error("explanation assertions should leave a clean addition-only capture")
 	}
 }
+
+// TestSortedSolutionsIgnoresRowOrder: solutions that tie on the sort keys
+// come out in one order whatever order the engine produced them in — by
+// every other binding, in variable-name order, unbound first.
+func TestSortedSolutionsIgnoresRowOrder(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://e/" + s) }
+	sols := []sparql.Solution{
+		{"k": iri("a"), "z": iri("2"), "b": iri("x")},
+		{"k": iri("a"), "z": iri("1"), "b": iri("x")},
+		{"k": iri("a"), "b": iri("x")},
+		{"k": iri("a"), "z": iri("1"), "b": iri("w")},
+		{"k": iri("0")},
+	}
+	var want string
+	for perm := 0; perm < len(sols); perm++ {
+		rotated := append(append([]sparql.Solution(nil), sols[perm:]...), sols[:perm]...)
+		var b strings.Builder
+		for _, sol := range sortedSolutions(rotated, "k") {
+			for _, v := range []string{"k", "b", "z"} {
+				if t, ok := sol[v]; ok {
+					b.WriteString(t.Value)
+				} else {
+					b.WriteString("-")
+				}
+			}
+			b.WriteString(" ")
+		}
+		if perm == 0 {
+			want = b.String()
+			continue
+		}
+		if b.String() != want {
+			t.Fatalf("rotation %d sorted as %s, want %s", perm, b.String(), want)
+		}
+	}
+	const wantOrder = "http://e/0-- http://e/ahttp://e/whttp://e/1 http://e/ahttp://e/x- " +
+		"http://e/ahttp://e/xhttp://e/1 http://e/ahttp://e/xhttp://e/2 "
+	if want != wantOrder {
+		t.Fatalf("sorted as %s, want %s", want, wantOrder)
+	}
+}

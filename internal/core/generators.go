@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -519,13 +520,24 @@ func dedupe(ss []string) []string {
 	return out
 }
 
-// sortedSolutions orders solutions by the given keys for deterministic
-// output.
+// sortedSolutions orders solutions by the given keys, then breaks ties on
+// every other variable in name order (unbound first), so the output does
+// not depend on the order the engine produced the rows in.
 func sortedSolutions(sols []sparql.Solution, keys ...string) []sparql.Solution {
 	out := make([]sparql.Solution, len(sols))
 	copy(out, sols)
+	var rest []string
+	for _, sol := range sols {
+		for v := range sol {
+			if !slices.Contains(keys, v) && !slices.Contains(rest, v) {
+				rest = append(rest, v)
+			}
+		}
+	}
+	sort.Strings(rest)
+	order := append(slices.Clip(keys), rest...)
 	sort.SliceStable(out, func(i, j int) bool {
-		for _, k := range keys {
+		for _, k := range order {
 			if c := rdf.Compare(out[i][k], out[j][k]); c != 0 {
 				return c < 0
 			}

@@ -41,7 +41,7 @@
 // nothing before the Turtle writer, which decodes each distinct term of
 // the result once. Operators that only move bindings around (joins,
 // UNION, MINUS, projection, DISTINCT — which dedups on slot IDs) decode
-// nothing; BOUND and the single-pattern EXISTS fast path touch no term at
+// nothing; BOUND and an EXISTS body without filters touch no term at
 // all. Property paths decode nothing: they walk the indexes from the
 // endpoint ID to the reached IDs, memoized per (path, endpoint ID,
 // direction), and their functions carry //feo:idspace so feovet's
@@ -73,7 +73,8 @@
 // greedy join order, encoding constant IDs, segmenting the ordered
 // patterns into fused bitmap-intersection runs — depends on the pattern
 // list, its constants, the graph version, and which slots are certainly
-// bound at entry. planBGP memoizes compiled plans in the store.Memo of
+// bound at entry, a static set (see Streaming results), so each BGP is
+// planned once per execution. planBGP memoizes compiled plans in the store.Memo of
 // the graph value the query runs against. A BGP whose constants are all
 // in the tree is keyed by (BGP identity, bound-slot set). A template's
 // BGP is estimated per execution — one LookupID per constant, one CountID
@@ -94,16 +95,33 @@
 // # Streaming results
 //
 // SELECT and ASK run one push pipeline; Execute drains it into Solution
-// maps, ExecuteStream/RunStream into a ResultWriter. A group evaluates
-// every pattern but its last set-at-a-time; a last BGP pushes depth-first,
-// each plan step extending one row into its own scratch row, with pending
-// filters run per row at the leaf. OPTIONAL, UNION, MINUS and subqueries
-// collect (cloning a pushed row is the only copy it gets); ASK and EXISTS
-// stop at the first solution. A SELECT with no ORDER BY, GROUP BY or
-// aggregate barrier projects, dedups (DISTINCT) and applies OFFSET and
-// LIMIT per row in the sink, so its first row reaches the writer while the
-// join runs and LIMIT or MaxRows stop the join. Barrier queries collect
-// compact ID rows, group and sort them, then replay the same sink.
+// maps, ExecuteStream/RunStream into a ResultWriter. Each group compiles,
+// once per execution, into a chain of links (chainGroup), each taking one
+// row and handing the rows it yields to the next. A BGP's link is its
+// plan's steps, each extending a row into its own scratch row. OPTIONAL,
+// UNION, BIND, VALUES, nested groups and FILTER are links too: OPTIONAL
+// pushes the row through its body's chain and passes it on unextended
+// when the body yields nothing, and UNION pushes it through both
+// branches. MINUS and a subquery materialize their right side once, at
+// the first row that reaches them. ASK and EXISTS stop at the first
+// solution; an EXISTS body compiles at its first probe and serves every
+// row after.
+//
+// Plans and filter placement come from a static bound-slot set, derived
+// top-down through each group (groupStages): the variables of a BGP,
+// what a nested group guarantees, what both branches of a UNION
+// guarantee, the variable of a BIND of a constant and each VALUES column
+// without UNDEF are bound in every row after them; OPTIONAL, MINUS, a
+// subquery and any other BIND guarantee nothing. A filter runs between
+// the links where every variable it mentions is bound or can never be
+// bound by its group. Nothing is re-planned per row.
+//
+// A SELECT with no ORDER BY, GROUP BY or aggregate barrier projects,
+// dedups (DISTINCT) and applies OFFSET and LIMIT per row in the sink, so
+// its first row reaches the writer while the join runs and LIMIT or
+// MaxRows stop the join. Barrier queries collect compact ID rows (a
+// pushed row's only copy), group and sort them, then replay the same
+// sink; an update collects its WHERE clause's rows before it mutates.
 //
 // Begin is deferred to the first row; Row gets terms[i] for the i-th Begin
 // variable (zero Term: unbound) in a slice valid only during the call, and
@@ -120,8 +138,8 @@
 //
 // Limits. StreamOptions bounds a query three ways: MaxRows and MaxBytes
 // truncate the emission, and Deadline cancels evaluation cooperatively —
-// an atomic flag polled per row by the join steps, the filter loop, the
-// path BFS and the sink, never a panic. A deadline that fires before the
+// an atomic flag polled per row by the join and path steps, per level by
+// the path BFS, and by the sink, never a panic. A deadline that fires before the
 // first row returns ErrDeadlineExceeded with nothing written, so callers
 // can still send a clean error; any limit that trips after it instead
 // ends the document well-formed with a Truncation (JSON's "truncated"
@@ -166,16 +184,19 @@
 // unsynchronised and only the package-level caches shared across requests
 // lock.
 //
-// Set-at-a-time operators append their output in input order, and the
-// depth-first push emits rows in the order a step-at-a-time join would
-// (input row, then each plan step's matches in index order). The store's
-// innermost index level is a bitmap that iterates in ascending ID order,
-// but patterns with two or more free positions still walk the middle map
-// level (store.ForEachID) in unspecified order, so two executions of the
-// same query can enumerate those matches differently. That residual
-// nondeterminism is canonicalized away by ORDER BY, DISTINCT-insensitive
-// consumers, and the artifact renderers; what is fixed is the solution
-// multiset, the variable list, and every rendered artifact.
+// Rows leave a chain depth first: an input row, then each plan step's
+// matches in index order, then the next input row. An OPTIONAL body's
+// extensions of a row follow it directly, and a UNION after other
+// patterns interleaves per input row — the left branch's rows for it,
+// then the right's — rather than emitting every left row before any
+// right one. The store's innermost index level is a bitmap that iterates
+// in ascending ID order, but patterns with two or more free positions
+// still walk the middle map level (store.ForEachID) in unspecified order,
+// so two executions of the same query can enumerate those matches
+// differently. That residual nondeterminism is canonicalized away by
+// ORDER BY, DISTINCT-insensitive consumers, and the artifact renderers;
+// what is fixed is the solution multiset, the variable list, and every
+// rendered artifact.
 //
 // # Correctness harness
 //

@@ -83,17 +83,6 @@ func (pq prepared) execute(g *store.Graph) (*Result, error) {
 	return res, nil
 }
 
-// exists reports whether group g has a solution extending r (ASK, EXISTS),
-// stopping the evaluation at the first one.
-func (ec *evalContext) exists(g *Group, r idRow) bool {
-	found := false
-	ec.evalGroup(g, []idRow{r}, func(idRow) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
 // Run parses and executes src against g in one call. Parses are cached
 // by query shape (see lookupQuery), so a request stream of one query
 // template with ever-new constants reuses one immutable parse tree —
@@ -217,11 +206,8 @@ type evalContext struct {
 	gver    uint64
 	dictLen int
 	// params holds the values of a cached template's parameter
-	// references (see lookupQuery); nil for a parsed query. boundPlans
-	// memoizes the plans of the template's BGPs, which depend on them,
-	// per (BGP, bound set) within this execution.
-	params     []rdf.Term
-	boundPlans map[planKey]*bgpPlan
+	// references (see lookupQuery); nil for a parsed query.
+	params []rdf.Term
 	// Query-local extension dictionary: terms the graph has never interned
 	// (expression results, VALUES constants), with IDs growing downward
 	// from just below store.NoID. See idspace.go.
@@ -233,13 +219,10 @@ type evalContext struct {
 	// (path, endpoint, direction) triple. See path.go.
 	pathMemo      map[pathIDKey][]store.ID
 	pathStartMemo map[*Path][]store.ID
-	// Per-query filter-pushdown analysis, memoized by group: OPTIONAL and
-	// EXISTS bodies re-enter evalGroup once per row, and the variable
-	// collection depends only on the (immutable) pattern tree.
-	groupMemo map[*Group]*groupInfo
-	// existsIDs memoizes quickExists's constant IDs per EXISTS group: a
-	// constant's ID cannot change within an execution.
-	existsIDs map[*Group]existsConsts
+	// chains memoizes the push chain of every EXISTS body (and ASK's
+	// WHERE clause) this execution evaluated, so a body probed once per
+	// row compiles, and looks its plans up, once.
+	chains map[*Group]*groupChain
 	// stop, when non-nil, is a cooperative cancellation flag (set by
 	// ExecuteStream's deadline timer). The row loops and the push steps
 	// poll it and unwind with partial state, which the caller then
@@ -282,113 +265,74 @@ type pathIDKey struct {
 	backward bool
 }
 
-// groupInfo caches the static part of a group's filter-pushdown analysis.
-type groupInfo struct {
-	groupVars map[string]bool // variables any pattern of the group could bind
-	fvars     [][]string      // variables mentioned by each filter
+// groupChain is the push chain of a group evaluated as a probe — an
+// EXISTS body or ASK's WHERE clause — whose solutions only matter up to
+// the first. It is compiled at the first evaluation and reused for every
+// row after that; certain is the bound-slot set of the point that
+// evaluates it, registered when the enclosing group compiled (nil: none).
+type groupChain struct {
+	certain []bool
+	entry   rowSink
+	found   bool
 }
 
-func (ec *evalContext) groupInfoFor(g *Group) *groupInfo {
-	if gi, ok := ec.groupMemo[g]; ok {
-		return gi
+// chainFor returns g's probe memo entry, creating it.
+func (ec *evalContext) chainFor(g *Group) *groupChain {
+	c := ec.chains[g]
+	if c == nil {
+		if ec.chains == nil {
+			ec.chains = make(map[*Group]*groupChain)
+		}
+		c = &groupChain{}
+		ec.chains[g] = c
 	}
-	gi := &groupInfo{groupVars: make(map[string]bool), fvars: make([][]string, len(g.Filters))}
-	for _, pat := range g.Patterns {
-		collectPossibleVars(pat, gi.groupVars)
-	}
-	for i, f := range g.Filters {
-		gi.fvars[i] = collectExprVars(f)
-	}
-	if ec.groupMemo == nil {
-		ec.groupMemo = make(map[*Group]*groupInfo)
-	}
-	ec.groupMemo[g] = gi
-	return gi
+	return c
 }
 
-// evalGroup pushes the solutions of a group graph pattern over the input
-// rows into sink and reports false when the sink or a deadline stopped
-// it. Every pattern but the last evaluates set-at-a-time; the last one
-// pushes (see evalPattern), so a BGP there streams its rows into sink
-// while its join runs.
-//
-// Filters are pushed down: a filter runs as soon as every variable it can
-// ever see is certainly bound (or can never be bound by this group), so it
-// prunes intermediate rows before later patterns multiply them. Filters
-// still pending after the next-to-last pattern run per row at the leaf. A
-// filter's value for a row cannot change once its variables are bound, so
-// the final solution set is identical to filtering at the end.
-func (ec *evalContext) evalGroup(g *Group, input []idRow, sink rowSink) bool {
-	seq, last := input, len(g.Patterns)-1
-	applied := make([]bool, len(g.Filters))
-	var certain map[string]bool // variables bound in every row at this point
-	runReady := func() {}
-	if len(g.Filters) > 0 {
-		certain = ec.varsBoundInAllRows(input)
-		gi := ec.groupInfoFor(g)
-		runReady = func() {
-			for i, f := range g.Filters {
-				if applied[i] {
-					continue
-				}
-				ready := true
-				for _, v := range gi.fvars[i] {
-					// A variable blocks the filter only while this group could
-					// still bind it: anything else is either bound already or
-					// stays unbound forever (existential / error semantics).
-					if !certain[v] && gi.groupVars[v] {
-						ready = false
-						break
-					}
-				}
-				if ready {
-					applied[i] = true
-					seq = ec.applyFilter(f, seq)
-				}
-			}
-		}
+// exists reports whether group g has a solution extending r (ASK, EXISTS),
+// stopping the evaluation at the first one.
+func (ec *evalContext) exists(g *Group, r idRow) bool {
+	c := ec.chainFor(g)
+	if c.entry == nil {
+		c.entry = ec.chainGroup(g, c.certain, func(idRow) bool {
+			c.found = true
+			return false
+		})
 	}
-	runReady()
-	for _, pat := range g.Patterns[:max(last, 0)] {
-		if len(seq) == 0 || ec.canceled() {
-			break
-		}
-		seq = ec.evalPatternRows(pat, seq)
-		if certain != nil {
-			addCertainVars(pat, certain)
-			runReady()
-		}
-	}
-	if ec.canceled() {
-		return false
-	}
-	if len(seq) == 0 {
-		return true // filters with EXISTS could still not resurrect solutions
-	}
-	leaf := sink
-	if slices.Contains(applied, false) {
-		leaf = func(r idRow) bool {
-			for i, f := range g.Filters {
-				if applied[i] {
-					continue
-				}
-				if ok, err := ebvOf(f, ec, r); err != nil || !ok {
-					return true
-				}
-			}
-			return sink(r)
-		}
-	}
-	if last < 0 {
-		return pushRows(seq, leaf)
-	}
-	return ec.evalPattern(g.Patterns[last], seq, leaf)
+	c.found = false
+	c.entry(r)
+	return c.found
 }
 
-// evalGroupRows collects evalGroup into a slice, for the set-at-a-time
-// consumers: UNION, MINUS, updates, CONSTRUCT and barrier SELECTs.
-func (ec *evalContext) evalGroupRows(g *Group, input []idRow) []idRow {
-	return collect(func(sink rowSink) { ec.evalGroup(g, input, sink) })
+// noteExists registers certain as the entry set of every EXISTS body e
+// evaluates directly (a body nested in another body registers when that
+// one compiles). An EXISTS that no group registers — in a projection,
+// ORDER BY, GROUP BY or HAVING expression — enters with nothing certain.
+func (ec *evalContext) noteExists(e Expression, certain []bool) {
+	switch x := e.(type) {
+	case *ExistsExpr:
+		ec.chainFor(x.Pattern).certain = certain
+	case *BinaryExpr:
+		ec.noteExists(x.Left, certain)
+		ec.noteExists(x.Right, certain)
+	case *UnaryExpr:
+		ec.noteExists(x.Expr, certain)
+	case *FuncExpr:
+		for _, a := range x.Args {
+			ec.noteExists(a, certain)
+		}
+	case *InExpr:
+		ec.noteExists(x.Expr, certain)
+		for _, a := range x.List {
+			ec.noteExists(a, certain)
+		}
+	}
+}
+
+// evalWhere pushes the solutions of a WHERE clause, evaluated in a fresh
+// scope, into sink.
+func (ec *evalContext) evalWhere(g *Group, sink rowSink) {
+	ec.chainGroup(g, nil, sink)(ec.newRow())
 }
 
 // collect gathers what a push evaluation emits, cloning each row out of
@@ -412,101 +356,302 @@ func pushRows(rows []idRow, sink rowSink) bool {
 	return true
 }
 
-// evalPattern pushes p's solutions over seq into sink. BGPs and nested
-// groups push row by row; every other operator evaluates set-at-a-time
-// through evalPatternRows and replays its rows.
-func (ec *evalContext) evalPattern(p Pattern, seq []idRow, sink rowSink) bool {
-	switch pat := p.(type) {
-	case *BGP:
-		return ec.evalBGP(pat, seq, sink)
-	case *Group:
-		return ec.evalGroup(pat, seq, sink)
+// groupStages is the static analysis a group's chain is compiled from.
+// From entry, the slots bound in every row that enters g, it derives
+// top-down certs[k], the slots bound in every row that reaches pattern k
+// (certs[len(g.Patterns)]: every row that leaves the last pattern), and
+// the stage each filter runs at: the first k at which every variable the
+// filter mentions is certainly bound or can never be bound by g, else the
+// end. A pushed-down filter prunes rows before later patterns multiply
+// them; its value for a row cannot change once its variables are bound,
+// so the solutions are those of filtering at the end.
+func (ec *evalContext) groupStages(g *Group, entry []bool) (certs [][]bool, stage []int) {
+	n, w := len(g.Patterns), ec.env.width()
+	sets := make([]bool, (n+2)*w) // certs[0..n], then possible
+	certs = make([][]bool, n+1)
+	for k := range certs {
+		certs[k] = sets[k*w : (k+1)*w : (k+1)*w]
 	}
-	return pushRows(ec.evalPatternRows(p, seq), sink)
+	copy(certs[0], entry)
+	for k, p := range g.Patterns {
+		copy(certs[k+1], certs[k])
+		ec.addCertain(p, certs[k+1])
+	}
+	if len(g.Filters) == 0 {
+		return certs, nil
+	}
+	possible := sets[(n+1)*w:]
+	for _, p := range g.Patterns {
+		collectPossibleVars(p, func(v string) {
+			if s := ec.env.slot(v); s >= 0 {
+				possible[s] = true
+			}
+		})
+	}
+	stage = make([]int, len(g.Filters))
+	for i, f := range g.Filters {
+		vars := collectExprVars(f)
+		k := 0
+		for ; k < n; k++ {
+			ready := true
+			for _, v := range vars {
+				// A variable blocks the filter only while g could still bind
+				// it: anything else is bound already or stays unbound forever
+				// (existential / error semantics).
+				if s := ec.env.slot(v); s >= 0 && !certs[k][s] && possible[s] {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				break
+			}
+		}
+		stage[i] = k
+	}
+	return certs, stage
 }
 
-// collectPossibleVars adds every variable p could bind in any solution.
-func collectPossibleVars(p Pattern, out map[string]bool) {
+// chainGroup compiles g, entered by rows that bind every slot in entry,
+// into a push chain in front of sink and returns its entry: each pattern
+// is one link handing the rows it produces to the next, and each filter
+// runs between the links of its stage (groupStages). The chain is built
+// once per evaluation of the enclosing query and carries every row: the
+// links' scratch rows and plans are reused, nothing is collected. A link
+// is never re-entered while it runs — rows only flow forward through the
+// pattern tree — so its scratch needs no copy per call.
+func (ec *evalContext) chainGroup(g *Group, entry []bool, sink rowSink) rowSink {
+	certs, stage := ec.groupStages(g, entry)
+	next := sink
+	for k := len(g.Patterns); k >= 0; k-- {
+		var fs []Expression
+		for i, f := range g.Filters {
+			if stage[i] == k {
+				fs = append(fs, f)
+				ec.noteExists(f, certs[k])
+			}
+		}
+		if len(fs) > 0 {
+			next = ec.filterLink(fs, next)
+		}
+		if k > 0 {
+			next = ec.chainPattern(g.Patterns[k-1], certs[k-1], next)
+		}
+	}
+	return next
+}
+
+// filterLink passes on the rows every filter in fs accepts.
+func (ec *evalContext) filterLink(fs []Expression, next rowSink) rowSink {
+	return func(r idRow) bool {
+		for _, f := range fs {
+			if ok, err := ebvOf(f, ec, r); err != nil || !ok {
+				return true
+			}
+		}
+		return next(r)
+	}
+}
+
+// chainPattern compiles one pattern, entered by rows that bind every slot
+// in certain, into a link in front of next. BGPs, nested groups, OPTIONAL,
+// UNION, BIND, VALUES and filters push row by row; MINUS and a subquery,
+// whose right side does not depend on the row, materialize that side once,
+// at the first row.
+func (ec *evalContext) chainPattern(p Pattern, certain []bool, next rowSink) rowSink {
+	switch pat := p.(type) {
+	case *BGP:
+		return ec.chainBGP(pat, certain, next)
+	case *Group:
+		return ec.chainGroup(pat, certain, next)
+	case *Optional:
+		// The body's end marks that this row extended; a row the body
+		// never extends passes on as it came.
+		matched := false
+		body := ec.chainGroup(pat.Pattern, certain, func(r idRow) bool {
+			matched = true
+			return next(r)
+		})
+		return func(r idRow) bool {
+			matched = false
+			if !body(r) {
+				return false
+			}
+			return matched || next(r)
+		}
+	case *Union:
+		left := ec.chainGroup(pat.Left, certain, next)
+		right := ec.chainGroup(pat.Right, certain, next)
+		return func(r idRow) bool { return left(r) && right(r) }
+	case *Minus:
+		var rhs []idRow
+		built := false
+		return func(r idRow) bool {
+			if !built {
+				rhs = collect(func(sink rowSink) { ec.evalWhere(pat.Pattern, sink) })
+				built = true
+			}
+			if ec.canceled() {
+				return false
+			}
+			return minusMatchesRows(r, rhs) || next(r)
+		}
+	case *Bind:
+		return ec.bindLink(pat, certain, next)
+	case *InlineData:
+		return ec.valuesLink(pat, next)
+	case *SubSelect:
+		// Subqueries evaluate in a fresh scope; their projected rows carry
+		// only the projected slots, then join with the outer rows.
+		var rows []idRow
+		built := false
+		out := ec.newRow()
+		return func(r idRow) bool {
+			if !built {
+				_, slots := ec.projection(pat.Query)
+				rows = collect(func(sink rowSink) { ec.evalSelect(pat.Query, slots, sink) })
+				built = true
+			}
+			if ec.canceled() {
+				return false
+			}
+			for _, sr := range rows {
+				if joinInto(out, r, sr) && !next(out) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	return func(idRow) bool { return true }
+}
+
+// bindLink binds BIND's variable in each row: an expression error leaves
+// it unbound, and a row that already binds it passes only with the same
+// value.
+func (ec *evalContext) bindLink(pat *Bind, certain []bool, next rowSink) rowSink {
+	ec.noteExists(pat.Expr, certain)
+	slot := ec.env.slot(pat.Var)
+	out := ec.newRow()
+	return func(r idRow) bool {
+		v, err := pat.Expr.Eval(ec, r)
+		if err != nil {
+			return next(r)
+		}
+		id := ec.encodeTerm(v)
+		if r[slot] != store.NoID {
+			return r[slot] != id || next(r)
+		}
+		copy(out, r)
+		out[slot] = id
+		return next(out)
+	}
+}
+
+// valuesLink joins a VALUES block: each data row's cells are encoded once,
+// then merged into every input row (ID equality).
+func (ec *evalContext) valuesLink(pat *InlineData, next rowSink) rowSink {
+	slots := make([]int, len(pat.Vars))
+	for i, v := range pat.Vars {
+		slots[i] = ec.env.slot(v)
+	}
+	enc := make([]idRow, len(pat.Rows))
+	for i, row := range pat.Rows {
+		enc[i] = ec.newRow()
+		for j, cell := range row {
+			if cell.Defined { // UNDEF stays NoID
+				enc[i][slots[j]] = ec.encodeTerm(cell.Term)
+			}
+		}
+	}
+	out := ec.newRow()
+	return func(r idRow) bool {
+		for _, data := range enc {
+			if joinInto(out, r, data) && !next(out) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// collectPossibleVars calls add for every variable p could bind in any
+// solution.
+func collectPossibleVars(p Pattern, add func(string)) {
 	switch pat := p.(type) {
 	case *BGP:
 		for _, tp := range pat.Triples {
 			for _, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
 				if tv.IsVar {
-					out[tv.Var] = true
+					add(tv.Var)
 				}
 			}
 		}
 	case *Group:
 		for _, sub := range pat.Patterns {
-			collectPossibleVars(sub, out)
+			collectPossibleVars(sub, add)
 		}
 	case *Optional:
-		for _, sub := range pat.Pattern.Patterns {
-			collectPossibleVars(sub, out)
-		}
+		collectPossibleVars(pat.Pattern, add)
 	case *Union:
-		for _, sub := range pat.Left.Patterns {
-			collectPossibleVars(sub, out)
-		}
-		for _, sub := range pat.Right.Patterns {
-			collectPossibleVars(sub, out)
-		}
+		collectPossibleVars(pat.Left, add)
+		collectPossibleVars(pat.Right, add)
 	case *Bind:
-		out[pat.Var] = true
+		add(pat.Var)
 	case *InlineData:
 		for _, v := range pat.Vars {
-			out[v] = true
+			add(v)
 		}
 	case *SubSelect:
 		for _, item := range pat.Query.Projection {
-			out[item.Var] = true
+			add(item.Var)
 		}
-		if len(pat.Query.Projection) == 0 {
+		if len(pat.Query.Projection) == 0 && pat.Query.Where != nil {
 			// SELECT *: anything its WHERE clause mentions.
-			if pat.Query.Where != nil {
-				for _, sub := range pat.Query.Where.Patterns {
-					collectPossibleVars(sub, out)
-				}
-			}
+			collectPossibleVars(pat.Query.Where, add)
 		}
 	}
 	// *Minus binds nothing.
 }
 
-// addCertainVars adds the variables that are bound in every solution after
-// p evaluates successfully.
-func addCertainVars(p Pattern, out map[string]bool) {
+// addCertain marks the slots bound in every solution after p evaluates
+// successfully: every variable of a BGP, what a group's patterns
+// guarantee, what both sides of a UNION guarantee, the variable of a BIND
+// of a constant, and each VALUES column without an UNDEF cell. OPTIONAL,
+// MINUS, a subquery and a BIND of any other expression guarantee nothing:
+// their bindings can be absent from individual solutions.
+func (ec *evalContext) addCertain(p Pattern, certain []bool) {
+	mark := func(v string) {
+		if s := ec.env.slot(v); s >= 0 {
+			certain[s] = true
+		}
+	}
 	switch pat := p.(type) {
 	case *BGP:
-		for _, tp := range pat.Triples {
-			for _, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
-				if tv.IsVar {
-					out[tv.Var] = true
-				}
-			}
-		}
+		collectPossibleVars(pat, mark)
 	case *Group:
 		for _, sub := range pat.Patterns {
-			addCertainVars(sub, out)
+			ec.addCertain(sub, certain)
 		}
 	case *Union:
-		left := make(map[string]bool)
-		right := make(map[string]bool)
-		for _, sub := range pat.Left.Patterns {
-			addCertainVars(sub, left)
+		left, right := slices.Clone(certain), slices.Clone(certain)
+		ec.addCertain(pat.Left, left)
+		ec.addCertain(pat.Right, right)
+		for s := range certain {
+			certain[s] = left[s] && right[s]
 		}
-		for _, sub := range pat.Right.Patterns {
-			addCertainVars(sub, right)
+	case *Bind:
+		switch pat.Expr.(type) {
+		case *ConstExpr, *paramExpr: // a constant never fails to bind
+			mark(pat.Var)
 		}
-		//feo:unordered // result is a set
-		for v := range left {
-			if right[v] {
-				out[v] = true
+	case *InlineData:
+		for j, v := range pat.Vars {
+			if !slices.ContainsFunc(pat.Rows, func(row []TermOrNil) bool { return !row[j].Defined }) {
+				mark(v)
 			}
 		}
 	}
-	// Optional, Bind, InlineData, Minus, SubSelect guarantee nothing: their
-	// bindings can be absent from individual solutions.
 }
 
 // collectExprVars returns every variable an expression mentions, including
@@ -514,7 +659,8 @@ func addCertainVars(p Pattern, out map[string]bool) {
 // expressions alike, at every nesting depth. Pushdown correctness depends
 // on this being an over-approximation, never an under-approximation.
 func collectExprVars(e Expression) []string {
-	seen := make(map[string]bool)
+	var out []string
+	add := func(v string) { out = append(out, v) }
 	var walk func(Expression)
 	var walkPat func(Pattern)
 	var walkGroup func(g *Group)
@@ -530,7 +676,7 @@ func collectExprVars(e Expression) []string {
 		}
 	}
 	walkPat = func(p Pattern) {
-		collectPossibleVars(p, seen)
+		collectPossibleVars(p, add)
 		switch pat := p.(type) {
 		case *Group:
 			walkGroup(pat)
@@ -560,7 +706,7 @@ func collectExprVars(e Expression) []string {
 	walk = func(e Expression) {
 		switch x := e.(type) {
 		case *VarExpr:
-			seen[x.Name] = true
+			add(x.Name)
 		case *BinaryExpr:
 			walk(x.Left)
 			walk(x.Right)
@@ -584,73 +730,6 @@ func collectExprVars(e Expression) []string {
 		}
 	}
 	walk(e)
-	out := make([]string, 0, len(seen))
-	//feo:unordered // sorted below
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (ec *evalContext) evalPatternRows(p Pattern, seq []idRow) []idRow {
-	switch pat := p.(type) {
-	case *BGP, *Group:
-		return collect(func(sink rowSink) { ec.evalPattern(pat, seq, sink) })
-	case *Optional:
-		return ec.evalOptional(pat, seq)
-	case *Union:
-		left := ec.evalGroupRows(pat.Left, seq)
-		right := ec.evalGroupRows(pat.Right, seq)
-		return append(left, right...)
-	case *Minus:
-		rhs := ec.evalGroupRows(pat.Pattern, []idRow{ec.newRow()})
-		var out []idRow
-		for _, r := range seq {
-			if !minusMatchesRows(r, rhs) {
-				out = append(out, r)
-			}
-		}
-		return out
-	case *Bind:
-		return ec.evalBind(pat, seq)
-	case *InlineData:
-		return ec.evalInlineData(pat, seq)
-	case *SubSelect:
-		// Subqueries evaluate in a fresh scope; their projected rows carry
-		// only the projected slots, then join with the outer rows.
-		_, slots := ec.projection(pat.Query)
-		projRows := collect(func(sink rowSink) { ec.evalSelect(pat.Query, slots, sink) })
-		var out []idRow
-		for _, r := range seq {
-			for _, sr := range projRows {
-				if merged, ok := mergeRows(r, sr); ok {
-					out = append(out, merged)
-				}
-			}
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
-// evalOptional extends each row of seq per OPTIONAL semantics.
-func (ec *evalContext) evalOptional(pat *Optional, seq []idRow) []idRow {
-	var out []idRow
-	keep := func(ext idRow) bool {
-		out = append(out, cloneRow(ext))
-		return true
-	}
-	for _, r := range seq {
-		if ec.canceled() {
-			return out
-		}
-		n := len(out)
-		if ec.evalGroup(pat.Pattern, []idRow{r}, keep); len(out) == n {
-			out = append(out, r)
-		}
-	}
 	return out
 }
 
@@ -681,130 +760,39 @@ func minusMatchesRows(r idRow, rhs []idRow) bool {
 	return false
 }
 
-// evalBind applies a BIND to each row of seq.
-func (ec *evalContext) evalBind(pat *Bind, seq []idRow) []idRow {
-	slot := ec.env.slot(pat.Var)
-	var out []idRow
-	for _, r := range seq {
-		v, err := pat.Expr.Eval(ec, r)
-		if err != nil {
-			out = append(out, r) // expression error leaves var unbound
-			continue
-		}
-		id := ec.encodeTerm(v)
-		if r[slot] != store.NoID {
-			if r[slot] == id {
-				out = append(out, r)
-			}
-			continue
-		}
-		ns := cloneRow(r)
-		ns[slot] = id
-		out = append(out, ns)
-	}
-	return out
-}
-
-// evalInlineData joins a VALUES block: each data row's cells are encoded
-// once, then merged against every input row (copy-on-write, ID equality).
-func (ec *evalContext) evalInlineData(pat *InlineData, seq []idRow) []idRow {
-	slots := make([]int, len(pat.Vars))
-	for i, v := range pat.Vars {
-		slots[i] = ec.env.slot(v)
-	}
-	enc := make([][]store.ID, len(pat.Rows))
-	for i, row := range pat.Rows {
-		ids := make([]store.ID, len(row))
-		for j, cell := range row {
-			if cell.Defined {
-				ids[j] = ec.encodeTerm(cell.Term)
-			} else {
-				ids[j] = store.NoID // UNDEF
-			}
-		}
-		enc[i] = ids
-	}
-	var out []idRow
-	for _, r := range seq {
-		for _, ids := range enc {
-			merged := r
-			cloned := false
-			ok := true
-			for j, id := range ids {
-				if id == store.NoID {
-					continue
-				}
-				slot := slots[j]
-				if merged[slot] != store.NoID {
-					if merged[slot] != id {
-						ok = false
-						break
-					}
-					continue
-				}
-				if !cloned {
-					merged = cloneRow(r)
-					cloned = true
-				}
-				merged[slot] = id
-			}
-			if ok {
-				out = append(out, merged)
-			}
-		}
-	}
-	return out
-}
-
-func (ec *evalContext) applyFilter(f Expression, seq []idRow) []idRow {
-	var out []idRow
-	for _, r := range seq {
-		if ec.canceled() {
-			return out
-		}
-		if ok, err := ebvOf(f, ec, r); err == nil && ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// evalBGP evaluates a basic graph pattern as a depth-first ID-space push:
+// chainBGP compiles a basic graph pattern into a depth-first ID-space push:
 // the compiled (and cached) plan orders the patterns by estimated
 // selectivity and fuses runs sharing one fresh slot into bitmap
 // intersections; each plan step extends one row at a time into its own
-// scratch row and hands it to the next step, the last one to sink. Rows
+// scratch row and hands it to the next step, the last one to next. Rows
 // come out in the order a step-at-a-time join would emit them, nothing is
-// allocated or decoded per row, and sink returning false stops the walk.
-func (ec *evalContext) evalBGP(bgp *BGP, rows []idRow, sink rowSink) bool {
-	if len(rows) == 0 {
-		return true
+// allocated or decoded per row, and next returning false stops the walk.
+func (ec *evalContext) chainBGP(bgp *BGP, certain []bool, next rowSink) rowSink {
+	if len(bgp.Triples) == 0 {
+		return next
 	}
-	next := sink
-	if len(bgp.Triples) > 0 {
-		plan := ec.planBGP(bgp, rows)
-		if plan.empty {
-			return true
-		}
-		w := ec.env.width()
-		scratch := make(idRow, len(plan.steps)*w) // each step copies its input row in first
-		for i := len(plan.steps) - 1; i >= 0; i-- {
-			st, out := &plan.steps[i], scratch[i*w:(i+1)*w]
-			switch {
-			case st.isPath:
-				next = ec.pathStep(st.tp, out, next)
-			case len(st.specs) > 1:
-				// Fused run: per row, each pattern's candidate bitmap comes
-				// straight from an index level and the run's matches are
-				// their word-level intersection, in the exact ascending-ID
-				// order the unfused expand-then-filter cascade would emit.
-				next = intersectStep(ec.g, ec.stop, st, out, next)
-			default:
-				next = expandStep(ec.g, ec.stop, st.specs[0], out, next)
-			}
+	plan := ec.planBGP(bgp, certain)
+	if plan.empty {
+		return func(idRow) bool { return true }
+	}
+	w := ec.env.width()
+	scratch := make(idRow, len(plan.steps)*w) // each step copies its input row in first
+	for i := len(plan.steps) - 1; i >= 0; i-- {
+		st, out := &plan.steps[i], scratch[i*w:(i+1)*w]
+		switch {
+		case st.isPath:
+			next = ec.pathStep(st.tp, out, next)
+		case len(st.specs) > 1:
+			// Fused run: per row, each pattern's candidate bitmap comes
+			// straight from an index level and the run's matches are
+			// their word-level intersection, in the exact ascending-ID
+			// order the unfused expand-then-filter cascade would emit.
+			next = intersectStep(ec.g, ec.stop, st, out, next)
+		default:
+			next = expandStep(ec.g, ec.stop, st.specs[0], out, next)
 		}
 	}
-	return pushRows(rows, next)
+	return next
 }
 
 // probeFor resolves one pattern against one row: constants from the spec,
@@ -937,83 +925,6 @@ func expandStep(g *store.Graph, stop *atomic.Bool, spec bgpSpec, out idRow, next
 	}
 }
 
-// quickExists answers EXISTS over a group consisting of a single non-path
-// triple pattern without materializing rows: it probes the ID indexes
-// directly from the row's slots — no decode at all — and stops at the
-// first match. ok=false means the group is not of that shape and the
-// caller must fall back to full evaluation.
-//
-//feo:unordered
-func (ec *evalContext) quickExists(g *Group, r idRow) (found, ok bool) {
-	if g == nil || len(g.Filters) != 0 || len(g.Patterns) != 1 {
-		return false, false
-	}
-	bgp, isBGP := g.Patterns[0].(*BGP)
-	if !isBGP || len(bgp.Triples) != 1 || bgp.Triples[0].Path != nil {
-		return false, false
-	}
-	tp := bgp.Triples[0]
-	consts, seen := ec.existsIDs[g]
-	if !seen {
-		consts = ec.existsConstIDs(tp)
-		if ec.existsIDs == nil {
-			ec.existsIDs = make(map[*Group]existsConsts)
-		}
-		ec.existsIDs[g] = consts
-	}
-	if consts.absent {
-		return false, true // a term the graph has never seen: no match
-	}
-	ids := consts.ids
-	freeSlots := [3]int{-1, -1, -1}
-	for i, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
-		if !tv.IsVar {
-			continue
-		}
-		s := ec.env.slot(tv.Var)
-		if s >= 0 && r[s] != store.NoID {
-			ids[i] = r[s]
-			continue
-		}
-		// Two unbound occurrences of one variable constrain each other;
-		// leave that shape to the full evaluator.
-		for j := 0; j < i; j++ {
-			if freeSlots[j] == s {
-				return false, false
-			}
-		}
-		freeSlots[i] = s
-	}
-	ec.g.ForEachID(ids[0], ids[1], ids[2], func(_, _, _ store.ID) bool {
-		found = true
-		return false
-	})
-	return found, true
-}
-
-// existsConsts holds the IDs of a pattern's constants (NoID at its
-// variables); absent reports a constant the graph has never interned.
-type existsConsts struct {
-	ids    [3]store.ID
-	absent bool
-}
-
-// existsConstIDs looks tp's constants up in the graph.
-func (ec *evalContext) existsConstIDs(tp TriplePattern) existsConsts {
-	c := existsConsts{ids: [3]store.ID{store.NoID, store.NoID, store.NoID}}
-	for i, tv := range [3]TermOrVar{tp.S, tp.P, tp.O} {
-		if tv.IsVar {
-			continue
-		}
-		id, known := ec.g.LookupID(ec.constOf(tv))
-		if !known {
-			return existsConsts{absent: true}
-		}
-		c.ids[i] = id
-	}
-	return c
-}
-
 // ---- SELECT finalization: grouping, aggregates, projection, modifiers ----
 
 // projection returns q's projected variables in column order and the slot
@@ -1073,21 +984,20 @@ func (ec *evalContext) evalSelect(q *Query, slots []int, emit rowSink) {
 		n++
 		return emit(out) && n != q.Limit
 	}
-	input := []idRow{ec.newRow()}
 	// Aggregation applies when GROUP BY is present or any projection/having
 	// expression contains an aggregate.
 	aggs := collectAggregates(q)
 	grouped := len(q.GroupBy) > 0 || len(aggs) > 0
 	if !grouped && len(q.OrderBy) == 0 {
 		ext := ec.newRow()
-		ec.evalGroup(q.Where, input, func(r idRow) bool {
+		ec.evalWhere(q.Where, func(r idRow) bool {
 			copy(ext, r)
 			ec.bindProjection(q, ext)
 			return tail(ext)
 		})
 		return
 	}
-	rows := ec.evalGroupRows(q.Where, input)
+	rows := collect(func(sink rowSink) { ec.evalWhere(q.Where, sink) })
 	if ec.canceled() {
 		return
 	}

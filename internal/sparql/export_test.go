@@ -37,3 +37,8 @@ func MutateConstants(src string) string {
 		}, t.text)
 	})
 }
+
+// StaticBoundMismatches runs src against g and describes every BGP whose
+// static bound-slot set differs from the slots bound in every row that
+// reaches it (see boundCheck).
+var StaticBoundMismatches = staticBoundMismatches

@@ -268,16 +268,10 @@ func (e *InExpr) Eval(ec *evalContext, r idRow) (rdf.Term, error) {
 	return boolTerm(found != e.Negated), nil
 }
 
-// Eval of ExistsExpr runs the nested pattern seeded with the current row
-// up to its first solution. Single-triple-pattern groups — the common
-// FILTER (NOT) EXISTS shape — short-circuit on the first index hit
-// without planning the pattern or decoding a single term.
+// Eval of ExistsExpr pushes the current row into the nested pattern's
+// chain, compiled at the first row, up to its first solution.
 func (e *ExistsExpr) Eval(ec *evalContext, r idRow) (rdf.Term, error) {
-	found, ok := ec.quickExists(e.Pattern, r)
-	if !ok {
-		found = ec.exists(e.Pattern, r)
-	}
-	return boolTerm(found != e.Negated), nil
+	return boolTerm(ec.exists(e.Pattern, r) != e.Negated), nil
 }
 
 // Eval of FuncExpr dispatches the builtin library.

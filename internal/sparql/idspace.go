@@ -30,10 +30,9 @@ import (
 // remains exactly RDF term identity across both ID ranges.
 
 // idRow is one intermediate solution in ID space: one slot per query
-// variable, store.NoID where unbound. Set-at-a-time operators extend rows
-// copy-on-write, and push steps write only into their own scratch row, so
-// a row handed to a sub-evaluation (an OPTIONAL probe, an EXISTS body) is
-// never mutated.
+// variable, store.NoID where unbound. A push link writes only into its
+// own scratch row, so a row handed on (into an OPTIONAL body, an EXISTS
+// body, a UNION branch) is never mutated.
 type idRow []store.ID
 
 // slotEnv is the per-query variable→slot binding table.
@@ -269,63 +268,23 @@ func (ec *evalContext) valueOf(r idRow, name string) (rdf.Term, bool) {
 	return ec.termOf(r[s]), true
 }
 
-// certainSlots reports, per slot, whether every row binds it (all false
-// for an empty row set).
-func (ec *evalContext) certainSlots(rows []idRow) []bool {
-	w := ec.env.width()
-	out := make([]bool, w)
-	if len(rows) == 0 {
-		return out
-	}
-	for s := 0; s < w; s++ {
-		bound := true
-		for _, r := range rows {
-			if r[s] == store.NoID {
-				bound = false
-				break
-			}
-		}
-		out[s] = bound
-	}
-	return out
-}
-
-// varsBoundInAllRows is certainSlots keyed by variable name, the form the
-// filter-pushdown analysis consumes.
-func (ec *evalContext) varsBoundInAllRows(rows []idRow) map[string]bool {
-	out := make(map[string]bool)
-	if len(rows) == 0 {
-		return out
-	}
-	for slot, bound := range ec.certainSlots(rows) {
-		if bound {
-			out[ec.env.names[slot]] = true
-		}
-	}
-	return out
-}
-
-// mergeRows joins two rows when their shared slots agree. The merged row
-// shares a's backing array when b adds nothing new (rows are copy-on-write
-// everywhere, so sharing is safe).
-func mergeRows(a, b idRow) (idRow, bool) {
-	out := a
-	cloned := false
+// joinInto writes the join of a and b into out and reports whether their
+// shared slots agree.
+//
+//feo:idspace
+func joinInto(out, a, b idRow) bool {
+	copy(out, a)
 	for s, v := range b {
 		if v == store.NoID {
 			continue
 		}
-		if a[s] != store.NoID {
-			if a[s] != v {
-				return nil, false
+		if out[s] != store.NoID {
+			if out[s] != v {
+				return false
 			}
 			continue
 		}
-		if !cloned {
-			out = cloneRow(a)
-			cloned = true
-		}
 		out[s] = v
 	}
-	return out, true
+	return true
 }

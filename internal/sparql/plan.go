@@ -13,9 +13,10 @@ import (
 // order, encoding each pattern's constant IDs, and segmenting the ordered
 // patterns into fused intersection runs — depends only on the pattern
 // list, its constants, the graph version, and which slots are certainly
-// bound on entry. A repeated query (the serve-time steady state, and
-// every per-row re-entry of an OPTIONAL or EXISTS body) therefore skips
-// straight to execution.
+// bound on entry — a static set, derived top-down through the group that
+// holds the BGP (groupStages), so every BGP of a query is planned once
+// per execution, however many rows reach it. A repeated query (the
+// serve-time steady state) therefore skips straight to execution.
 //
 // Lifetime rule: a plan lives exactly as long as the graph version it was
 // compiled against. Plans are stored in that graph value's store.Memo;
@@ -126,12 +127,12 @@ func appendBoundSig(buf []byte, certain []bool) []byte {
 	return buf
 }
 
-// planBGP returns the plan for bgp given the entry row set, consulting
-// the graph's plan memo unless join reordering is disabled (the A/B knob
-// changes the plan shape and is not part of the key) or the graph mutated
-// mid-query (the version the plan would be filed under is gone).
-func (ec *evalContext) planBGP(bgp *BGP, rows []idRow) *bgpPlan {
-	certain := ec.certainSlots(rows)
+// planBGP returns the plan for bgp entered by rows that bind every slot
+// in certain, consulting the graph's plan memo unless join reordering is
+// disabled (the A/B knob changes the plan shape and is not part of the
+// key) or the graph mutated mid-query (the version the plan would be
+// filed under is gone).
+func (ec *evalContext) planBGP(bgp *BGP, certain []bool) *bgpPlan {
 	cacheable := !DisableJoinReorder && ec.g.Version() == ec.gver
 	var buf [64]byte
 	sig := appendBoundSig(buf[:0], certain)
@@ -146,12 +147,7 @@ func (ec *evalContext) planBGP(bgp *BGP, rows []idRow) *bgpPlan {
 		}
 		return ec.storePlan(key, ec.compileBGP(bgp, certain, ibuf[:0]))
 	}
-	// A template BGP: estimate and order for this execution's constants,
-	// once per (BGP, bound set) within the execution.
-	local := planKey{bgp: bgp, sig: string(sig)}
-	if p, ok := ec.boundPlans[local]; ok && cacheable {
-		return p
-	}
+	// A template BGP: estimate and order for this execution's constants.
 	infos, empty := ec.estimateBGP(bgp.Triples, ibuf[:0])
 	if empty {
 		return &bgpPlan{empty: true}
@@ -168,17 +164,10 @@ func (ec *evalContext) planBGP(bgp *BGP, rows []idRow) *bgpPlan {
 		key = binary.AppendUvarint(key, uint64(i))
 	}
 	shared := planKey{bgp: bgp, sig: string(key)}
-	p := ec.loadPlan(shared)
-	if p != nil {
-		p = p.rebind(ec.g, infos)
-	} else {
-		p = ec.storePlan(shared, ec.segmentBGP(bgp, infos, order, certain))
+	if p := ec.loadPlan(shared); p != nil {
+		return p.rebind(ec.g, infos)
 	}
-	if ec.boundPlans == nil {
-		ec.boundPlans = make(map[planKey]*bgpPlan)
-	}
-	ec.boundPlans[local] = p
-	return p
+	return ec.storePlan(shared, ec.segmentBGP(bgp, infos, order, certain))
 }
 
 // loadPlan returns the plan filed under key in the graph's memo, or nil.

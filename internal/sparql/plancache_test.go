@@ -196,3 +196,52 @@ func TestPlanCacheConcurrentPopulation(t *testing.T) {
 		t.Errorf("concurrent run should both compile and reuse plans (hits=%d misses=%d)", hits, misses)
 	}
 }
+
+// TestGroupBodiesPlanOncePerExecution: an OPTIONAL or EXISTS body is
+// planned with the rest of its query, once per execution, not once per
+// row that probes it — each execution looks up one plan per BGP, however
+// many recipes reach the body. A single-BGP query (bulk_export's shape)
+// looks up one.
+func TestGroupBodiesPlanOncePerExecution(t *testing.T) {
+	queries := []struct {
+		src  string
+		bgps int
+	}{
+		{`SELECT ?r ?d WHERE { ?r a food:Recipe . OPTIONAL { ?r feo:compatibleWithDiet ?d } }`, 2},
+		{`SELECT ?r WHERE { ?r a food:Recipe . FILTER EXISTS { ?r feo:compatibleWithDiet ?d . ?d a food:Diet } }`, 2},
+		{`SELECT ?r ?d WHERE { ?r a food:Recipe . ?r feo:compatibleWithDiet ?d }`, 1},
+	}
+	for _, n := range []int{4, 64} {
+		g := store.New()
+		diet := rdf.NewIRI(rdf.KGNS + "diet/Vegan")
+		g.Add(diet, rdf.TypeIRI, rdf.NewIRI(rdf.FoodNS+"Diet"))
+		for i := 0; i < n; i++ {
+			r := rdf.NewIRI(fmt.Sprintf("%srecipe/%d", rdf.KGNS, i))
+			g.Add(r, rdf.TypeIRI, rdf.NewIRI(rdf.FoodNS+"Recipe"))
+			if i%2 == 0 {
+				g.Add(r, rdf.NewIRI(rdf.FEONS+"compatibleWithDiet"), diet)
+			}
+		}
+		for _, tc := range queries {
+			src := tc.src
+			q, err := ParseQuery(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < 2; run++ { // cold plans, then warm
+				h0, m0 := PlanCacheStats()
+				res, err := Execute(g, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Len() < n/2 {
+					t.Fatalf("%d recipes, %s: %d rows", n, src, res.Len())
+				}
+				h1, m1 := PlanCacheStats()
+				if got := (h1 - h0) + (m1 - m0); got != uint64(tc.bgps) {
+					t.Errorf("%d recipes, run %d, %s: %d plan lookups, want %d", n, run, src, got, tc.bgps)
+				}
+			}
+		}
+	}
+}

@@ -233,10 +233,10 @@ func TestShapeCacheJoinOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		ec := pq.context(k.g)
-		cached = planSpecs(ec.planBGP(pq.q.Where.Patterns[0].(*BGP), []idRow{ec.newRow()}))
+		cached = planSpecs(ec.planBGP(pq.q.Where.Patterns[0].(*BGP), make([]bool, ec.env.width())))
 		q, _ := ParseQuery(src)
 		fec := prepare(q).context(k.g)
-		fresh = planSpecs(fec.compileBGP(q.Where.Patterns[0].(*BGP), fec.certainSlots([]idRow{fec.newRow()}), nil))
+		fresh = planSpecs(fec.compileBGP(q.Where.Patterns[0].(*BGP), make([]bool, fec.env.width()), nil))
 		return cached, fresh
 	}
 	for _, first := range []int{0, 1} {

@@ -253,7 +253,7 @@ func ExecuteUpdate(g *store.Graph, u *Update) (UpdateResult, error) {
 				}
 			}
 		case UpdateDeleteWhere, UpdateModify:
-			rows := ec.evalGroupRows(op.Where, []idRow{ec.newRow()})
+			rows := collect(func(sink rowSink) { ec.evalWhere(op.Where, sink) })
 			// Materialize both sets (decoding the ID rows) before mutating.
 			var toDelete, toInsert []rdf.Triple
 			for _, r := range rows {

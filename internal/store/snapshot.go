@@ -214,20 +214,37 @@ func appendSet(e *rdf.Encoder, s *IDSet) {
 
 // ---- decoder ----
 
+// readDict decodes the dictionary section into dict, the empty dictionary
+// of a fresh graph: the terms are appended, published once, and entered
+// into the map under one lock. A term that appears twice fails the
+// decode.
+//
+//feo:mutates
 func readDict(d *rdf.Decoder, dict *TermDict) {
 	n := d.Count(2, "term") // kind byte + value length
-	if d.Err() == nil {
-		dict.grow(n)
+	if d.Err() != nil {
+		return
 	}
+	dict.grow(n)
+	start := len(dict.terms)
 	for i := 0; i < n; i++ {
 		t := d.Term()
 		if d.Err() != nil {
+			dict.terms = dict.terms[:start]
 			return
 		}
-		if id := dict.Intern(t); id != ID(i) {
+		// Beyond the published length: no reader sees it until publish.
+		dict.terms = append(dict.terms, t)
+	}
+	dict.publish()
+	dict.mu.Lock()
+	defer dict.mu.Unlock()
+	for i, t := range dict.terms[start:] {
+		if _, dup := dict.ids[t]; dup {
 			d.Fail("duplicate term at ID %d", i)
 			return
 		}
+		dict.ids[t] = ID(start + i)
 	}
 }
 

@@ -406,3 +406,16 @@ func TestForceVersionMonotonic(t *testing.T) {
 		t.Fatalf("ForceVersion lowered the version: %d", g.Version())
 	}
 }
+
+// BenchmarkReadSnapshot decodes a randomGraph snapshot (≈ 4.8 k terms):
+// dictionary, namespaces and both indexes.
+func BenchmarkReadSnapshot(b *testing.B) {
+	data := snapshotBytes(b, randomGraph(b, rand.New(rand.NewSource(1))))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := ReadSnapshot(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
