@@ -370,6 +370,42 @@ func BenchmarkExplainWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkExplainCommitPin measures one /explain as a serve loop runs
+// it: Session.Explain (a writer commit) followed by Session.Snapshot (the
+// next reader's pin, which publishes the commit). The session already
+// holds questions=N question individuals, so the per-commit cost of the
+// freeze can be read against history: the copies a pin makes after a
+// commit should track what the commit wrote, so ns/op and B/op should
+// stay flat as N grows.
+func BenchmarkExplainCommitPin(b *testing.B) {
+	cfg := foodkg.DefaultConfig()
+	cfg.Recipes = 60
+	cfg.Ingredients = 60
+	cfg.Users = 4
+	for _, n := range []int{250, 1000, 4000} {
+		sess := feo.NewSession(feo.Options{Data: feo.DataSynthetic, KG: cfg})
+		recipes := sess.Recipes()
+		ask := func(i int) {
+			if _, err := sess.Explain(feo.Question{
+				Type: feo.Contextual, Primary: recipes[i%len(recipes)], Text: fmt.Sprintf("pin ask %d", i),
+			}); err != nil {
+				b.Fatal(err)
+			}
+			sess.Snapshot()
+		}
+		for i := 0; i < n; i++ {
+			ask(i)
+		}
+		b.Run(fmt.Sprintf("questions=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ask(n + i)
+			}
+			n += b.N
+		})
+	}
+}
+
 // ---- A4: SPARQL operator micro-benchmarks ----
 
 func BenchmarkSPARQL_Operators(b *testing.B) {

@@ -388,12 +388,12 @@ func (s *Session) Recipes() []Term { return s.Snapshot().Recipes() }
 //     no reader waits on it.
 //  3. Commit the transaction with the publish deferred, marking the
 //     session dirty: the next Snapshot pin publishes the accumulated
-//     state (see Session.Snapshot). Deferring keeps a burst of
-//     back-to-back commits from paying one copy-on-write freeze each —
-//     the dense count vectors and outer index levels are O(dictionary)
-//     copies per freeze — while isolation is untouched, because pins
-//     only ever see published states and the WAL append above still
-//     precedes every publish.
+//     state (see Session.Snapshot). A freeze makes the next commit copy
+//     the pages, runs and sets it writes (a few KiB, independent of the
+//     dictionary and of history); deferring lets a burst of back-to-back
+//     commits with no pin in between share one freeze, while isolation
+//     is untouched, because pins only ever see published states and the
+//     WAL append above still precedes every publish.
 //  4. If the WAL reached Options.CompactBytes and no compaction is
 //     running, pin one (beginCompact). Its snapshot write runs after the
 //     writer lock is released, before commitWrite returns.

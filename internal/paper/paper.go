@@ -124,9 +124,6 @@ func Table1() (string, error) {
 	var b strings.Builder
 	b.WriteString("Table I: Explanation types, example questions, and generated answers\n\n")
 	for _, et := range core.AllExplanationTypes() {
-		// Explain's row pipeline enumerates index maps; the answer text it
-		// settles on is pinned byte-for-byte by TestTable1AllNineRows.
-		//feo:unordered
 		ex, err := engine.Explain(questions[et])
 		if err != nil {
 			return "", fmt.Errorf("paper: table 1 row %v: %w", et, err)

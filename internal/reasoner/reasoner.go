@@ -240,8 +240,6 @@ func New(opts Options) *Reasoner {
 // is recomputed from the full graph. When the mutations since the previous
 // run were captured, MaterializeChanges does the same work in time
 // proportional to the delta instead.
-//
-//feo:unordered
 func (r *Reasoner) Materialize(g *store.Graph) Stats {
 	start := time.Now()
 	r.bind(g)
@@ -264,8 +262,6 @@ func (r *Reasoner) Materialize(g *store.Graph) Stats {
 // structural triple, a Clear, a version gap, or a foreign or
 // never-materialized graph falls back to a full Materialize. A nil change
 // set always runs full.
-//
-//feo:unordered
 func (r *Reasoner) MaterializeChanges(g *store.Graph, cs *store.ChangeSet) Stats {
 	cs.Stop()
 	if cs == nil || cs.Graph() != g || !r.canDelta(g) || cs.Cleared() ||

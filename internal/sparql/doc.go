@@ -189,14 +189,17 @@
 // extensions of a row follow it directly, and a UNION after other
 // patterns interleaves per input row — the left branch's rows for it,
 // then the right's — rather than emitting every left row before any
-// right one. The store's innermost index level is a bitmap that iterates
-// in ascending ID order, but patterns with two or more free positions
-// still walk the middle map level (store.ForEachID) in unspecified order,
-// so two executions of the same query can enumerate those matches
-// differently. That residual nondeterminism is canonicalized away by
-// ORDER BY, DISTINCT-insensitive consumers, and the artifact renderers;
-// what is fixed is the solution multiset, the variable list, and every
-// rendered artifact.
+// right one. Every store walk (store.ForEachID) is in ascending ID order
+// at every index level, and groups leave in first-seen order, so one
+// query over one graph version returns its rows in one order: repeats,
+// concurrent executions and a restart from a snapshot (which keeps the
+// IDs) produce the same bytes. Two freedoms remain. ID order is
+// first-interning order, not term order, so two graphs holding the same
+// triples interned in another order can order the rows differently. And
+// the planner picks join orders from the graph's counts, so a later
+// version can enumerate the same matches in another order. Only ORDER BY
+// fixes an order across those; the contract is still the solution
+// multiset, the variable list, and every rendered artifact.
 //
 // # Correctness harness
 //

@@ -216,9 +216,11 @@ type evalContext struct {
 	// Per-query property-path memos, ID-keyed: the graph is immutable
 	// while a query runs, so the ID set a path reaches from a given
 	// endpoint is computed once even when many rows probe the same
-	// (path, endpoint, direction) triple. See path.go.
+	// (path, endpoint, direction) triple, and an IRI step's predicate is
+	// looked up once. See path.go.
 	pathMemo      map[pathIDKey][]store.ID
 	pathStartMemo map[*Path][]store.ID
+	pathPreds     map[*Path]store.ID
 	// chains memoizes the push chain of every EXISTS body (and ASK's
 	// WHERE clause) this execution evaluated, so a body probed once per
 	// row compiles, and looks its plans up, once.

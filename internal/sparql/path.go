@@ -169,6 +169,30 @@ func (ec *evalContext) pathStarts(p *Path) []store.ID {
 	return v
 }
 
+// pathPred returns the dictionary ID of an IRI step's predicate, or NoID
+// when the dictionary does not know it. The BFS asks once per frontier
+// node, so the lookup is memoized per path, under pathReach's version
+// guard.
+//
+//feo:idspace
+func (ec *evalContext) pathPred(p *Path) store.ID {
+	memo := ec.g.Version() == ec.gver
+	if id, ok := ec.pathPreds[p]; ok && memo {
+		return id
+	}
+	id, known := ec.g.LookupID(p.IRI)
+	if !known {
+		id = store.NoID
+	}
+	if memo {
+		if ec.pathPreds == nil {
+			ec.pathPreds = make(map[*Path]store.ID)
+		}
+		ec.pathPreds[p] = id
+	}
+	return id
+}
+
 // reach calls emit for every ID the path connects `from` to (backward:
 // every ID connected to `from`), possibly more than once; callers dedup.
 // It stops as soon as emit returns false and reports whether it ran to
@@ -179,8 +203,8 @@ func (ec *evalContext) pathStarts(p *Path) []store.ID {
 func (ec *evalContext) reach(p *Path, from store.ID, backward bool, emit func(store.ID) bool) bool {
 	switch p.Kind {
 	case PathIRI:
-		pred, known := ec.g.LookupID(p.IRI)
-		if !known {
+		pred := ec.pathPred(p)
+		if pred == store.NoID {
 			return true
 		}
 		ok := true
@@ -270,8 +294,8 @@ func (ec *evalContext) startCandidates(p *Path, backward bool) *store.IDSet {
 	out := store.NewIDSet()
 	switch p.Kind {
 	case PathIRI:
-		pred, known := ec.g.LookupID(p.IRI)
-		if !known {
+		pred := ec.pathPred(p)
+		if pred == store.NoID {
 			return out
 		}
 		ec.g.ForEachID(store.NoID, pred, store.NoID, func(s, _, o store.ID) bool {

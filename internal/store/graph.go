@@ -8,10 +8,11 @@
 // two permutation indexes (SPO, POS) are nested levels whose
 // innermost level is a roaring-style bitmap set (IDSet, bitset.go): 16-bit-
 // keyed containers holding either a sorted uint16 array (sparse) or a
-// 1024-word bitmap (dense). The outermost level is a dense slice indexed
-// directly by the leading ID (IDs are dense, so the probe is a bounds check
-// and an array load, cheaper than the hash probe it replaced); the middle
-// level is a small map from the second ID to the bitmap set. Terms are
+// 1024-word bitmap (dense). The outermost level is a paged vector indexed
+// directly by the leading ID (IDs are dense, so the probe is two bounds
+// checks and two array loads); the middle level is a sorted run list
+// from the second ID to the bitmap set, probed by binary search (index.go
+// has the layout). Terms are
 // encoded exactly once, on write; every probe, join, and iteration
 // afterwards touches 4-byte integers instead of 4-field structs holding up
 // to three IRI strings, and the innermost membership tests and set
@@ -23,11 +24,11 @@
 // one bit per member, and intersecting two of them (MatchSetID + IDSet.And)
 // ANDs words rather than re-hashing elements.
 //
-// ID-level set iteration (ForEachID, ObjectsID, SubjectsID, …) is in
-// ascending ID order — deterministic, unlike the map sets this layout
-// replaced. Full scans additionally iterate the outer level in ascending
-// leading-ID order. The term-level API still decodes and term-sorts at the
-// boundary, so rendered artifacts are unchanged.
+// Every level iterates in ascending ID order, so ID-level walks
+// (ForEachID, ObjectsID, SubjectsID, …) visit the matches of a pattern in
+// one order that depends only on the graph's contents and IDs. The
+// term-level API still decodes and term-sorts at the boundary, so
+// rendered artifacts are unchanged.
 //
 // Reads decode lazily: the Term-based API (ForEach, Match, Objects, …)
 // materializes rdf.Term values only for the positions a caller actually
@@ -61,19 +62,22 @@
 // Readers never block the writer and the writer never blocks readers.
 //
 // Isolation is copy-on-write with epoch tagging: every index structure
-// (outer slice, middle map, innermost IDSet, per-position count vector)
-// carries the epoch at which it was last privately writable. Publishing a
-// snapshot bumps the graph's epoch, freezing all current structures in
-// place; the writer's next mutation of a frozen structure first copies it
-// (a slice memcpy at the outer levels, a shallow map copy in the middle,
-// and a container-aliasing cowClone at the set level — see bitset.go), so
-// the snapshot keeps reading the original bits while the writer moves on.
-// Structures already private to the current epoch mutate in place, so a
-// graph that has never published — the load/reason boot path — pays nothing
-// for any of this.
+// (outer directory and page, middle level and run, innermost IDSet, count
+// directory and page) carries the epoch at which it was last privately
+// writable. Publishing a snapshot bumps the graph's epoch, freezing all
+// current structures in place; the writer's next mutation of a frozen
+// structure first copies it, and only the part it writes: a directory and
+// one 512-entry page at the outer level and for the object counts, the run
+// headers and one run of at most 128 keys in the middle, and a
+// container-aliasing cowClone at the set level (see bitset.go). The
+// snapshot keeps reading the original bits while the writer moves on, and
+// what a commit's freeze copies tracks what the commit wrote rather than
+// the dictionary or the size of a level. Structures already private to the
+// current epoch mutate in place, so a graph that has never published — the
+// load/reason boot path — pays nothing for any of this.
 //
 // The writer-side rules are unchanged from the pre-MVCC store: at most one
-// goroutine may mutate (Add*, Merge, Remove, Subtract, Clear, InternTerm)
+// goroutine may mutate (Add*, Merge, Remove, Clear, InternTerm)
 // at a time, and un-pinned reads of the live graph must not overlap a
 // mutation. What MVCC adds is that *pinned* reads are always safe: any
 // number of goroutines may read a published Snapshot concurrently with the
@@ -103,108 +107,18 @@ import (
 // Wildcard is the zero rdf.Term; in pattern positions it matches any term.
 var Wildcard = rdf.Term{}
 
-// lvl2 is the middle level of one permutation index: the second-position
-// map of one leading ID, with the COW epoch it was last privately writable
-// at. A published snapshot may share the lvl2 pointer with the live graph;
-// the writer shallow-copies the map before its first mutation in a new
-// epoch.
-type lvl2 struct {
-	epoch uint64
-	m     map[ID]*IDSet
-}
-
-// index is one permutation index: a dense slice over the first position
-// (indexed directly by ID), a map level over the second, a bitmap set (see
-// bitset.go) over the third. A missing level reads as nil; every read-only
-// IDSet method treats a nil *IDSet as the empty set. The epoch marks when
-// the outer slice was last privately writable (see the package doc on COW).
-//
-//feo:mutable-type
-type index struct {
-	epoch uint64
-	s     []*lvl2
-}
-
-// get returns the innermost set for (a, b), or nil. Safe on any ID
-// (including NoID) and on shared/frozen structures.
-func (ix *index) get(a, b ID) *IDSet {
-	ai := int(a)
-	if ai >= len(ix.s) {
-		return nil
-	}
-	l := ix.s[ai]
-	if l == nil {
-		return nil
-	}
-	return l.m[b]
-}
-
-// level returns the second-position map of leading ID a, or nil. Read-only.
-func (ix *index) level(a ID) map[ID]*IDSet {
-	ai := int(a)
-	if ai >= len(ix.s) {
-		return nil
-	}
-	l := ix.s[ai]
-	if l == nil {
-		return nil
-	}
-	return l.m
-}
-
-// levels counts the distinct leading IDs present in the index.
-func (ix *index) levels() int {
-	n := 0
-	for _, l := range ix.s {
-		if l != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// counts is a per-position triple counter (counts.get(s) = triples with
-// subject s, …), maintained on every add/remove so CountID answers any
-// singly-bound pattern in O(1). The SPARQL planner's selectivity estimates
-// probe these on every BGP, so they must not require an index walk. Dense
-// int32 vector indexed by ID, COW-copied per epoch like the index levels.
-//
-//feo:mutable-type
-type counts struct {
-	epoch uint64
-	v     []int32
-}
-
-func (c *counts) get(id ID) int {
-	if int(id) >= len(c.v) {
-		return 0
-	}
-	return int(c.v[id])
-}
-
-// nonZero counts the IDs with at least one triple in this position.
-func (c *counts) nonZero() int {
-	n := 0
-	for _, k := range c.v {
-		if k != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Graph is a set of RDF triples indexed in SPO and POS order over
 // dictionary-encoded term IDs.
 //
 //feo:mutable-type
 type Graph struct {
-	dict  *TermDict
-	spo   index
-	pos   index
-	subjN counts
-	predN counts
-	objN  counts
-	n     int
+	dict *TermDict
+	spo  index
+	pos  index
+	// objN counts the triples of each object. The subject and predicate
+	// counts are the n of their SPO and POS levels.
+	objN pages[int32]
+	n    int
 	// version counts successful mutations (triple adds/removes and Clear).
 	// Consumers that memoize derived state per graph snapshot — the SPARQL
 	// engine's plan memo and per-query path-reachability caches — key or
@@ -255,7 +169,7 @@ func (g *Graph) Namespaces() *rdf.Namespaces { return g.ns }
 func (g *Graph) Len() int { return g.n }
 
 // Version returns a counter that increases on every successful mutation
-// (Add*, Remove, Merge, Subtract, Clear — including mutations that go
+// (Add*, Remove, Merge, Clear — including mutations that go
 // through Bulk or the reasoner). Two reads returning the same value
 // bracket a span with no triple-level mutation, so caches of derived
 // state (path reachability memos, query plans) can assert the graph they
@@ -349,17 +263,14 @@ func (g *Graph) MatchSetID(s, p, o ID) *IDSet {
 }
 
 // forEachPredicate calls fn for every predicate of (s, ?, o), in
-// unspecified order, until fn returns false: a walk of the SPO level of s
+// ascending ID order, until fn returns false: a walk of the SPO level of s
 // that tests each object set for o.
 //
 //feo:frozen-safe
 func (g *Graph) forEachPredicate(s, o ID, fn func(p ID) bool) {
-	//feo:unordered // callers either collect a set or document the order
-	for pred, objs := range g.spo.level(s) {
-		if objs.Contains(o) && !fn(pred) {
-			return
-		}
-	}
+	g.spo.level(s).each(func(pred ID, objs *IDSet) bool {
+		return !objs.Contains(o) || fn(pred)
+	})
 }
 
 // AddID inserts the triple (s, p, o) given already-interned IDs; it reports
@@ -389,9 +300,7 @@ func (g *Graph) addIDs(s, p, o ID) bool {
 	}
 	g.indexAdd(&g.spo, s, p, o)
 	g.indexAdd(&g.pos, p, o, s)
-	g.countAdd(&g.subjN, s, 1)
-	g.countAdd(&g.predN, p, 1)
-	g.countAdd(&g.objN, o, 1)
+	*g.objN.slot(g.epoch, o)++
 	g.n++
 	g.version++
 	if len(g.captures) != 0 {
@@ -400,40 +309,25 @@ func (g *Graph) addIDs(s, p, o ID) bool {
 	return true
 }
 
-// mutableLvl2 returns the privately writable middle level for leading ID a
-// of ix, COW-copying the outer slice and/or the map when they are still
-// shared with a published snapshot (epoch predates g.epoch), and growing
-// the outer slice when a is beyond it.
+// mutableLvl2 returns the slot of leading ID a in ix and its middle level,
+// both privately writable: the directory and page on the way are copied
+// when they are still shared with a published snapshot (epoch predates
+// g.epoch), and so are the level's run headers. A missing level is
+// created.
 //
 //feo:mutates
-func (g *Graph) mutableLvl2(ix *index, a ID) *lvl2 {
-	ai := int(a)
-	if ix.epoch != g.epoch {
-		n := len(ix.s)
-		if ai >= n {
-			n = ai + 1
-		}
-		s := make([]*lvl2, n)
-		copy(s, ix.s)
-		ix.s, ix.epoch = s, g.epoch
-	} else if ai >= len(ix.s) {
-		ix.s = append(ix.s, make([]*lvl2, ai+1-len(ix.s))...)
-	}
-	l := ix.s[ai]
+func (g *Graph) mutableLvl2(ix *index, a ID) (**lvl2, *lvl2) {
+	slot := ix.slot(g.epoch, a)
+	l := *slot
 	switch {
 	case l == nil:
-		l = &lvl2{epoch: g.epoch, m: make(map[ID]*IDSet, 1)}
-		ix.s[ai] = l
+		l = &lvl2{epoch: g.epoch}
+		*slot = l
 	case l.epoch != g.epoch:
-		m := make(map[ID]*IDSet, len(l.m)+1)
-		//feo:unordered // COW map clone
-		for k, v := range l.m {
-			m[k] = v
-		}
-		l = &lvl2{epoch: g.epoch, m: m}
-		ix.s[ai] = l
+		l = &lvl2{epoch: g.epoch, n: l.n, runs: append(make([]run, 0, len(l.runs)+1), l.runs...)}
+		*slot = l
 	}
-	return l
+	return slot, l
 }
 
 // indexAdd inserts c into the (a, b) set of ix, COW-copying shared levels.
@@ -441,15 +335,17 @@ func (g *Graph) mutableLvl2(ix *index, a ID) *lvl2 {
 //
 //feo:mutates
 func (g *Graph) indexAdd(ix *index, a, b, c ID) {
-	l := g.mutableLvl2(ix, a)
-	set := l.m[b]
+	_, l := g.mutableLvl2(ix, a)
+	l.n++
+	slot := l.setSlot(g.epoch, b)
+	set := *slot
 	switch {
 	case set == nil:
 		set = &IDSet{epoch: g.epoch}
-		l.m[b] = set
+		*slot = set
 	case set.epoch != g.epoch:
 		set = set.cowClone(g.epoch)
-		l.m[b] = set
+		*slot = set
 	}
 	set.Add(c)
 }
@@ -460,48 +356,33 @@ func (g *Graph) indexAdd(ix *index, a, b, c ID) {
 //
 //feo:mutates
 func (g *Graph) indexRemove(ix *index, a, b, c ID) {
-	l := g.mutableLvl2(ix, a)
-	set := l.m[b]
+	lslot, l := g.mutableLvl2(ix, a)
+	l.n--
+	if l.get(b).Len() == 1 {
+		l.drop(g.epoch, b)
+		if len(l.runs) == 0 {
+			*lslot = nil
+		}
+		return
+	}
+	slot := l.setSlot(g.epoch, b)
+	set := *slot
 	if set.epoch != g.epoch {
 		set = set.cowClone(g.epoch)
-		l.m[b] = set
+		*slot = set
 	}
 	set.Remove(c)
-	if set.Len() == 0 {
-		delete(l.m, b)
-		if len(l.m) == 0 {
-			ix.s[a] = nil
-		}
-	}
-}
-
-// countAdd adjusts one per-position counter, COW-copying the vector when it
-// is still shared with a published snapshot.
-//
-//feo:mutates
-func (g *Graph) countAdd(c *counts, id ID, d int32) {
-	ai := int(id)
-	if c.epoch != g.epoch {
-		n := len(c.v)
-		if ai >= n {
-			n = ai + 1
-		}
-		v := make([]int32, n)
-		copy(v, c.v)
-		c.v, c.epoch = v, g.epoch
-	} else if ai >= len(c.v) {
-		c.v = append(c.v, make([]int32, ai+1-len(c.v))...)
-	}
-	c.v[ai] += d
 }
 
 // ForEachID calls fn for every ID triple matching the pattern (s, p, o),
 // where NoID matches anything. Iteration stops early when fn returns false.
-// The innermost (bitmap) level iterates in ascending ID order and full
-// scans walk the outer level in ascending leading-ID order; the middle map
-// level remains unordered, and so does (s, ?, o), a walk of that level.
-// (?, ?, o) visits predicates in ascending ID order and, within one, its
-// subjects in ascending ID order. The callback must not mutate the graph.
+// Every level walks in ascending ID order, so each pattern shape visits
+// its matches in one fixed order: (s, ?, ?) and (s, ?, o) by predicate,
+// (?, p, ?) by object, (?, ?, o) by predicate, and the innermost level by
+// ID; a full scan is subject-major. The callback should not mutate the
+// graph. The reasoner's rules do add triples from inside their walks; a
+// middle-level walk then still visits each key present throughout once
+// (see lvl2.each).
 //
 //feo:frozen-safe
 func (g *Graph) ForEachID(s, p, o ID, fn func(s, p, o ID) bool) {
@@ -518,48 +399,39 @@ func (g *Graph) ForEachID(s, p, o ID, fn func(s, p, o ID) bool) {
 	case pB && oB: // (?, p, o) — POS
 		g.pos.get(p, o).ForEach(func(subj ID) bool { return fn(subj, p, o) })
 	case sB: // (s, ?, ?) — SPO
-		for pred, objs := range g.spo.level(s) {
-			if !objs.ForEach(func(obj ID) bool { return fn(s, pred, obj) }) {
-				return
-			}
-		}
+		g.spo.level(s).each(func(pred ID, objs *IDSet) bool {
+			return objs.ForEach(func(obj ID) bool { return fn(s, pred, obj) })
+		})
 	case pB: // (?, p, ?) — POS
-		for obj, subjs := range g.pos.level(p) {
-			if !subjs.ForEach(func(subj ID) bool { return fn(subj, p, obj) }) {
-				return
-			}
-		}
+		g.pos.level(p).each(func(obj ID, subjs *IDSet) bool {
+			return subjs.ForEach(func(subj ID) bool { return fn(subj, p, obj) })
+		})
 	case oB: // (?, ?, o) — one POS probe per predicate, until objN(o) are seen
-		left := g.objN.get(o)
-		for pi := 0; left > 0 && pi < len(g.pos.s); pi++ {
-			pred := ID(pi)
-			subjs := g.pos.get(pred, o)
+		left := int(g.objN.get(o))
+		if left == 0 {
+			return
+		}
+		g.pos.each(func(pred ID, l *lvl2) bool {
+			subjs := l.get(o)
 			if subjs == nil {
-				continue
+				return true
 			}
 			left -= subjs.Len()
-			if !subjs.ForEach(func(subj ID) bool { return fn(subj, pred, o) }) {
-				return
-			}
-		}
+			return subjs.ForEach(func(subj ID) bool { return fn(subj, pred, o) }) && left > 0
+		})
 	default: // full scan
-		for si, l := range g.spo.s {
-			if l == nil {
-				continue
-			}
-			subj := ID(si)
-			for pred, objs := range l.m {
-				if !objs.ForEach(func(obj ID) bool { return fn(subj, pred, obj) }) {
-					return
-				}
-			}
-		}
+		g.spo.each(func(subj ID, l *lvl2) bool {
+			return l.each(func(pred ID, objs *IDSet) bool {
+				return objs.ForEach(func(obj ID) bool { return fn(subj, pred, obj) })
+			})
+		})
 	}
 }
 
 // CountID returns the number of triples matching the ID pattern without
 // iterating them: fully and doubly bound shapes are a single len() of the
-// underlying index level; singly bound shapes read a per-position counter.
+// underlying index level; a bound subject or predicate reads the triple
+// count its SPO or POS level carries, a bound object the object counts.
 //
 //feo:frozen-safe
 func (g *Graph) CountID(s, p, o ID) int {
@@ -579,11 +451,11 @@ func (g *Graph) CountID(s, p, o ID) int {
 	case pB && oB:
 		return g.pos.get(p, o).Len()
 	case sB:
-		return g.subjN.get(s)
+		return g.spo.countOf(s)
 	case pB:
-		return g.predN.get(p)
+		return g.pos.countOf(p)
 	case oB:
-		return g.objN.get(o)
+		return int(g.objN.get(o))
 	default:
 		return g.n
 	}
@@ -712,9 +584,7 @@ func (g *Graph) removeIDs(s, p, o ID) bool {
 	}
 	g.indexRemove(&g.spo, s, p, o)
 	g.indexRemove(&g.pos, p, o, s)
-	g.countAdd(&g.subjN, s, -1)
-	g.countAdd(&g.predN, p, -1)
-	g.countAdd(&g.objN, o, -1)
+	*g.objN.slot(g.epoch, o)--
 	g.n--
 	g.version++
 	if len(g.captures) != 0 {
@@ -790,7 +660,7 @@ func (g *Graph) ForEach(s, p, o rdf.Term, fn func(rdf.Triple) bool) {
 	})
 }
 
-// Match returns all triples matching the pattern, in unspecified order.
+// Match returns all triples matching the pattern, in ForEachID order.
 //
 //feo:frozen-safe
 func (g *Graph) Match(s, p, o rdf.Term) []rdf.Triple {
@@ -911,13 +781,6 @@ func (g *Graph) Predicates(s, o rdf.Term) []rdf.Term {
 	return g.decodeSorted(g.MatchSetID(sID, NoID, oID))
 }
 
-// TypesOf returns the asserted rdf:type objects of s, sorted.
-//
-//feo:frozen-safe
-func (g *Graph) TypesOf(s rdf.Term) []rdf.Term {
-	return g.Objects(s, rdf.TypeIRI)
-}
-
 // IsA reports whether (s rdf:type class) is present.
 //
 //feo:frozen-safe
@@ -951,12 +814,11 @@ func (g *Graph) Triples() []rdf.Triple {
 //
 //feo:frozen-safe
 func (g *Graph) SubjectSet() []rdf.Term {
-	out := make([]rdf.Term, 0, g.spo.levels())
-	for si, l := range g.spo.s {
-		if l != nil {
-			out = append(out, g.dict.Term(ID(si)))
-		}
-	}
+	var out []rdf.Term
+	g.spo.each(func(s ID, _ *lvl2) bool {
+		out = append(out, g.dict.Term(s))
+		return true
+	})
 	sortTerms(out)
 	return out
 }
@@ -972,37 +834,15 @@ func (g *Graph) SubjectSet() []rdf.Term {
 //feo:fresh
 func (g *Graph) Clone() *Graph {
 	out := &Graph{
-		dict:  g.dict.Clone(),
-		spo:   cloneIndex(g.spo),
-		pos:   cloneIndex(g.pos),
-		subjN: cloneCounts(g.subjN),
-		predN: cloneCounts(g.predN),
-		objN:  cloneCounts(g.objN),
-		n:     g.n,
+		dict: g.dict.Clone(),
+		spo:  index{g.spo.clone((*lvl2).clone)},
+		pos:  index{g.pos.clone((*lvl2).clone)},
+		objN: g.objN.clone(func(c int32) int32 { return c }),
+		n:    g.n,
 		// The clone starts its own mutation history; versions are only
 		// comparable against the same Graph value.
 		version: g.version,
 		ns:      g.ns.Clone(),
-	}
-	return out
-}
-
-func cloneCounts(c counts) counts {
-	return counts{v: append([]int32(nil), c.v...)}
-}
-
-func cloneIndex(ix index) index {
-	out := index{s: make([]*lvl2, len(ix.s))}
-	for ai, l := range ix.s {
-		if l == nil {
-			continue
-		}
-		m := make(map[ID]*IDSet, len(l.m))
-		//feo:unordered // index clone
-		for b, set := range l.m {
-			m[b] = set.Clone()
-		}
-		out.s[ai] = &lvl2{m: m}
 	}
 	return out
 }
@@ -1015,7 +855,6 @@ func cloneIndex(ix index) index {
 // graph is a triple set.
 //
 //feo:mutates
-//feo:unordered
 func (g *Graph) Merge(other *Graph) int {
 	if other == nil {
 		return 0
@@ -1044,23 +883,6 @@ func (g *Graph) Merge(other *Graph) int {
 		}
 	}
 	return added
-}
-
-// Subtract removes every triple of other from g and returns the number removed.
-//
-//feo:mutates
-func (g *Graph) Subtract(other *Graph) int {
-	if other == nil {
-		return 0
-	}
-	removed := 0
-	other.ForEach(Wildcard, Wildcard, Wildcard, func(t rdf.Triple) bool {
-		if g.Remove(t.S, t.P, t.O) {
-			removed++
-		}
-		return true
-	})
-	return removed
 }
 
 // Equal reports whether g and other contain exactly the same triples.
@@ -1094,11 +916,9 @@ func (g *Graph) Clear() {
 		panic("store: mutation on a frozen snapshot view")
 	}
 	g.dict = NewTermDict()
-	g.spo = index{epoch: g.epoch}
-	g.pos = index{epoch: g.epoch}
-	g.subjN = counts{epoch: g.epoch}
-	g.predN = counts{epoch: g.epoch}
-	g.objN = counts{epoch: g.epoch}
+	g.spo = index{}
+	g.pos = index{}
+	g.objN = pages[int32]{}
 	g.n = 0
 	g.version++
 	if len(g.captures) != 0 {
@@ -1151,44 +971,6 @@ func (g *Graph) ReadListID(head ID) (members []ID, ok bool) {
 		head = g.FirstObjectID(head, restID)
 	}
 	return members, true
-}
-
-// AddList writes members as an RDF collection using fresh blank nodes with
-// the given label prefix and returns the head term (rdf:nil for an empty
-// list).
-//
-//feo:mutates
-func (g *Graph) AddList(labelPrefix string, members []rdf.Term) rdf.Term {
-	if len(members) == 0 {
-		return rdf.NilIRI
-	}
-	head := rdf.NewBlank(labelPrefix + "0")
-	cur := head
-	for i, m := range members {
-		g.Add(cur, rdf.FirstIRI, m)
-		if i == len(members)-1 {
-			g.Add(cur, rdf.RestIRI, rdf.NilIRI)
-		} else {
-			next := rdf.NewBlank(labelPrefix + itoa(i+1))
-			g.Add(cur, rdf.RestIRI, next)
-			cur = next
-		}
-	}
-	return head
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
 }
 
 func sortTerms(ts []rdf.Term) {

@@ -216,9 +216,8 @@ type Stats struct {
 // immaterial.
 //
 //feo:frozen-safe
-//feo:unordered
 func (g *Graph) Statistics() Stats {
-	st := Stats{Triples: g.n, Subjects: g.spo.levels(), Predicates: g.pos.levels(), Objects: g.objN.nonZero()}
+	st := Stats{Triples: g.n, Subjects: g.spo.nonZero(), Predicates: g.pos.nonZero(), Objects: g.objN.nonZero()}
 	classes := make(map[rdf.Term]struct{})
 	instances := make(map[rdf.Term]struct{})
 	blanks := make(map[rdf.Term]struct{})

@@ -75,8 +75,6 @@ func (g *Graph) publish() *Snapshot {
 		dict:    g.dict,
 		spo:     g.spo,
 		pos:     g.pos,
-		subjN:   g.subjN,
-		predN:   g.predN,
 		objN:    g.objN,
 		n:       g.n,
 		version: g.version,
@@ -137,8 +135,8 @@ func (g *Graph) dictCap() int {
 // serializes writers.
 //
 // Begin deliberately does NOT freeze the graph: a freeze would force the
-// transaction's mutations to copy every dense structure they touch, which
-// is exactly the per-commit cost CommitDeferred exists to avoid.
+// transaction's mutations to copy every page, run and set they touch,
+// which is exactly the per-commit cost CommitDeferred exists to avoid.
 //
 //feo:mutable-type
 type Txn struct {
@@ -191,10 +189,10 @@ func (t *Txn) Commit() *Snapshot {
 // publishing a snapshot: the committed state becomes visible to new pins
 // only at the next Publish. This is the fast path for write bursts — a
 // publish freezes every structure the snapshot shares with the live graph,
-// so the writer's next commit pays copy-on-write for each dense structure
-// it touches (the count vectors and outer index levels are O(dictionary)
-// memcpys). Deferring lets N back-to-back commits share one freeze, paid
-// only when a reader actually pins in between. Isolation is unaffected:
+// so the writer's next commit pays copy-on-write for each page, run and
+// set it touches (bounded by what it writes, not by the graph's size).
+// Deferring lets N back-to-back commits share one freeze, paid only when
+// a reader actually pins in between. Isolation is unaffected:
 // pinned snapshots only ever expose published states, and everything they
 // share stays frozen.
 //

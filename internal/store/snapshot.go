@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/rdf"
 )
@@ -100,15 +99,12 @@ func (g *Graph) readSnapshotInto(data []byte) error {
 	// The per-position counts and the triple total are redundant with the
 	// indexes, so the snapshot does not store them: readIndex sums them.
 	nTerms := uint64(g.dict.Len())
-	g.subjN.v = make([]int32, nTerms)
-	g.predN.v = make([]int32, nTerms)
-	g.objN.v = make([]int32, nTerms)
-	g.n = readIndex(d, &g.spo, nTerms, &g.subjN, nil)
-	if n := readIndex(d, &g.pos, nTerms, &g.predN, &g.objN); d.Err() == nil && n != g.n {
+	g.n = readIndex(d, &g.spo, nTerms, nil)
+	if n := readIndex(d, &g.pos, nTerms, &g.objN); d.Err() == nil && n != g.n {
 		d.Fail("index cardinalities disagree (spo=%d pos=%d)", g.n, n)
 	}
 	if ver == 1 { // format 1's OSP section: validated, then dropped
-		if n := readIndex(d, &index{}, nTerms, nil, nil); d.Err() == nil && n != g.n {
+		if n := readIndex(d, &index{}, nTerms, nil); d.Err() == nil && n != g.n {
 			d.Fail("index cardinalities disagree (spo=%d osp=%d)", g.n, n)
 		}
 	}
@@ -167,29 +163,20 @@ func reserve(e *rdf.Encoder, n int) {
 	}
 }
 
+// appendIndex writes idx in the order its levels walk: ascending outer
+// keys, then ascending inner keys.
 func appendIndex(e *rdf.Encoder, idx *index) {
-	// The outer level iterates in ascending ID order by construction, so
-	// the byte layout matches the sorted-map encoding this replaced.
-	e.Uvarint(uint64(idx.levels()))
-	var inner []ID
-	for ai, l := range idx.s {
-		if l == nil {
-			continue
-		}
-		inner = inner[:0]
-		for b := range l.m {
-			inner = append(inner, b)
-		}
-		slices.Sort(inner)
-		e.Uvarint(uint64(ai))
-		e.Uvarint(uint64(len(inner)))
-		for _, b := range inner {
-			set := l.m[b]
+	e.Uvarint(uint64(idx.nonZero()))
+	idx.each(func(a ID, l *lvl2) bool {
+		e.Uvarint(uint64(a))
+		e.Uvarint(uint64(l.keyCount()))
+		return l.each(func(b ID, set *IDSet) bool {
 			reserve(e, (len(set.cs)+1)*maxContainerBytes)
 			e.Uvarint(uint64(b))
 			appendSet(e, set)
-		}
-	}
+			return true
+		})
+	})
 }
 
 func appendSet(e *rdf.Encoder, s *IDSet) {
@@ -249,19 +236,20 @@ func readDict(d *rdf.Decoder, dict *TermDict) {
 }
 
 // readIndex decodes one index section into idx and returns its triple
-// count. It adds the triples under each leading ID to lead and those
-// under each second-position ID to inner (POS's middle level counts the
-// objects); either may be nil.
+// count. Each level records the triples under its leading ID; inner, when
+// not nil, receives the triples under each second-position ID (POS's
+// middle level counts the objects). The ascending inner keys of a level
+// fill its runs in order, runMax keys each, sliced from one pair of
+// arrays.
 //
 //feo:mutates
-func readIndex(d *rdf.Decoder, idx *index, nTerms uint64, lead, inner *counts) (total int) {
+func readIndex(d *rdf.Decoder, idx *index, nTerms uint64, inner *pages[int32]) (total int) {
 	checkID := func(v uint64) ID {
 		if v >= nTerms {
 			d.Fail("index ID %d out of dictionary range %d", v, nTerms)
 		}
 		return ID(v)
 	}
-	idx.s = make([]*lvl2, nTerms)
 	// An outer level is at least a key and an inner count; an inner entry
 	// at least a key, a container count, a container key and a form byte.
 	// More keys than terms cannot pass the range, duplicate and order checks.
@@ -269,16 +257,27 @@ func readIndex(d *rdf.Decoder, idx *index, nTerms uint64, lead, inner *counts) (
 	for i := 0; i < nOuter && d.Err() == nil; i++ {
 		a := checkID(d.Uvarint())
 		nInner := d.Count(4, "inner key")
-		m1 := make(map[ID]*IDSet, nInner)
-		var prev ID
-		for j := 0; j < nInner && d.Err() == nil; j++ {
+		if d.Err() != nil {
+			return
+		}
+		if nInner == 0 {
+			d.Fail("empty index level %d", a)
+			return
+		}
+		if idx.level(a) != nil {
+			d.Fail("duplicate outer key %d", a)
+			return
+		}
+		keys := make([]ID, nInner)
+		sets := make([]*IDSet, nInner)
+		l := &lvl2{runs: make([]run, 0, (nInner+runMax-1)/runMax)}
+		for j := 0; j < nInner; j++ {
 			// Ascending inner keys rule out a repeated one, which would
 			// replace a set that the other two indexes still count.
 			b := checkID(d.Uvarint())
-			if j > 0 && b <= prev {
-				d.Fail("inner keys out of order at index level %d (%d after %d)", a, b, prev)
+			if j > 0 && b <= keys[j-1] {
+				d.Fail("inner keys out of order at index level %d (%d after %d)", a, b, keys[j-1])
 			}
-			prev = b
 			set := readSet(d, nTerms)
 			if d.Err() != nil {
 				return
@@ -288,27 +287,18 @@ func readIndex(d *rdf.Decoder, idx *index, nTerms uint64, lead, inner *counts) (
 				d.Fail("empty set at index level (%d,%d)", a, b)
 				return
 			}
-			m1[b] = set
-			total += k
-			if lead != nil {
-				lead.v[a] += int32(k)
-			}
+			keys[j], sets[j] = b, set
+			l.n += k
 			if inner != nil {
-				inner.v[b] += int32(k)
+				*inner.slot(0, b) += int32(k)
 			}
 		}
-		if d.Err() == nil {
-			if idx.s[a] != nil {
-				d.Fail("duplicate outer key %d", a)
-				return
-			}
-			idx.s[a] = &lvl2{m: m1}
+		for lo := 0; lo < nInner; lo += runMax {
+			hi := min(lo+runMax, nInner)
+			l.runs = append(l.runs, run{keys: keys[lo:hi:hi], sets: sets[lo:hi:hi]})
 		}
-	}
-	// Trim the outer level to its last key: (?, ?, o) walks POS's outer
-	// level, whose keys are the few predicates among all the terms.
-	for len(idx.s) > 0 && idx.s[len(idx.s)-1] == nil {
-		idx.s = idx.s[:len(idx.s)-1]
+		*idx.slot(0, a) = l
+		total += l.n
 	}
 	return total
 }

@@ -20,7 +20,6 @@ import (
 //feo:emit
 func Write(w io.Writer, g *store.Graph) error {
 	ts := make([]store.IDTriple, 0, g.Len())
-	//feo:unordered // WriteIDs sorts by term order; enumeration order is irrelevant
 	g.ForEachID(store.NoID, store.NoID, store.NoID, func(s, p, o store.ID) bool {
 		ts = append(ts, store.IDTriple{S: s, P: p, O: o})
 		return true
